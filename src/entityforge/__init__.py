@@ -7,8 +7,6 @@ from .chain import (
     ScriptTable,
     Transaction,
     Txo,
-    TxShape,
-    tx_shape,
     validate_transaction,
 )
 from .clusters import ClusterSet, load_snapshot
@@ -34,7 +32,6 @@ __all__ = [
     "RunConfig",
     "ScriptTable",
     "Transaction",
-    "TxShape",
     "Txo",
     "compare_runs",
     "exponent_series",
@@ -45,7 +42,6 @@ __all__ = [
     "rounding_exponent",
     "run",
     "score",
-    "tx_shape",
     "validate_transaction",
 ]
 

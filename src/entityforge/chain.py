@@ -40,17 +40,6 @@ class Block(NamedTuple):
     transactions: list[Transaction]
 
 
-class TxShape(NamedTuple):
-    """Distinct-script counts and value totals for one transaction."""
-
-    n_in: int
-    n_out: int
-    in_multiplicity: int
-    out_multiplicity: int
-    v_in: int
-    v_out: int
-
-
 class ScriptTable:
     """Injective script-text <-> dense-id interning table.
 
@@ -122,23 +111,6 @@ def validate_transaction(tx: Transaction) -> Transaction:
     return tx
 
 
-def tx_shape(tx: Transaction) -> TxShape:
-    in_scripts = {t.script for t in tx.inputs}
-    out_scripts = {t.script for t in tx.outputs}
-    return TxShape(
-        n_in=len(in_scripts),
-        n_out=len(out_scripts),
-        in_multiplicity=len(tx.inputs),
-        out_multiplicity=len(tx.outputs),
-        v_in=sum(t.value for t in tx.inputs),
-        v_out=sum(t.value for t in tx.outputs),
-    )
-
-
-def fee(tx: Transaction) -> int:
-    return sum(t.value for t in tx.inputs) - sum(t.value for t in tx.outputs)
-
-
 def open_text_stream(path: str, mode: str) -> IO:
     if str(path).endswith(".gz"):
         return gzip.open(path, mode + "t", encoding="utf-8")
@@ -207,7 +179,7 @@ def iter_blocks(
             continue
         try:
             raw = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
             raise IngestError(f"line {lineno}: invalid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise IngestError(f"line {lineno}: expected a JSON object")
@@ -293,51 +265,3 @@ class MemorySource:
     def blocks(self) -> Iterator[Block]:
         for block in self._blocks:
             yield block
-
-
-class ThreadedSource:
-    """Runs another source's decode pass in a thread behind a bounded queue.
-
-    Lets JSON decoding and validation run ahead of the (strictly sequential)
-    clustering stage. Each blocks() call spawns one fresh producer thread.
-    """
-
-    def __init__(self, inner, queue_blocks: int = 64):
-        self.inner = inner
-        self.queue_blocks = queue_blocks
-
-    @property
-    def table(self) -> ScriptTable:
-        return self.inner.table
-
-    @property
-    def stats(self) -> StreamStats:
-        return self.inner.stats
-
-    def blocks(self) -> Iterator[Block]:
-        import queue
-        import threading
-
-        q: queue.Queue = queue.Queue(maxsize=self.queue_blocks)
-        done = object()
-        failure: list[BaseException] = []
-
-        def produce() -> None:
-            try:
-                for block in self.inner.blocks():
-                    q.put(block)
-            except BaseException as exc:
-                failure.append(exc)
-            finally:
-                q.put(done)
-
-        worker = threading.Thread(target=produce, daemon=True)
-        worker.start()
-        while True:
-            item = q.get()
-            if item is done:
-                break
-            yield item
-        worker.join()
-        if failure:
-            raise failure[0]

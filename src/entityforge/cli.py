@@ -17,7 +17,7 @@ from decimal import Decimal, InvalidOperation
 from io import StringIO
 
 from . import engine
-from .chain import JsonlSource, ScriptTable, StreamStats, ThreadedSource, iter_blocks, open_text_stream
+from .chain import JsonlSource, ScriptTable, StreamStats, iter_blocks, open_text_stream
 from .clusters import load_snapshot
 from .errors import ConfigError, EntityForgeError
 from .heuristics import HEURISTICS, HeuristicConfig
@@ -105,7 +105,6 @@ _RUN_DEFAULTS = {
     "horizon": None,
     "checkpoints": None,
     "prices": None,
-    "threads": 1,
 }
 
 
@@ -157,8 +156,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         checkpoint_interval=interval,
     )
     source = JsonlSource(args.tx)
-    if settings["threads"] and settings["threads"] > 1:
-        source = ThreadedSource(source)
     prices = _load_prices(settings["prices"]) if needs_prices else None
 
     log.info("running heuristic %s over %s", heuristic, args.tx)
@@ -278,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument("--out", help="report CSV path (stdout if omitted)")
     run_p.add_argument("--snapshot", help="final partition path (.bin = binary, else CSV)")
-    run_p.add_argument("--threads", type=int, help="decode-stage thread cap (default 1)")
     run_p.set_defaults(func=cmd_run)
 
     cmp_p = sub.add_parser("compare", help="merge report CSVs into one wide table")

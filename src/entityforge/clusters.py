@@ -14,7 +14,7 @@ import struct
 from fractions import Fraction
 from typing import IO, Iterable
 
-from .errors import DataError
+from .errors import DataError, csv_rows, parse_int
 
 _UNREGISTERED = -1
 _SNAPSHOT_MAGIC = b"ECLS1"
@@ -108,28 +108,12 @@ class ClusterSet:
 
     def labels(self) -> dict[int, int]:
         """Canonical labeling: each registered script -> min id in its cluster."""
-        label: dict[int, int] = {}
-        for sid in range(len(self._parent)):
-            if self._parent[sid] == _UNREGISTERED:
-                continue
-            root = self.find(sid)
-            cur = label.get(root)
-            if cur is None or sid < cur:
-                label[root] = sid
-        return {
-            sid: label[self.find(sid)]
-            for sid in range(len(self._parent))
-            if self._parent[sid] != _UNREGISTERED
-        }
-
-    def clusters(self) -> dict[int, list[int]]:
-        """Canonical label -> sorted member list, for small-scale inspection."""
-        groups: dict[int, list[int]] = {}
-        for sid, lab in self.labels().items():
-            groups.setdefault(lab, []).append(sid)
-        for members in groups.values():
-            members.sort()
-        return groups
+        first: dict[int, int] = {}  # root -> first (smallest) member seen
+        labels = {}
+        for sid, p in enumerate(self._parent):
+            if p != _UNREGISTERED:
+                labels[sid] = first.setdefault(self.find(sid), sid)
+        return labels
 
     def refines(self, other: "ClusterSet") -> bool:
         """True iff every cluster of self is contained in a cluster of other.
@@ -191,20 +175,16 @@ def load_snapshot(path: str) -> ClusterSet:
     with open(path, "rb") as fh:
         head = fh.read(len(_SNAPSHOT_MAGIC))
         if head == _SNAPSHOT_MAGIC:
-            (count,) = struct.unpack("<Q", fh.read(8))
-            payload = fh.read(8 * count)
-            if len(payload) != 8 * count:
-                raise DataError(f"truncated binary snapshot: {path}")
-            labels = struct.unpack(f"<{count}Q", payload) if count else ()
-            return ClusterSet.from_labels({sid: lab for sid, lab in enumerate(labels)})
+            body = fh.read()
+            count = int.from_bytes(body[:8], "little")
+            if len(body) != 8 + 8 * count:
+                raise DataError(f"binary snapshot {path}: size does not match its count")
+            labels = struct.unpack(f"<{count}Q", body[8:])
+            if any(lab >= count for lab in labels):
+                raise DataError(f"binary snapshot {path}: a label is not below the count {count}")
+            return ClusterSet.from_labels(dict(enumerate(labels)))
     labels = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["script_id", "cluster_id"]:
-            raise DataError(f"bad snapshot header in {path}: {header}")
-        for row in reader:
-            if len(row) != 2:
-                raise DataError(f"bad snapshot row in {path}: {row}")
-            labels[int(row[0])] = int(row[1])
+        for where, (sid, lab) in csv_rows(fh, ["script_id", "cluster_id"], f"snapshot {path}"):
+            labels[parse_int(sid, where)] = parse_int(lab, where)
     return ClusterSet.from_labels(labels)

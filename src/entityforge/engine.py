@@ -193,16 +193,15 @@ def run(
     if spec.needs_prices and price_series is None:
         raise ConfigError(f"heuristic {config.heuristic!r} requires a price series")
 
-    if spec.reuse == "none":
-        mode = "none"
-    elif spec.reuse == "full":
+    mode = spec.horizon or "none"
+    if mode == "full":
         if config.horizon == "online":
             raise ConfigError(
                 f"heuristic {config.heuristic!r} requires a fixed full-dataset horizon"
             )
         mode = "fixed"
-    else:
-        mode = config.horizon or spec.default_horizon
+    elif mode != "none" and config.horizon:
+        mode = config.horizon
 
     fixed_idx: ReuseIndex | None = None
     online_idx: ReuseIndex | None = None
@@ -211,12 +210,7 @@ def run(
     elif mode == "online":
         online_idx = ReuseIndex()
 
-    ctx = EvalContext(
-        config=config.params,
-        reuse=online_idx or fixed_idx,
-        full_reuse=fixed_idx,
-        coinjoin=config.coinjoin,
-    )
+    ctx = EvalContext(config=config.params, reuse=online_idx or fixed_idx, coinjoin=config.coinjoin)
 
     store = ClusterSet()
     checkpoints = _Checkpoints(config)

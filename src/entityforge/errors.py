@@ -1,8 +1,11 @@
-"""Error types shared across the package.
+"""Error types shared across the package, and the CSV reading that uses them.
 
 Every data-level failure carries a short category string so the CLI can
 report `error[<category>]: message` and exit with a stable code.
 """
+
+import csv
+from typing import IO, Iterator
 
 
 class EntityForgeError(Exception):
@@ -34,12 +37,6 @@ class ValidationError(DataError):
     category = "validation"
 
 
-class ModeError(DataError):
-    """An operation was called on an index in the wrong horizon mode."""
-
-    category = "mode"
-
-
 class ConfigError(EntityForgeError):
     """Invalid run configuration (bad parameters, unknown heuristic...)."""
 
@@ -50,3 +47,34 @@ class GenerationError(EntityForgeError):
     """Synthetic stream generation was asked for something infeasible."""
 
     category = "generation"
+
+
+def csv_rows(source: IO, header: list[str], what: str) -> Iterator[tuple[str, list[str]]]:
+    """Yield `(where, row)` for each non-blank data row of a CSV file.
+
+    `where` names the file and line for error messages. A header other than
+    `header`, a row with another number of fields, or text the csv module
+    cannot read raises DataError.
+    """
+    reader = csv.reader(source)
+    try:
+        got = next(reader, None)
+        if got != header:
+            raise DataError(f"bad {what} header: {got}")
+        for row in reader:
+            if not row:
+                continue
+            where = f"{what} line {reader.line_num}"
+            if len(row) != len(header):
+                raise DataError(f"{where}: expected {len(header)} columns, got {len(row)}")
+            yield where, row
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise DataError(f"{what} line {reader.line_num}: {exc}") from None
+
+
+def parse_int(text: str, where: str) -> int:
+    """`int(text)`, or a DataError that names where the text came from."""
+    try:
+        return int(text)
+    except ValueError:
+        raise DataError(f"{where}: expected an integer, got {text!r}") from None

@@ -1,9 +1,12 @@
-"""Merge heuristics: pure functions from a transaction to a merge proposal.
+"""Merge heuristics: pure rules from a transaction to merge groups.
 
-Each heuristic inspects one transaction (plus explicit context such as a
-reuse index or the block's rounding exponent) and proposes zero or more
-script groups to consolidate. Nothing here mutates state; the engine applies
-proposals to the cluster store in stream order.
+Every rule has one signature, ``rule(tx, ctx) -> tuple[frozenset[int], ...]``:
+it inspects one transaction plus the explicit context in ``EvalContext`` (the
+reuse index, the block's rounding exponent, the tunable parameters and the
+CoinJoin filter) and returns the script groups to consolidate, ``()`` when
+it does not fire. A registered heuristic is a named tuple of rules whose
+groups are concatenated in order. Nothing here mutates state; the engine
+applies the groups to the cluster store in stream order.
 """
 
 from __future__ import annotations
@@ -13,23 +16,16 @@ from decimal import Decimal
 from typing import Callable, NamedTuple
 
 from .chain import Transaction
-from .errors import ConfigError, ModeError
-from .reuse import FIXED, ReuseIndex
+from .errors import ConfigError
+from .reuse import ReuseIndex
+
+Groups = tuple[frozenset[int], ...]
 
 
 class MergeProposal(NamedTuple):
-    groups: tuple[frozenset[int], ...]
+    groups: Groups
     heuristic: str
     txid: str
-
-    @property
-    def empty(self) -> bool:
-        return not self.groups
-
-
-def _proposal(name: str, tx: Transaction, *groups) -> MergeProposal:
-    kept = tuple(frozenset(g) for g in groups if g)
-    return MergeProposal(kept, name, tx.txid)
 
 
 def _input_scripts(tx: Transaction) -> set[int]:
@@ -89,22 +85,26 @@ class HeuristicConfig:
             raise ConfigError("round_offset must be >= 0")
 
 
-def common_input(tx: Transaction) -> MergeProposal:
+@dataclass
+class EvalContext:
+    """Everything a rule may consult besides the transaction itself."""
+
+    config: HeuristicConfig = field(default_factory=HeuristicConfig)
+    reuse: ReuseIndex | None = None
+    exponent: int | None = None  # rounding exponent for the tx's block
+    coinjoin: CoinJoinPredicate = DEFAULT_COINJOIN
+
+
+def common_input(tx: Transaction, ctx: EvalContext) -> Groups:
     """Merge all input scripts of any transaction with >= 2 of them."""
     scripts = _input_scripts(tx)
-    if len(scripts) >= 2:
-        return _proposal("cio", tx, scripts)
-    return _proposal("cio", tx)
+    return (frozenset(scripts),) if len(scripts) >= 2 else ()
 
 
-def coinjoin_resistant_common_input(
-    tx: Transaction, coinjoin: CoinJoinPredicate = DEFAULT_COINJOIN
-) -> MergeProposal:
+def coinjoin_resistant_common_input(tx: Transaction, ctx: EvalContext) -> Groups:
     """Common-input merge, skipped when the CoinJoin filter flags the tx."""
     scripts = _input_scripts(tx)
-    if len(scripts) >= 2 and not coinjoin(tx):
-        return _proposal("cio-cj", tx, scripts)
-    return _proposal("cio-cj", tx)
+    return (frozenset(scripts),) if len(scripts) >= 2 and not ctx.coinjoin(tx) else ()
 
 
 def _two_distinct_outputs(tx: Transaction) -> tuple[int, int] | None:
@@ -117,68 +117,66 @@ def _two_distinct_outputs(tx: Transaction) -> tuple[int, int] | None:
     return a, b
 
 
-def change_address(tx: Transaction, idx: ReuseIndex) -> MergeProposal:
+def change_address(tx: Transaction, ctx: EvalContext) -> Groups:
     """Single-input, two-output payments where exactly one output is fresh.
 
     Fires when the input script is unreused, exactly one output script is
     unreused (the change), and the other output script is reused (the
     payment); merges the input script with the change script.
     """
-    name = "change"
     if len(tx.inputs) != 1:
-        return _proposal(name, tx)
+        return ()
     p_in = tx.inputs[0].script
     outs = _two_distinct_outputs(tx)
     if outs is None:
-        return _proposal(name, tx)
+        return ()
+    idx = ctx.reuse
     if idx.reused(p_in):
-        return _proposal(name, tx)
+        return ()
     fresh = [s for s in outs if not idx.reused(s)]
     if len(fresh) != 1:
-        return _proposal(name, tx)
+        return ()
     p_change = fresh[0]
     p_pay = outs[0] if outs[1] == p_change else outs[1]
     if not idx.reused(p_pay):
-        return _proposal(name, tx)
-    return _proposal(name, tx, {p_in, p_change})
+        return ()
+    return (frozenset((p_in, p_change)),)
 
 
-def round_output_value(
-    tx: Transaction, idx: ReuseIndex, exponent: int, offset: int
-) -> MergeProposal:
+def round_output_value(tx: Transaction, ctx: EvalContext) -> Groups:
     """Single-input, two-output payments with one round-valued fresh output.
 
     The payment output is the unreused one whose value is a multiple of
-    10^exponent; the change is the other output, whose value must not be a
-    multiple of 10^(exponent - offset) (fees make change non-round). Merges
-    the input script with the change script.
+    10^i (i = the block's rounding exponent); the change is the other
+    output, whose value must not be a multiple of 10^(i - j) (fees make
+    change non-round). Merges the input script with the change script.
+    Skipped for blocks with no price data or with i <= j, where the
+    sub-precision test is meaningless.
     """
-    name = "round"
-    if offset >= exponent:
-        raise ConfigError(
-            f"round offset {offset} must be smaller than exponent {exponent}"
-        )
-    if len(tx.inputs) != 1:
-        return _proposal(name, tx)
-    p_in = tx.inputs[0].script
+    exponent = ctx.exponent
+    offset = ctx.config.round_offset
+    if exponent is None or exponent <= offset or len(tx.inputs) != 1:
+        return ()
     if _two_distinct_outputs(tx) is None:
-        return _proposal(name, tx)
+        return ()
+    idx = ctx.reuse
+    p_in = tx.inputs[0].script
     if idx.reused(p_in):
-        return _proposal(name, tx)
+        return ()
     pay_modulus = 10**exponent
     candidates = [
         txo for txo in tx.outputs
         if not idx.reused(txo.script) and txo.value % pay_modulus == 0
     ]
     if len(candidates) != 1:
-        return _proposal(name, tx)
+        return ()
     other = tx.outputs[0] if tx.outputs[1] is candidates[0] else tx.outputs[1]
     if other.value % 10 ** (exponent - offset) == 0:
-        return _proposal(name, tx)
-    return _proposal(name, tx, {p_in, other.script})
+        return ()
+    return (frozenset((p_in, other.script)),)
 
 
-def force_merge_of_inputs(tx: Transaction, idx: ReuseIndex) -> MergeProposal:
+def force_merge_of_inputs(tx: Transaction, ctx: EvalContext) -> Groups:
     """Multi-input payments whose input set is minimal for the payment.
 
     All input scripts must be distinct and unreused, the two outputs must
@@ -187,192 +185,143 @@ def force_merge_of_inputs(tx: Transaction, idx: ReuseIndex) -> MergeProposal:
     the payment: v_in - min_input < v_max. Merges all input scripts with the
     change script.
     """
-    name = "force-merge"
     in_scripts = _input_scripts(tx)
     if len(tx.inputs) < 2 or len(in_scripts) != len(tx.inputs):
-        return _proposal(name, tx)
+        return ()
     if _two_distinct_outputs(tx) is None:
-        return _proposal(name, tx)
+        return ()
     out_a, out_b = tx.outputs
     if out_a.value == out_b.value:
-        return _proposal(name, tx)  # no strict higher-value payment output
+        return ()  # no strict higher-value payment output
     pay, change = (out_a, out_b) if out_a.value > out_b.value else (out_b, out_a)
+    idx = ctx.reuse
     if any(idx.reused(s) for s in in_scripts):
-        return _proposal(name, tx)
+        return ()
     if idx.reused(change.script):
-        return _proposal(name, tx)
+        return ()
     v_in = sum(t.value for t in tx.inputs)
     if v_in - min(t.value for t in tx.inputs) >= pay.value:
-        return _proposal(name, tx)  # some input was unnecessary
-    return _proposal(name, tx, in_scripts | {change.script})
+        return ()  # some input was unnecessary
+    return (frozenset(in_scripts | {change.script}),)
 
 
-def service_deposit(tx: Transaction, min_inputs: int) -> MergeProposal:
+def service_deposit(tx: Transaction, ctx: EvalContext) -> Groups:
     """Consolidation sweeps: many distinct input scripts, one output script."""
-    if min_inputs < 2:
-        raise ConfigError("deposit sweep threshold must be >= 2")
     scripts = _input_scripts(tx)
-    if len(scripts) >= min_inputs and len(_output_scripts(tx)) == 1:
-        return _proposal("deposit", tx, scripts)
-    return _proposal("deposit", tx)
+    if len(scripts) >= ctx.config.min_deposit_inputs and len(_output_scripts(tx)) == 1:
+        return (frozenset(scripts),)
+    return ()
 
 
-def shadow_address(tx: Transaction, idx: ReuseIndex) -> MergeProposal:
+def shadow_address(tx: Transaction, ctx: EvalContext) -> Groups:
     """Two-output txs where exactly one output script is brand new.
 
     "Used before" means an occurrence count of at least two: the script's
     appearance in this very transaction plus any other. Merges all input
     scripts with the fresh output script.
     """
-    name = "shadow"
     outs = _two_distinct_outputs(tx)
     if outs is None:
-        return _proposal(name, tx)
+        return ()
+    idx = ctx.reuse
     fresh = [s for s in outs if idx.count(s) < 2]
     if len(fresh) != 1:
-        return _proposal(name, tx)
+        return ()
     p_pay = outs[0] if outs[1] == fresh[0] else outs[1]
     if idx.count(p_pay) < 2:
-        return _proposal(name, tx)
-    return _proposal(name, tx, _input_scripts(tx) | {fresh[0]})
+        return ()
+    return (frozenset(_input_scripts(tx) | {fresh[0]}),)
 
 
-def one_time_change(tx: Transaction, idx: ReuseIndex) -> MergeProposal:
+def one_time_change(tx: Transaction, ctx: EvalContext) -> Groups:
     """No-self-change txs with exactly one never-seen output script.
 
     Output count is unconstrained. Merges all input scripts with the single
     fresh output script.
     """
-    name = "one-time-change"
     in_scripts = _input_scripts(tx)
     out_scripts = _output_scripts(tx)
     if in_scripts & out_scripts:
-        return _proposal(name, tx)
+        return ()
+    idx = ctx.reuse
     fresh = [s for s in out_scripts if idx.count(s) < 2]
     if len(fresh) != 1:
-        return _proposal(name, tx)
-    return _proposal(name, tx, in_scripts | {fresh[0]})
+        return ()
+    return (frozenset(in_scripts | {fresh[0]}),)
 
 
-def reuse_based_change(tx: Transaction, full_idx: ReuseIndex) -> MergeProposal:
+def reuse_based_change(tx: Transaction, ctx: EvalContext) -> Groups:
     """Like one_time_change, but the candidate must stay single-use forever.
 
     Requires a fixed-horizon index over the whole dataset: the candidate
     output script's total occurrence count must be exactly one (never used
     before this transaction, never used after).
     """
-    name = "reuse-change"
-    if full_idx.mode != FIXED:
-        raise ModeError("reuse_based_change requires a fixed full-dataset index")
     in_scripts = _input_scripts(tx)
     out_scripts = _output_scripts(tx)
     if in_scripts & out_scripts:
-        return _proposal(name, tx)
-    single_use = [s for s in out_scripts if full_idx.count(s) == 1]
+        return ()
+    idx = ctx.reuse
+    single_use = [s for s in out_scripts if idx.count(s) == 1]
     if len(single_use) != 1:
-        return _proposal(name, tx)
-    return _proposal(name, tx, in_scripts | {single_use[0]})
+        return ()
+    return (frozenset(in_scripts | {single_use[0]}),)
 
 
-@dataclass
-class EvalContext:
-    """Everything a heuristic may consult besides the transaction itself."""
-
-    config: HeuristicConfig = field(default_factory=HeuristicConfig)
-    reuse: ReuseIndex | None = None
-    full_reuse: ReuseIndex | None = None
-    exponent: int | None = None  # rounding exponent for the tx's block
-    coinjoin: CoinJoinPredicate = DEFAULT_COINJOIN
-
-
-def _round_guarded(tx: Transaction, ctx: EvalContext) -> MergeProposal:
-    # No price data, or an exponent too small for the configured offset,
-    # makes the round check meaningless for this block: skip.
-    if ctx.exponent is None or ctx.exponent <= ctx.config.round_offset:
-        return _proposal("round", tx)
-    return round_output_value(tx, ctx.reuse, ctx.exponent, ctx.config.round_offset)
-
-
-def combined(tx: Transaction, ctx: EvalContext) -> MergeProposal:
-    """Concatenated proposals of cio-cj, change, round, and force-merge.
-
-    Groups stay separate; overlapping groups unify through the cluster
-    store's transitive closure.
-    """
-    groups = []
-    for part in (
-        coinjoin_resistant_common_input(tx, ctx.coinjoin),
-        change_address(tx, ctx.reuse),
-        _round_guarded(tx, ctx),
-        force_merge_of_inputs(tx, ctx.reuse),
-    ):
-        groups.extend(part.groups)
-    return MergeProposal(tuple(groups), "combined", tx.txid)
+Rule = Callable[[Transaction, EvalContext], Groups]
 
 
 @dataclass(frozen=True)
 class HeuristicSpec:
-    """Registry entry: how the engine wires context for one heuristic."""
+    """Registry entry: a heuristic's rules and the context the engine wires.
+
+    `horizon` is the reuse index the rules read: None (no index), "online"
+    or "fixed" (the default, overridable per run), or "full" (fixed over
+    the whole dataset, never online).
+    """
 
     name: str
     evaluate: Callable[[Transaction, EvalContext], MergeProposal]
-    reuse: str = "none"  # none | horizon | full
-    needs_prices: bool = False
-    default_horizon: str | None = None  # for reuse == "horizon"
+    rules: tuple[Rule, ...]
+    horizon: str | None = None
+
+    @property
+    def needs_prices(self) -> bool:
+        return round_output_value in self.rules
+
+
+def _heuristic(name: str, rules: tuple[Rule, ...], horizon: str | None = None) -> HeuristicSpec:
+    """A heuristic whose proposal concatenates its rules' groups in order.
+
+    Overlapping groups unify through the cluster store's transitive closure.
+    """
+
+    def evaluate(tx: Transaction, ctx: EvalContext) -> MergeProposal:
+        groups: Groups = ()
+        for rule in rules:
+            groups += rule(tx, ctx)
+        return MergeProposal(groups, name, tx.txid)
+
+    return HeuristicSpec(name, evaluate, rules, horizon)
 
 
 HEURISTICS: dict[str, HeuristicSpec] = {
     spec.name: spec
     for spec in (
-        HeuristicSpec("cio", lambda tx, ctx: common_input(tx)),
-        HeuristicSpec(
-            "cio-cj", lambda tx, ctx: coinjoin_resistant_common_input(tx, ctx.coinjoin)
-        ),
-        HeuristicSpec(
-            "change",
-            lambda tx, ctx: change_address(tx, ctx.reuse),
-            reuse="horizon",
-            default_horizon="fixed",
-        ),
-        HeuristicSpec(
-            "round",
-            _round_guarded,
-            reuse="horizon",
-            needs_prices=True,
-            default_horizon="fixed",
-        ),
-        HeuristicSpec(
-            "force-merge",
-            lambda tx, ctx: force_merge_of_inputs(tx, ctx.reuse),
-            reuse="horizon",
-            default_horizon="fixed",
-        ),
-        HeuristicSpec(
-            "deposit", lambda tx, ctx: service_deposit(tx, ctx.config.min_deposit_inputs)
-        ),
-        HeuristicSpec(
-            "shadow",
-            lambda tx, ctx: shadow_address(tx, ctx.reuse),
-            reuse="horizon",
-            default_horizon="online",
-        ),
-        HeuristicSpec(
-            "one-time-change",
-            lambda tx, ctx: one_time_change(tx, ctx.reuse),
-            reuse="horizon",
-            default_horizon="online",
-        ),
-        HeuristicSpec(
-            "reuse-change",
-            lambda tx, ctx: reuse_based_change(tx, ctx.full_reuse),
-            reuse="full",
-        ),
-        HeuristicSpec(
+        _heuristic("cio", (common_input,)),
+        _heuristic("cio-cj", (coinjoin_resistant_common_input,)),
+        _heuristic("change", (change_address,), "fixed"),
+        _heuristic("round", (round_output_value,), "fixed"),
+        _heuristic("force-merge", (force_merge_of_inputs,), "fixed"),
+        _heuristic("deposit", (service_deposit,)),
+        _heuristic("shadow", (shadow_address,), "online"),
+        _heuristic("one-time-change", (one_time_change,), "online"),
+        _heuristic("reuse-change", (reuse_based_change,), "full"),
+        _heuristic(
             "combined",
-            combined,
-            reuse="horizon",
-            needs_prices=True,
-            default_horizon="fixed",
+            (coinjoin_resistant_common_input, change_address, round_output_value,
+             force_merge_of_inputs),
+            "fixed",
         ),
     )
 }

@@ -10,12 +10,11 @@ rationals built from the decimal price data.
 from __future__ import annotations
 
 import bisect
-import csv
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import IO, Iterable, NamedTuple
 
-from .errors import DataError
+from .errors import DataError, csv_rows, parse_int
 
 SATOSHI_PER_BTC = 10**8
 
@@ -74,17 +73,9 @@ def _parse_price(text: str, where: str) -> Decimal:
 
 def load_price_csv(source: IO) -> PriceSeries:
     """Read the `block_index,usd_per_btc` price file."""
-    reader = csv.reader(source)
-    header = next(reader, None)
-    if header != ["block_index", "usd_per_btc"]:
-        raise DataError(f"bad price file header: {header}")
     points = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise DataError(f"price file line {lineno}: expected 2 columns")
-        points.append(PricePoint(int(row[0]), _parse_price(row[1], f"price file line {lineno}")))
+    for where, (block, price) in csv_rows(source, ["block_index", "usd_per_btc"], "price file"):
+        points.append(PricePoint(parse_int(block, where), _parse_price(price, where)))
     return PriceSeries(points)
 
 
@@ -94,29 +85,20 @@ def load_dated_price_csv(prices: IO, block_dates: IO) -> PriceSeries:
     Each mapped block gets the latest price dated at-or-before its date.
     Dates are compared as ISO-8601 strings.
     """
-    reader = csv.reader(prices)
-    if next(reader, None) != ["date", "usd_per_btc"]:
-        raise DataError("bad dated price file header")
-    dated = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        dated.append((row[0], _parse_price(row[1], f"dated price line {lineno}")))
+    dated = [
+        (date, _parse_price(price, where))
+        for where, (date, price) in csv_rows(prices, ["date", "usd_per_btc"], "dated price file")
+    ]
     dated.sort(key=lambda t: t[0])
     dates = [d for d, _ in dated]
 
-    reader = csv.reader(block_dates)
-    if next(reader, None) != ["block_index", "date"]:
-        raise DataError("bad block-date mapping header")
     points = []
-    for row in reader:
-        if not row:
-            continue
-        block, date = int(row[0]), row[1]
+    for where, (block, date) in csv_rows(block_dates, ["block_index", "date"], "block-date mapping"):
+        block_index = parse_int(block, where)
         pos = bisect.bisect_right(dates, date) - 1
         if pos < 0:
             continue  # block predates all price data
-        points.append(PricePoint(block, dated[pos][1]))
+        points.append(PricePoint(block_index, dated[pos][1]))
     points.sort(key=lambda p: p.block_index)
     return PriceSeries(points)
 

@@ -5,11 +5,12 @@ appearing among the inputs is one observation, appearing among the outputs
 is another, and duplicates within one side are a serialization artifact and
 count once. A script is "reused" once its count reaches two.
 
-Two horizon modes exist:
-  * online  - counts reflect the transactions recorded so far; the engine
-              records each transaction before evaluating heuristics on it.
-  * fixed   - counts are precomputed over every block up to a horizon K and
-              never change afterwards.
+The engine picks the horizon by which index it builds:
+  * online  - an empty index that the engine records each transaction into
+              just before evaluating heuristics on it, so counts reflect the
+              transactions seen so far.
+  * fixed   - `build_fixed` counts every block up to a horizon K in a first
+              pass; the counts never change afterwards.
 """
 
 from __future__ import annotations
@@ -18,17 +19,11 @@ import csv
 from typing import IO, Iterable
 
 from .chain import Block, Transaction
-from .errors import DataError, ModeError
-
-ONLINE = "online"
-FIXED = "fixed"
+from .errors import DataError, csv_rows, parse_int
 
 
 class ReuseIndex:
-    def __init__(self, mode: str = ONLINE, horizon_block: int | None = None):
-        if mode not in (ONLINE, FIXED):
-            raise ModeError(f"unknown horizon mode {mode!r}")
-        self.mode = mode
+    def __init__(self, horizon_block: int | None = None):
         self.horizon_block = horizon_block
         self._counts: list[int] = []
 
@@ -49,21 +44,13 @@ class ReuseIndex:
 
     def record(self, tx: Transaction) -> None:
         """Count this transaction's scripts, one per side of appearance."""
-        if self.mode != ONLINE:
-            raise ModeError("record() requires an online-mode index")
         self._bump({t.script for t in tx.inputs})
         self._bump({t.script for t in tx.outputs})
-
-    def freeze(self, horizon_block: int | None = None) -> "ReuseIndex":
-        """Switch an online index to fixed mode after a completed build."""
-        self.mode = FIXED
-        self.horizon_block = horizon_block
-        return self
 
     @classmethod
     def build_fixed(cls, blocks: Iterable[Block], k: int | None = None) -> "ReuseIndex":
         """Count every transaction in blocks up to index k (all, if None)."""
-        idx = cls(ONLINE)
+        idx = cls()
         prev = None
         last = None
         for block in blocks:
@@ -77,19 +64,18 @@ class ReuseIndex:
             last = block.index
             for tx in block.transactions:
                 idx.record(tx)
-        return idx.freeze(k if k is not None else last)
+        idx.horizon_block = k if k is not None else last
+        return idx
 
     @classmethod
-    def from_counts(cls, counts: dict[int, int], mode: str = FIXED) -> "ReuseIndex":
-        idx = cls(ONLINE)
+    def from_counts(cls, counts: dict[int, int]) -> "ReuseIndex":
+        idx = cls()
         for sid, n in counts.items():
-            if n < 0:
-                raise DataError(f"negative count for script {sid}")
+            if sid < 0 or n < 0:
+                raise DataError(f"negative script id or count: {sid},{n}")
             if sid >= len(idx._counts):
                 idx._counts.extend([0] * (sid + 1 - len(idx._counts)))
             idx._counts[sid] = n
-        if mode == FIXED:
-            idx.freeze()
         return idx
 
     def write_csv(self, sink: IO) -> None:
@@ -100,12 +86,8 @@ class ReuseIndex:
                 writer.writerow([sid, n])
 
     @classmethod
-    def read_csv(cls, source: IO, mode: str = FIXED) -> "ReuseIndex":
-        reader = csv.reader(source)
-        header = next(reader, None)
-        if header != ["script_id", "count"]:
-            raise DataError(f"bad reuse-index header: {header}")
+    def read_csv(cls, source: IO) -> "ReuseIndex":
         counts = {}
-        for row in reader:
-            counts[int(row[0])] = int(row[1])
-        return cls.from_counts(counts, mode=mode)
+        for where, (sid, n) in csv_rows(source, ["script_id", "count"], "reuse-index"):
+            counts[parse_int(sid, where)] = parse_int(n, where)
+        return cls.from_counts(counts)

@@ -22,7 +22,7 @@ from typing import IO
 
 from .chain import ScriptTable
 from .clusters import ClusterSet
-from .errors import DataError, GenerationError
+from .errors import DataError, GenerationError, csv_rows, parse_int
 
 _PROB_FIELDS = (
     "fresh_change_prob",
@@ -76,10 +76,17 @@ class GenParams:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "GenParams":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
+        if not isinstance(raw, dict):
+            raise GenerationError("generation parameters must be a JSON object")
+        fields = cls.__dataclass_fields__
+        unknown = set(raw) - set(fields)
         if unknown:
             raise GenerationError(f"unknown generation parameters: {sorted(unknown)}")
+        for name, value in raw.items():
+            kind = fields[name].type  # "int" or "float"
+            allowed = (int, float) if kind == "float" else (int,)
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise GenerationError(f"generation parameter {name} must be {kind}, got {value!r}")
         return cls(**raw)
 
 
@@ -459,12 +466,8 @@ def write_truth(sink: IO, truth: dict[int, int]) -> None:
 def read_truth(path: str) -> dict[int, int]:
     truth = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["script_id", "user_id"]:
-            raise DataError(f"bad ground-truth header in {path}: {header}")
-        for row in reader:
-            truth[int(row[0])] = int(row[1])
+        for where, (sid, uid) in csv_rows(fh, ["script_id", "user_id"], f"ground truth {path}"):
+            truth[parse_int(sid, where)] = parse_int(uid, where)
     return truth
 
 

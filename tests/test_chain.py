@@ -9,10 +9,7 @@ from entityforge.chain import (
     MemorySource,
     ScriptTable,
     StreamStats,
-    ThreadedSource,
-    fee,
     iter_blocks,
-    tx_shape,
     validate_transaction,
     write_jsonl,
 )
@@ -51,7 +48,7 @@ class TestValidate:
     def test_valid_payment_keeps_fee(self):
         t = tx([(0, 10)], [(1, 9)])
         assert validate_transaction(t) is t
-        assert fee(t) == 1
+        assert sum(o.value for o in t.inputs) - sum(o.value for o in t.outputs) == 1
 
     def test_value_inflation_rejected(self):
         with pytest.raises(ValidationError) as err:
@@ -71,21 +68,6 @@ class TestValidate:
         with pytest.raises(ValidationError) as err:
             validate_transaction(tx([(0, 5)], [(1, -1)]))
         assert err.value.category == "format"
-
-
-class TestShape:
-    def test_duplicate_input_script_counts_once(self):
-        shape = tx_shape(tx([(0, 5), (0, 3)], [(1, 7)]))
-        assert (shape.n_in, shape.in_multiplicity) == (1, 2)
-        assert (shape.n_out, shape.v_in, shape.v_out) == (1, 8, 7)
-
-    def test_distinct_scripts(self):
-        shape = tx_shape(tx([(0, 5), (1, 3)], [(2, 4), (3, 3)]))
-        assert (shape.n_in, shape.n_out) == (2, 2)
-
-    def test_duplicate_output_script(self):
-        shape = tx_shape(tx([(0, 5)], [(1, 2), (1, 2)]))
-        assert (shape.n_out, shape.out_multiplicity) == (1, 2)
 
 
 def _line(txid, block, inputs, outputs):
@@ -156,6 +138,13 @@ class TestIngestion:
             list(iter_blocks(io.StringIO("{nope}\n"), ScriptTable()))
         assert "line 1" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "line", ["[" * 100_000, '{"block": 1' + "0" * 5000 + "}"], ids=["deep", "long-int"]
+    )
+    def test_undecodable_json_reports_line(self, line):
+        with pytest.raises(IngestError, match="line 2"):
+            list(iter_blocks(io.StringIO("\n" + line + "\n"), ScriptTable()))
+
     def test_round_trip(self, small_stream_text):
         table = ScriptTable()
         blocks = list(iter_blocks(io.StringIO(small_stream_text), table))
@@ -168,9 +157,6 @@ class TestIngestion:
         assert [table2.text(i) for i in range(len(table2))] == [
             table.text(i) for i in range(len(table))
         ]
-        for b1, b2 in zip(blocks, blocks2):
-            for t1, t2 in zip(b1.transactions, b2.transactions):
-                assert tx_shape(t1) == tx_shape(t2)
 
 
 class TestSources:
@@ -189,19 +175,6 @@ class TestSources:
             fh.write(small_stream_text)
         source = JsonlSource(str(path))
         assert [b.index for b in source.blocks()] == [1, 2, 4]
-
-    def test_threaded_source_matches_inline(self, small_stream_text, tmp_path):
-        path = tmp_path / "s.jsonl"
-        path.write_text(small_stream_text)
-        inline = list(JsonlSource(str(path)).blocks())
-        threaded = list(ThreadedSource(JsonlSource(str(path))).blocks())
-        assert threaded == inline
-
-    def test_threaded_source_propagates_errors(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text(_line("t1", 1, [("a", 2)], [("b", 5)]) + "\n")
-        with pytest.raises(ValidationError):
-            list(ThreadedSource(JsonlSource(str(path))).blocks())
 
     def test_memory_source(self):
         from entityforge.chain import Block

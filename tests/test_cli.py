@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,20 @@ ONE_TX = (
     '{"txid":"t1","block":100,"inputs":[{"script":"pA","value":5},'
     '{"script":"pB","value":4}],"outputs":[{"script":"pC","value":8}]}\n'
 )
+
+
+def _cli(*argv, **env):
+    """Run the CLI in a child process, in this environment plus `env`.
+
+    Inheriting the environment matters: the suite may run from a source
+    checkout through PYTHONPATH rather than an installed package.
+    """
+    return subprocess.run(
+        [sys.executable, "-m", "entityforge.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, **env),
+    )
 
 
 @pytest.fixture
@@ -71,13 +86,6 @@ class TestRun:
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 3
-
-    def test_threads_flag_gives_same_result(self, synth_files, capsys):
-        argv = ["run", "--tx", synth_files["jsonl"], "--heuristic", "cio", "--checkpoints", "9"]
-        assert main(argv) == 0
-        single = capsys.readouterr().out
-        assert main(argv + ["--threads", "4"]) == 0
-        assert capsys.readouterr().out == single
 
     def test_bad_data_exits_three(self, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"
@@ -171,6 +179,55 @@ class TestSynthAndScore:
         assert metrics["cluster_collapse"] == 0
 
 
+class TestMalformedInputs:
+    """A bad row ends in exit 3 and one error line that names it, never a traceback."""
+
+    def assert_data_error(self, proc, where):
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error[data]: ")
+        assert where in proc.stderr
+
+    @pytest.mark.parametrize("rows", ["abc,100\n", "1.5,100\n"])
+    def test_non_integer_price_block(self, stream, tmp_path, rows):
+        prices = tmp_path / "prices.csv"
+        prices.write_text("block_index,usd_per_btc\n0,10000\n" + rows)
+        self.assert_data_error(
+            _cli("exponent-series", "--prices", str(prices), "--blocks", "1"), "price file line 3"
+        )
+        self.assert_data_error(
+            _cli("run", "--tx", stream, "--heuristic", "round", "--prices", str(prices)),
+            "price file line 3",
+        )
+
+    @pytest.mark.parametrize("rows", ["x,1\n", "0\n"])
+    def test_malformed_truth_row(self, tmp_path, rows):
+        snapshot = tmp_path / "part.csv"
+        snapshot.write_text("script_id,cluster_id\n0,0\n")
+        truth = tmp_path / "truth.csv"
+        truth.write_text("script_id,user_id\n" + rows)
+        self.assert_data_error(
+            _cli("score", "--snapshot", str(snapshot), "--truth", str(truth)), "line 2"
+        )
+
+    def test_binary_snapshot_label_beyond_count(self, tmp_path):
+        snapshot = tmp_path / "part.bin"
+        snapshot.write_bytes(b"ECLS1" + struct.pack("<Q2Q", 2, 0, 9))  # count 2, labels 0, 9
+        truth = tmp_path / "truth.csv"
+        truth.write_text("script_id,user_id\n0,0\n1,0\n")
+        self.assert_data_error(
+            _cli("score", "--snapshot", str(snapshot), "--truth", str(truth)), "label"
+        )
+
+    def test_wrongly_typed_synth_param(self, tmp_path):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"users": "six"}))
+        proc = _cli("synth", "--seed", "1", "--params", str(params), "--out-prefix", str(tmp_path / "x"))
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error[generation]: ") and "users" in proc.stderr
+
+
 class TestCompare:
     def test_wide_table(self, synth_files, tmp_path, capsys):
         for name in ("cio", "deposit"):
@@ -262,14 +319,7 @@ class TestEntryPoint:
         assert proc.stdout.splitlines()[1] == "100,3,2,0.666667,1,1"
 
     def _validate_with_log(self, stream, level):
-        # Inherit the caller's environment: the suite may run from a source
-        # checkout through PYTHONPATH rather than an installed package.
-        return subprocess.run(
-            [sys.executable, "-m", "entityforge.cli", "validate", "--tx", stream],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, ENTITYFORGE_LOG=level),
-        )
+        return _cli("validate", "--tx", stream, ENTITYFORGE_LOG=level)
 
     def test_log_env_accepted(self, stream):
         proc = self._validate_with_log(stream, "debug")

@@ -1,4 +1,5 @@
 import io
+import struct
 from fractions import Fraction
 from random import Random
 
@@ -249,3 +250,32 @@ class TestSnapshots:
         path.write_text("foo,bar\n1,2\n")
         with pytest.raises(DataError):
             load_snapshot(str(path))
+
+    @pytest.mark.parametrize("rows", ["x,0\n", "1\n", "1,0,0\n"])
+    def test_malformed_csv_row_rejected(self, tmp_path, rows):
+        path = tmp_path / "bad.csv"
+        path.write_text("script_id,cluster_id\n0,0\n" + rows)
+        with pytest.raises(DataError, match="line 3"):
+            load_snapshot(str(path))
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            struct.pack("<Q2Q", 2, 0, 9),  # label 9 >= count 2
+            struct.pack("<Q2Q", 2, 0, 2),  # label 2 == count 2
+            struct.pack("<Q", 2) + struct.pack("<Q", 0),  # one label short
+            b"\x02\x00",  # count truncated
+            struct.pack("<Q2Q", 2, 0, 0) + b"\x00",  # trailing byte
+        ],
+    )
+    def test_bad_binary_snapshot_rejected(self, tmp_path, body):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(b"ECLS1" + body)
+        with pytest.raises(DataError):
+            load_snapshot(str(path))
+
+    def test_binary_labels_below_count_load(self, tmp_path):
+        path = tmp_path / "ok.bin"
+        path.write_bytes(b"ECLS1" + struct.pack("<Q2Q", 2, 1, 1))
+        loaded = load_snapshot(str(path))
+        assert loaded.num_scripts == 2 and loaded.same_cluster(0, 1)

@@ -8,14 +8,14 @@ from random import Random
 
 import pytest
 
-from entityforge.errors import ConfigError, ModeError
+from entityforge.errors import ConfigError
 from entityforge.heuristics import (
     DEFAULT_COINJOIN,
+    HEURISTICS,
     EvalContext,
     HeuristicConfig,
     change_address,
     coinjoin_resistant_common_input,
-    combined,
     common_input,
     force_merge_of_inputs,
     one_time_change,
@@ -24,8 +24,6 @@ from entityforge.heuristics import (
     service_deposit,
     shadow_address,
 )
-from entityforge.reuse import ReuseIndex
-
 from conftest import counts, tx
 
 A, B, C, D, E, X, Y, Z = range(8)
@@ -33,20 +31,24 @@ A, B, C, D, E, X, Y, Z = range(8)
 FRESH_ALL = counts({})
 
 
+def ctx(reuse=FRESH_ALL, exponent=4, coinjoin=DEFAULT_COINJOIN, **params):
+    """Evaluation context; the default round check is i=4 with offset j=1."""
+    return EvalContext(HeuristicConfig(**params), reuse, exponent, coinjoin)
+
+
 class TestCommonInput:
     def test_fires_on_two_input_scripts(self):
-        prop = common_input(tx([(A, 5), (B, 3)], [(C, 7)]))
-        assert prop.groups == (frozenset({A, B}),)
+        assert common_input(tx([(A, 5), (B, 3)], [(C, 7)]), ctx()) == (frozenset({A, B}),)
 
     def test_fires_on_three_input_scripts(self):
-        prop = common_input(tx([(A, 5), (B, 3), (C, 2)], [(D, 9)]))
-        assert prop.groups == (frozenset({A, B, C}),)
+        t = tx([(A, 5), (B, 3), (C, 2)], [(D, 9)])
+        assert common_input(t, ctx()) == (frozenset({A, B, C}),)
 
     def test_single_script_two_txos_does_not_fire(self):
-        assert common_input(tx([(A, 5), (A, 3)], [(B, 7)])).empty
+        assert common_input(tx([(A, 5), (A, 3)], [(B, 7)]), ctx()) == ()
 
     def test_single_input_does_not_fire(self):
-        assert common_input(tx([(A, 5)], [(B, 4)])).empty
+        assert common_input(tx([(A, 5)], [(B, 4)]), ctx()) == ()
 
 
 class TestCoinJoinPredicate:
@@ -69,20 +71,20 @@ class TestCoinJoinPredicate:
 
 class TestCoinJoinResistant:
     def test_fires_when_predicate_passes(self):
-        prop = coinjoin_resistant_common_input(tx([(A, 5), (B, 4)], [(C, 5), (D, 3)]))
-        assert prop.groups == (frozenset({A, B}),)
+        t = tx([(A, 5), (B, 4)], [(C, 5), (D, 3)])
+        assert coinjoin_resistant_common_input(t, ctx()) == (frozenset({A, B}),)
 
     def test_flagged_transaction_skipped(self):
-        assert coinjoin_resistant_common_input(
-            tx([(A, 7), (B, 7)], [(C, 5), (D, 5), (E, 3)])
-        ).empty
+        t = tx([(A, 7), (B, 7)], [(C, 5), (D, 5), (E, 3)])
+        assert coinjoin_resistant_common_input(t, ctx()) == ()
 
     def test_single_input_never_fires(self):
-        assert coinjoin_resistant_common_input(tx([(A, 9)], [(C, 4), (D, 4)])).empty
+        assert coinjoin_resistant_common_input(tx([(A, 9)], [(C, 4), (D, 4)]), ctx()) == ()
 
     def test_custom_predicate_honored(self):
         always = lambda _tx: True
-        assert coinjoin_resistant_common_input(tx([(A, 5), (B, 4)], [(C, 8)]), always).empty
+        t = tx([(A, 5), (B, 4)], [(C, 8)])
+        assert coinjoin_resistant_common_input(t, ctx(coinjoin=always)) == ()
 
 
 class TestChangeAddress:
@@ -94,33 +96,32 @@ class TestChangeAddress:
         return counts({X: 1, Y: 1, Z: 5})
 
     def test_fires_when_all_conditions_hold(self):
-        prop = change_address(self.base_tx(), self.base_counts())
-        assert prop.groups == (frozenset({X, Y}),)
+        assert change_address(self.base_tx(), ctx(self.base_counts())) == (frozenset({X, Y}),)
 
     def test_a_two_input_txos_do_not_fire(self):
         t = tx([(X, 5), (X, 5)], [(Y, 4), (Z, 5)])
-        assert change_address(t, self.base_counts()).empty
+        assert change_address(t, ctx(self.base_counts())) == ()
 
     def test_b_three_outputs_do_not_fire(self):
         t = tx([(X, 10)], [(Y, 3), (Z, 3), (D, 2)])
-        assert change_address(t, counts({X: 1, Y: 1, Z: 5, D: 5})).empty
+        assert change_address(t, ctx(counts({X: 1, Y: 1, Z: 5, D: 5}))) == ()
 
     def test_b_duplicate_output_script_does_not_fire(self):
         t = tx([(X, 10)], [(Y, 4), (Y, 5)])
-        assert change_address(t, self.base_counts()).empty
+        assert change_address(t, ctx(self.base_counts())) == ()
 
     def test_c_reused_input_does_not_fire(self):
-        assert change_address(self.base_tx(), counts({X: 3, Y: 1, Z: 5})).empty
+        assert change_address(self.base_tx(), ctx(counts({X: 3, Y: 1, Z: 5}))) == ()
 
     def test_d_both_outputs_fresh_does_not_fire(self):
-        assert change_address(self.base_tx(), counts({X: 1, Y: 1, Z: 1})).empty
+        assert change_address(self.base_tx(), ctx(counts({X: 1, Y: 1, Z: 1}))) == ()
 
     def test_e_no_reused_pay_script_does_not_fire(self):
         # same transaction, but the would-be pay script is also fresh
-        assert change_address(self.base_tx(), counts({X: 1, Y: 1, Z: 1})).empty
+        assert change_address(self.base_tx(), ctx(counts({X: 1, Y: 1, Z: 1}))) == ()
 
     def test_both_outputs_reused_does_not_fire(self):
-        assert change_address(self.base_tx(), counts({X: 1, Y: 2, Z: 5})).empty
+        assert change_address(self.base_tx(), ctx(counts({X: 1, Y: 2, Z: 5}))) == ()
 
 
 class TestRoundOutputValue:
@@ -129,38 +130,41 @@ class TestRoundOutputValue:
         return tx([(X, 300000)], [(B, 150000), (C, 123457)])
 
     def test_fires_and_merges_change_side(self):
-        prop = round_output_value(self.base_tx(), FRESH_ALL, 4, 1)
-        assert prop.groups == (frozenset({X, C}),)
+        assert round_output_value(self.base_tx(), ctx()) == (frozenset({X, C}),)
 
     def test_a_two_inputs_do_not_fire(self):
         t = tx([(X, 200000), (A, 100000)], [(B, 150000), (C, 123457)])
-        assert round_output_value(t, FRESH_ALL, 4, 1).empty
+        assert round_output_value(t, ctx()) == ()
 
     def test_b_three_outputs_do_not_fire(self):
         t = tx([(X, 400000)], [(B, 150000), (C, 123457), (D, 50000)])
-        assert round_output_value(t, FRESH_ALL, 4, 1).empty
+        assert round_output_value(t, ctx()) == ()
 
     def test_c_reused_input_does_not_fire(self):
-        assert round_output_value(self.base_tx(), counts({X: 2}), 4, 1).empty
+        assert round_output_value(self.base_tx(), ctx(counts({X: 2}))) == ()
 
     def test_d_reused_round_output_does_not_fire(self):
-        assert round_output_value(self.base_tx(), counts({B: 3}), 4, 1).empty
+        assert round_output_value(self.base_tx(), ctx(counts({B: 3}))) == ()
 
     def test_d_two_round_fresh_outputs_do_not_fire(self):
         t = tx([(X, 300000)], [(B, 150000), (C, 120000)])
-        assert round_output_value(t, FRESH_ALL, 4, 1).empty
+        assert round_output_value(t, ctx()) == ()
 
     def test_d_no_round_output_does_not_fire(self):
         t = tx([(X, 300000)], [(B, 150001), (C, 123457)])
-        assert round_output_value(t, FRESH_ALL, 4, 1).empty
+        assert round_output_value(t, ctx()) == ()
 
     def test_e_change_round_at_coarser_precision_does_not_fire(self):
         t = tx([(X, 300000)], [(B, 150000), (C, 123000)])
-        assert round_output_value(t, FRESH_ALL, 4, 1).empty
+        assert round_output_value(t, ctx()) == ()
 
-    def test_offset_not_below_exponent_rejected(self):
-        with pytest.raises(ConfigError):
-            round_output_value(self.base_tx(), FRESH_ALL, 1, 1)
+    def test_offset_not_below_exponent_skipped(self):
+        assert round_output_value(self.base_tx(), ctx(exponent=1)) == ()
+        assert round_output_value(self.base_tx(), ctx(round_offset=4)) == ()
+        assert round_output_value(self.base_tx(), ctx(exponent=2)) == (frozenset({X, C}),)
+
+    def test_no_price_data_skipped(self):
+        assert round_output_value(self.base_tx(), ctx(exponent=None)) == ()
 
 
 class TestForceMergeOfInputs:
@@ -169,58 +173,59 @@ class TestForceMergeOfInputs:
         return tx([(A, 5), (B, 4)], [(C, 8), (D, 1)])
 
     def test_fires_and_includes_change(self):
-        prop = force_merge_of_inputs(self.base_tx(), FRESH_ALL)
-        assert prop.groups == (frozenset({A, B, D}),)
+        assert force_merge_of_inputs(self.base_tx(), ctx()) == (frozenset({A, B, D}),)
 
     def test_a_single_input_does_not_fire(self):
-        assert force_merge_of_inputs(tx([(A, 9)], [(C, 8), (D, 1)]), FRESH_ALL).empty
+        assert force_merge_of_inputs(tx([(A, 9)], [(C, 8), (D, 1)]), ctx()) == ()
 
     def test_a_duplicate_input_script_does_not_fire(self):
         t = tx([(A, 5), (A, 4)], [(C, 8), (D, 1)])
-        assert force_merge_of_inputs(t, FRESH_ALL).empty
+        assert force_merge_of_inputs(t, ctx()) == ()
 
     def test_b_three_outputs_do_not_fire(self):
         t = tx([(A, 5), (B, 4)], [(C, 6), (D, 1), (E, 1)])
-        assert force_merge_of_inputs(t, FRESH_ALL).empty
+        assert force_merge_of_inputs(t, ctx()) == ()
 
     def test_b_equal_output_values_do_not_fire(self):
         t = tx([(A, 5), (B, 4)], [(C, 4), (D, 4)])
-        assert force_merge_of_inputs(t, FRESH_ALL).empty
+        assert force_merge_of_inputs(t, ctx()) == ()
 
     def test_c_reused_input_does_not_fire(self):
-        assert force_merge_of_inputs(self.base_tx(), counts({A: 2})).empty
+        assert force_merge_of_inputs(self.base_tx(), ctx(counts({A: 2}))) == ()
 
     def test_d_reused_change_does_not_fire(self):
-        assert force_merge_of_inputs(self.base_tx(), counts({D: 2})).empty
+        assert force_merge_of_inputs(self.base_tx(), ctx(counts({D: 2}))) == ()
 
     def test_e_redundant_input_does_not_fire(self):
         # 9 - 4 = 5 >= 4: B alone would have covered the payment
         t = tx([(A, 5), (B, 4)], [(C, 4), (D, 1)])
-        assert force_merge_of_inputs(t, FRESH_ALL).empty
+        assert force_merge_of_inputs(t, ctx()) == ()
 
     def test_reused_payment_output_is_allowed(self):
-        prop = force_merge_of_inputs(self.base_tx(), counts({C: 7}))
-        assert prop.groups == (frozenset({A, B, D}),)
+        assert force_merge_of_inputs(self.base_tx(), ctx(counts({C: 7}))) == (frozenset({A, B, D}),)
 
 
 class TestServiceDeposit:
+    A3 = ctx(min_deposit_inputs=3)
+
     def test_fires_at_threshold(self):
-        prop = service_deposit(tx([(A, 3), (B, 3), (C, 3)], [(D, 8)]), 3)
-        assert prop.groups == (frozenset({A, B, C}),)
+        t = tx([(A, 3), (B, 3), (C, 3)], [(D, 8)])
+        assert service_deposit(t, self.A3) == (frozenset({A, B, C}),)
 
     def test_a_below_threshold_does_not_fire(self):
-        assert service_deposit(tx([(A, 3), (B, 3)], [(D, 5)]), 3).empty
+        assert service_deposit(tx([(A, 3), (B, 3)], [(D, 5)]), self.A3) == ()
 
     def test_b_two_output_scripts_do_not_fire(self):
-        assert service_deposit(tx([(A, 3), (B, 3), (C, 3)], [(D, 5), (E, 3)]), 3).empty
+        t = tx([(A, 3), (B, 3), (C, 3)], [(D, 5), (E, 3)])
+        assert service_deposit(t, self.A3) == ()
 
     def test_duplicate_output_txos_of_one_script_fire(self):
-        prop = service_deposit(tx([(A, 3), (B, 3), (C, 3)], [(D, 5), (D, 3)]), 3)
-        assert prop.groups == (frozenset({A, B, C}),)
+        t = tx([(A, 3), (B, 3), (C, 3)], [(D, 5), (D, 3)])
+        assert service_deposit(t, self.A3) == (frozenset({A, B, C}),)
 
     def test_threshold_below_two_rejected(self):
         with pytest.raises(ConfigError):
-            service_deposit(tx([(A, 3), (B, 2)], [(D, 4)]), 1)
+            HeuristicConfig(min_deposit_inputs=1)
 
 
 class TestShadowAddress:
@@ -228,94 +233,109 @@ class TestShadowAddress:
         return counts({Y: 1, Z: 2})
 
     def test_fires_with_multiple_inputs(self):
-        prop = shadow_address(tx([(A, 5), (B, 5)], [(Y, 6), (Z, 3)]), self.base_counts())
-        assert prop.groups == (frozenset({A, B, Y}),)
+        t = tx([(A, 5), (B, 5)], [(Y, 6), (Z, 3)])
+        assert shadow_address(t, ctx(self.base_counts())) == (frozenset({A, B, Y}),)
 
     def test_both_outputs_fresh_does_not_fire(self):
         t = tx([(A, 5), (B, 5)], [(Y, 6), (Z, 3)])
-        assert shadow_address(t, counts({Y: 1, Z: 1})).empty
+        assert shadow_address(t, ctx(counts({Y: 1, Z: 1}))) == ()
 
     def test_both_outputs_used_does_not_fire(self):
         t = tx([(A, 5), (B, 5)], [(Y, 6), (Z, 3)])
-        assert shadow_address(t, counts({Y: 2, Z: 2})).empty
+        assert shadow_address(t, ctx(counts({Y: 2, Z: 2}))) == ()
 
     def test_a_three_outputs_do_not_fire(self):
         t = tx([(A, 9)], [(Y, 3), (Z, 3), (D, 2)])
-        assert shadow_address(t, counts({Y: 1, Z: 2, D: 2})).empty
+        assert shadow_address(t, ctx(counts({Y: 1, Z: 2, D: 2}))) == ()
 
 
 class TestOneTimeChange:
     def test_fires_with_many_outputs(self):
         t = tx([(A, 10)], [(B, 4), (C, 3), (D, 2)])
-        prop = one_time_change(t, counts({B: 1, C: 2, D: 3}))
-        assert prop.groups == (frozenset({A, B}),)
+        assert one_time_change(t, ctx(counts({B: 1, C: 2, D: 3}))) == (frozenset({A, B}),)
 
     def test_a_self_change_does_not_fire(self):
         t = tx([(A, 10)], [(A, 5), (B, 4)])
-        assert one_time_change(t, counts({A: 2, B: 1})).empty
+        assert one_time_change(t, ctx(counts({A: 2, B: 1}))) == ()
 
     def test_b_two_fresh_outputs_do_not_fire(self):
         t = tx([(A, 10)], [(B, 5), (C, 4)])
-        assert one_time_change(t, counts({B: 1, C: 1})).empty
+        assert one_time_change(t, ctx(counts({B: 1, C: 1}))) == ()
 
     def test_b_no_fresh_output_does_not_fire(self):
         t = tx([(A, 10)], [(B, 5), (C, 4)])
-        assert one_time_change(t, counts({B: 2, C: 2})).empty
+        assert one_time_change(t, ctx(counts({B: 2, C: 2}))) == ()
 
 
 class TestReuseBasedChange:
     def test_fires_on_dataset_unique_output(self):
         t = tx([(A, 10)], [(B, 4), (C, 5)])
-        prop = reuse_based_change(t, counts({B: 1, C: 2}))
-        assert prop.groups == (frozenset({A, B}),)
+        assert reuse_based_change(t, ctx(counts({B: 1, C: 2}))) == (frozenset({A, B}),)
 
     def test_candidate_spent_later_does_not_fire(self):
         t = tx([(A, 10)], [(B, 4), (C, 5)])
-        assert reuse_based_change(t, counts({B: 2, C: 2})).empty
+        assert reuse_based_change(t, ctx(counts({B: 2, C: 2}))) == ()
 
     def test_two_unique_outputs_do_not_fire(self):
         t = tx([(A, 10)], [(B, 4), (C, 5)])
-        assert reuse_based_change(t, counts({B: 1, C: 1})).empty
+        assert reuse_based_change(t, ctx(counts({B: 1, C: 1}))) == ()
 
     def test_a_self_change_does_not_fire(self):
         t = tx([(A, 10)], [(A, 4), (B, 5)])
-        assert reuse_based_change(t, counts({A: 2, B: 1})).empty
+        assert reuse_based_change(t, ctx(counts({A: 2, B: 1}))) == ()
 
-    def test_online_index_rejected(self):
-        with pytest.raises(ModeError):
-            reuse_based_change(tx([(A, 1)], [(B, 1)]), ReuseIndex())
+
+def combined(t, context):
+    return HEURISTICS["combined"].evaluate(t, context).groups
 
 
 class TestCombined:
-    def ctx(self, reuse=None, exponent=4):
-        return EvalContext(config=HeuristicConfig(), reuse=reuse or FRESH_ALL, exponent=exponent)
-
     def test_only_common_input_firing(self):
         t = tx([(A, 5), (B, 4)], [(C, 9)])
-        prop = combined(t, self.ctx())
-        expected = coinjoin_resistant_common_input(t).groups
-        assert prop.groups == expected
+        assert combined(t, ctx()) == coinjoin_resistant_common_input(t, ctx())
 
     def test_nothing_firing(self):
         t = tx([(A, 9)], [(B, 4), (C, 4)])  # single input, both outputs fresh
-        assert combined(t, self.ctx()).empty
+        assert combined(t, ctx()) == ()
 
     def test_overlapping_groups_all_emitted(self):
         # two inputs fire cio-cj; minimal-input condition fires force-merge
         t = tx([(A, 5), (B, 4)], [(C, 8), (D, 1)])
-        prop = combined(t, self.ctx())
-        assert frozenset({A, B}) in prop.groups
-        assert frozenset({A, B, D}) in prop.groups
+        groups = combined(t, ctx())
+        assert frozenset({A, B}) in groups
+        assert frozenset({A, B, D}) in groups
 
     def test_no_exponent_skips_round_check(self):
         t = tx([(X, 300000)], [(B, 150000), (C, 123457)])
-        assert combined(t, self.ctx(exponent=None)).empty
-        assert not combined(t, self.ctx(exponent=4)).empty
+        assert combined(t, ctx(exponent=None)) == ()
+        assert combined(t, ctx(exponent=4)) != ()
 
     def test_small_exponent_skips_round_check(self):
         # exponent <= offset would make the sub-precision test degenerate
         t = tx([(X, 300000)], [(B, 150000), (C, 123457)])
-        assert combined(t, self.ctx(exponent=1)).empty
+        assert combined(t, ctx(exponent=1)) == ()
+
+    def test_needs_prices_through_its_round_member(self):
+        assert HEURISTICS["combined"].needs_prices and HEURISTICS["round"].needs_prices
+        assert not any(HEURISTICS[n].needs_prices for n in ("cio-cj", "change", "force-merge"))
+
+    def test_groups_are_its_members_groups_in_order(self):
+        rng = Random(36)
+        members = [HEURISTICS[n] for n in ("cio-cj", "change", "round", "force-merge")]
+        fired, overlaps = set(), 0
+        for _ in range(1000):
+            t = _random_tx(rng)
+            context = ctx(
+                counts({i: rng.randrange(0, 3) for i in range(10)}),
+                exponent=rng.choice([None, 1, 2]),
+                round_offset=rng.choice([0, 1]),
+            )
+            parts = [spec.evaluate(t, context).groups for spec in members]
+            assert combined(t, context) == tuple(g for part in parts for g in part)
+            fired |= {spec.name for spec, part in zip(members, parts) if part}
+            overlaps += sum(map(bool, parts)) > 1
+        assert fired == {spec.name for spec in members}
+        assert overlaps > 10
 
 
 def _random_tx(rng):
@@ -340,15 +360,12 @@ class TestInvariants:
     def test_groups_subset_of_transaction_scripts(self):
         rng = Random(31)
         idx = counts({i: rng.randrange(0, 4) for i in range(10)})
-        ctx = EvalContext(reuse=idx, full_reuse=idx, exponent=4)
-        from entityforge.heuristics import HEURISTICS
-
+        context = ctx(idx)
         for _ in range(300):
             t = _random_tx(rng)
             scripts = {o.script for o in t.inputs} | {o.script for o in t.outputs}
             for spec in HEURISTICS.values():
-                prop = spec.evaluate(t, ctx)
-                for group in prop.groups:
+                for group in spec.evaluate(t, context).groups:
                     assert group, "empty group emitted"
                     assert group <= scripts
 
@@ -356,11 +373,11 @@ class TestInvariants:
         rng = Random(32)
         for _ in range(300):
             t = _random_tx(rng)
-            h1 = common_input(t)
-            h2 = coinjoin_resistant_common_input(t)
-            h6 = service_deposit(t, 2)
-            assert set(h2.groups) <= set(h1.groups)
-            assert set(h6.groups) <= set(h1.groups)
+            h1 = common_input(t, ctx())
+            h2 = coinjoin_resistant_common_input(t, ctx())
+            h6 = service_deposit(t, ctx(min_deposit_inputs=2))
+            assert set(h2) <= set(h1)
+            assert set(h6) <= set(h1)
 
     def test_two_output_shape_gate(self):
         rng = Random(33)
@@ -369,18 +386,18 @@ class TestInvariants:
             t = _random_tx(rng)
             n_out = len({o.script for o in t.outputs})
             if len(t.outputs) != 2 or n_out != 2:
-                assert change_address(t, idx).empty
-                assert round_output_value(t, idx, 4, 1).empty
+                assert change_address(t, ctx(idx)) == ()
+                assert round_output_value(t, ctx(idx)) == ()
             if n_out != 1:
-                assert service_deposit(t, 2).empty
+                assert service_deposit(t, ctx(min_deposit_inputs=2)) == ()
 
     def test_purity(self):
         rng = Random(34)
         idx = counts({i: rng.randrange(0, 3) for i in range(10)})
         for _ in range(50):
             t = _random_tx(rng)
-            assert change_address(t, idx) == change_address(t, idx)
-            assert common_input(t) == common_input(t)
+            assert change_address(t, ctx(idx)) == change_address(t, ctx(idx))
+            assert common_input(t, ctx()) == common_input(t, ctx())
 
     def test_force_merge_condition_e_negation(self):
         # strengthen any qualifying tx so one input becomes redundant
@@ -394,12 +411,11 @@ class TestInvariants:
             if pay == change or change == 0:
                 continue
             t = tx(ins, [(6, pay), (7, change)])
-            prop = force_merge_of_inputs(t, FRESH_ALL)
-            if prop.empty:
+            if force_merge_of_inputs(t, ctx()) == ():
                 continue
             found += 1
             v_max = max(pay, change)
             padded = ins + [(8, v_max)]  # a redundant input breaks minimality
             t2 = tx(padded, [(6, pay), (7, change)])
-            assert force_merge_of_inputs(t2, FRESH_ALL).empty
+            assert force_merge_of_inputs(t2, ctx()) == ()
         assert found > 10

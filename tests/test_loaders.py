@@ -1,0 +1,133 @@
+"""Property tests for every input loader.
+
+Whatever text or bytes a loader is fed, it either returns or raises an
+EntityForgeError, which the CLI turns into exit 2 or 3 and one
+`error[<category>]` line. Any other exception would reach the user as a
+traceback.
+"""
+
+import io
+import json
+import struct
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from entityforge.chain import ScriptTable, iter_blocks
+from entityforge.clusters import load_snapshot
+from entityforge.errors import EntityForgeError
+from entityforge.pricing import load_price_csv
+from entityforge.reuse import ReuseIndex
+from entityforge.synth import read_truth
+
+# Small enough that the whole module runs in a few seconds.
+LOADER_SETTINGS = settings(max_examples=100, deadline=None)
+
+printable = st.characters(blacklist_categories=("Cs",))  # encodable as UTF-8
+
+# CSV cells: mostly small numbers and near-numbers, some arbitrary text.
+# Cells stay short, so no row can name a script id large enough to make a
+# loader allocate much.
+cell = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.sampled_from(["", " 7", "1.5", "1e3", "NaN", "-0", "Infinity", "sNaN", "0x1"]),
+    st.text(alphabet='0123456789-,."x \r\n', max_size=4),
+    st.text(alphabet=printable, max_size=3),
+)
+row = st.lists(cell, max_size=4).map(",".join)
+
+
+def csv_text(header):
+    first = st.one_of(st.just(",".join(header)), st.text(alphabet=printable, max_size=20))
+    body = st.lists(row, max_size=6).map("\n".join)
+    return st.tuples(first, body).map("\n".join)
+
+
+json_value = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 2**70) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+txo = st.fixed_dictionaries(
+    {}, optional={"script": st.text(max_size=3) | json_value, "value": st.integers(-3, 50) | json_value}
+)
+side = st.lists(txo | json_value, max_size=3) | json_value
+tx_object = st.fixed_dictionaries(
+    {},
+    optional={
+        "txid": st.text(max_size=3) | json_value,
+        "block": st.integers(-1, 3) | json_value,
+        "inputs": side,
+        "outputs": side,
+    },
+)
+jsonl_line = st.one_of(
+    st.text(max_size=60), json_value.map(json.dumps), tx_object.map(json.dumps)
+)
+
+
+def returns_or_raises_categorized(load):
+    try:
+        load()
+    except EntityForgeError as exc:
+        assert exc.category
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("loaders") / "input"
+
+
+@LOADER_SETTINGS
+@given(lines=st.lists(jsonl_line, min_size=1, max_size=3))
+def test_jsonl_lines(lines):
+    returns_or_raises_categorized(lambda: list(iter_blocks(lines, ScriptTable())))
+
+
+@LOADER_SETTINGS
+@given(text=csv_text(["block_index", "usd_per_btc"]))
+def test_price_csv(text):
+    returns_or_raises_categorized(lambda: load_price_csv(io.StringIO(text, newline="")))
+
+
+@LOADER_SETTINGS
+@given(text=csv_text(["script_id", "count"]))
+def test_reuse_index_csv(text):
+    returns_or_raises_categorized(lambda: ReuseIndex.read_csv(io.StringIO(text, newline="")))
+
+
+@LOADER_SETTINGS
+@given(data=csv_text(["script_id", "user_id"]).map(str.encode) | st.binary(max_size=40))
+def test_truth_csv(scratch, data):
+    scratch.write_bytes(data)
+    returns_or_raises_categorized(lambda: read_truth(str(scratch)))
+
+
+@LOADER_SETTINGS
+@given(data=csv_text(["script_id", "cluster_id"]).map(str.encode) | st.binary(max_size=40))
+def test_csv_snapshot(scratch, data):
+    scratch.write_bytes(data)
+    returns_or_raises_categorized(lambda: load_snapshot(str(scratch)))
+
+
+def _binary_snapshot(count, labels, tail):
+    return struct.pack("<Q", count) + struct.pack(f"<{len(labels)}Q", *labels) + tail
+
+
+binary_body = st.one_of(
+    st.binary(max_size=40),
+    st.builds(
+        _binary_snapshot,
+        st.integers(0, 5) | st.integers(0, 2**64 - 1),
+        st.lists(st.integers(0, 6) | st.integers(0, 2**64 - 1), max_size=6),
+        st.binary(max_size=3),
+    ),
+)
+
+
+@LOADER_SETTINGS
+@given(body=binary_body)
+def test_binary_snapshot(scratch, body):
+    scratch.write_bytes(b"ECLS1" + body)
+    returns_or_raises_categorized(lambda: load_snapshot(str(scratch)))

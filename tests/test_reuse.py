@@ -4,8 +4,8 @@ from random import Random
 import pytest
 
 from entityforge.chain import Block
-from entityforge.errors import DataError, ModeError
-from entityforge.reuse import FIXED, ONLINE, ReuseIndex
+from entityforge.errors import DataError
+from entityforge.reuse import ReuseIndex
 
 from conftest import block, tx
 from oracles import recount_usage
@@ -40,11 +40,6 @@ class TestRecord:
         assert ReuseIndex().count(99) == 0
         assert not ReuseIndex().reused(99)
 
-    def test_record_on_fixed_index_rejected(self):
-        idx = ReuseIndex().freeze()
-        with pytest.raises(ModeError):
-            idx.record(tx([(0, 1)], [(1, 1)]))
-
     def test_reused_thresholds(self):
         idx = ReuseIndex.from_counts({0: 0, 1: 1, 2: 2})
         assert not idx.reused(0)
@@ -64,7 +59,6 @@ class TestFixedBuild:
     def test_horizon_cut_excludes_later_blocks(self):
         idx = ReuseIndex.build_fixed(_stream_with_script_in_blocks(), k=15)
         assert idx.count(0) == 1
-        assert idx.mode == FIXED
         assert idx.horizon_block == 15
 
     def test_horizon_covers_both_blocks(self):
@@ -107,7 +101,7 @@ class TestEquivalence:
             blocks = _random_blocks(rng)
             horizons = [b.index for b in blocks]
             for k in horizons:
-                online = ReuseIndex(ONLINE)
+                online = ReuseIndex()
                 for b in blocks:
                     if b.index > k:
                         break
@@ -150,3 +144,8 @@ class TestPersistence:
     def test_bad_header_rejected(self):
         with pytest.raises(DataError):
             ReuseIndex.read_csv(io.StringIO("a,b\n1,2\n"))
+
+    @pytest.mark.parametrize("rows", ["x,1\n", "1\n", "1,2,3\n", "-1,2\n", "1,-2\n"])
+    def test_malformed_row_rejected(self, rows):
+        with pytest.raises(DataError):
+            ReuseIndex.read_csv(io.StringIO("script_id,count\n0,1\n" + rows))

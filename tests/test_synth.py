@@ -88,6 +88,23 @@ class TestParamValidation:
         with pytest.raises(GenerationError):
             GenParams.from_dict({"wat": 1})
 
+    @pytest.mark.parametrize(
+        "raw",
+        [{"users": "six"}, {"users": 6.0}, {"blocks": True}, {"coinjoin_rate": "0.1"},
+         {"coinjoin_rate": False}, {"round_exponent": None}],
+    )
+    def test_wrongly_typed_value_rejected(self, raw):
+        (name,) = raw
+        with pytest.raises(GenerationError, match=name):
+            GenParams.from_dict(raw)
+
+    def test_non_object_rejected(self):
+        with pytest.raises(GenerationError):
+            GenParams.from_dict(["users"])
+
+    def test_int_accepted_for_float_field(self):
+        assert GenParams.from_dict({"coinjoin_rate": 0, "users": 3}).coinjoin_rate == 0
+
     def test_unfunded_users_cannot_pay(self):
         params = GenParams(users=2, blocks=2, txs_per_block=3, initial_balance=0, endowment_utxos=1)
         with pytest.raises(GenerationError):
@@ -252,3 +269,10 @@ class TestScore:
         paths = generate_files(str(tmp_path / "x"), 5, params)
         _, truth, _ = generate_text(5, params)
         assert read_truth(paths["truth"]) == truth
+
+    @pytest.mark.parametrize("rows", ["x,1\n", "0\n", "0,1,2\n", "0,1.5\n"])
+    def test_malformed_truth_row_rejected(self, tmp_path, rows):
+        path = tmp_path / "truth.csv"
+        path.write_text("script_id,user_id\n0,0\n" + rows)
+        with pytest.raises(DataError, match="line 3"):
+            read_truth(str(path))
