@@ -220,22 +220,6 @@ def iter_blocks(
         yield flush()
 
 
-def write_jsonl(blocks: Iterable[Block], table: ScriptTable, sink: IO) -> int:
-    """Serialize blocks back to the JSONL wire format; returns lines written."""
-    n = 0
-    for block in blocks:
-        for tx in block.transactions:
-            obj = {
-                "txid": tx.txid,
-                "block": block.index,
-                "inputs": [{"script": table.text(t.script), "value": t.value} for t in tx.inputs],
-                "outputs": [{"script": table.text(t.script), "value": t.value} for t in tx.outputs],
-            }
-            sink.write(json.dumps(obj, separators=(",", ":")) + "\n")
-            n += 1
-    return n
-
-
 class JsonlSource:
     """Re-iterable block source backed by a JSONL (optionally .gz) file.
 

@@ -19,7 +19,7 @@ from io import StringIO
 from . import engine
 from .chain import JsonlSource, ScriptTable, StreamStats, iter_blocks, open_text_stream
 from .clusters import load_snapshot
-from .errors import ConfigError, EntityForgeError
+from .errors import ConfigError, EntityForgeError, GenerationError, read_json_object
 from .heuristics import HEURISTICS, HeuristicConfig
 from .pricing import exponent_series, load_price_csv
 from .synth import GenParams, generate_files, read_truth, score
@@ -89,8 +89,20 @@ def _decimal(text: str) -> Decimal:
     try:
         value = Decimal(text)
     except InvalidOperation:
+        value = None
+    if value is None or not value.is_finite():
         raise argparse.ArgumentTypeError(f"not a decimal number: {text!r}")
     return value
+
+
+def _emit(text: str, out: str | None) -> int:
+    """Write a command's result to `out`, or to stdout when it is omitted."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0
 
 
 def _load_prices(path: str):
@@ -98,31 +110,40 @@ def _load_prices(path: str):
         return load_price_csv(fh)
 
 
-_RUN_DEFAULTS = {
-    "a": 25,
-    "x": Decimal(1),
-    "j": 1,
-    "horizon": None,
-    "checkpoints": None,
-    "prices": None,
+# Each run setting's default, and the JSON types a --config file may give it
+# (never a bool); x must also parse as a decimal.
+_RUN_SETTINGS = {
+    "a": (25, (int,)),
+    "x": (Decimal(1), (int, float, str)),
+    "j": (1, (int,)),
+    "horizon": (None, (str, type(None))),
+    "checkpoints": (None, (str, int, type(None))),
+    "prices": (None, (str, type(None))),
 }
 
 
 def _effective_run_settings(args: argparse.Namespace) -> dict:
     """Setting precedence: explicit flags, then --config file, then defaults."""
-    settings = dict(_RUN_DEFAULTS)
+    settings = {key: default for key, (default, _) in _RUN_SETTINGS.items()}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        unknown = set(raw) - set(_RUN_DEFAULTS)
+        raw = read_json_object(args.config, "config file", ConfigError)
+        unknown = set(raw) - set(_RUN_SETTINGS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in raw.items():
+            types = _RUN_SETTINGS[key][1]
+            if isinstance(value, bool) or not isinstance(value, types):
+                kinds = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+                raise ConfigError(f"config key {key} must be {kinds}, got {value!r}")
         if "x" in raw:
-            raw["x"] = Decimal(str(raw["x"]))
+            try:
+                raw["x"] = _decimal(str(raw["x"]))
+            except argparse.ArgumentTypeError as exc:
+                raise ConfigError(f"config key x: {exc}") from None
         if "checkpoints" in raw and raw["checkpoints"] is not None:
             raw["checkpoints"] = str(raw["checkpoints"])
         settings.update(raw)
-    for key in _RUN_DEFAULTS:
+    for key in _RUN_SETTINGS:
         value = getattr(args, key)
         if value is not None:
             settings[key] = value
@@ -134,11 +155,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     settings = _effective_run_settings(args)
     needs_prices = HEURISTICS[heuristic].needs_prices
     if needs_prices and not settings["prices"]:
-        print(
-            f"error[config]: heuristic '{heuristic}' needs a price file; pass --prices <csv>",
-            file=sys.stderr,
-        )
-        return USAGE_EXIT
+        raise ConfigError(f"heuristic '{heuristic}' needs a price file; pass --prices <csv>")
 
     explicit, interval = (None, 100_000)
     if settings["checkpoints"]:
@@ -183,20 +200,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
     reports = [engine.RatioReport.read(path) for path in args.reports]
     table = engine.compare_runs(reports)
     lines = [",".join(row) for row in table]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit("\n".join(lines) + "\n", args.out)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
     raw = {}
     if args.params:
-        with open(args.params, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = read_json_object(args.params, "params file", GenerationError)
     params = GenParams.from_dict(raw)
     paths = generate_files(args.out_prefix, args.seed, params)
     log.info("synthetic stream written: %s", paths)
@@ -208,13 +218,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     partition = load_snapshot(args.snapshot)
     truth = read_truth(args.truth)
     metrics = score(partition, truth)
-    text = json.dumps(metrics, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit(json.dumps(metrics, indent=2, sort_keys=True) + "\n", args.out)
 
 
 def cmd_exponent_series(args: argparse.Namespace) -> int:
@@ -225,13 +229,7 @@ def cmd_exponent_series(args: argparse.Namespace) -> int:
     if omitted:
         print(f"warning: {omitted} block(s) precede the price data; omitted", file=sys.stderr)
     lines = ["block_index,i"] + [f"{block},{i}" for block, i in rows]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit("\n".join(lines) + "\n", args.out)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:

@@ -27,9 +27,6 @@ class ClusterSet:
         self.num_scripts = 0
         self.num_clusters = 0
 
-    def __len__(self) -> int:
-        return self.num_scripts
-
     def is_registered(self, sid: int) -> bool:
         return 0 <= sid < len(self._parent) and self._parent[sid] != _UNREGISTERED
 
@@ -184,7 +181,14 @@ def load_snapshot(path: str) -> ClusterSet:
                 raise DataError(f"binary snapshot {path}: a label is not below the count {count}")
             return ClusterSet.from_labels(dict(enumerate(labels)))
     labels = {}
+    top, top_where = -1, ""
     with open(path, newline="", encoding="utf-8") as fh:
         for where, (sid, lab) in csv_rows(fh, ["script_id", "cluster_id"], f"snapshot {path}"):
-            labels[parse_int(sid, where)] = parse_int(lab, where)
+            sid, lab = parse_int(sid, where), parse_int(lab, where)
+            labels[sid] = lab
+            if max(sid, lab) > top:
+                top, top_where = max(sid, lab), where
+    # `run` writes dense ids; a larger one would size the store's arrays.
+    if top >= len(labels):
+        raise DataError(f"{top_where}: id {top} is not below the file's {len(labels)} scripts")
     return ClusterSet.from_labels(labels)

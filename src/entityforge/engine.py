@@ -19,14 +19,14 @@ from pathlib import Path
 from typing import IO, Callable, Iterable
 
 from .clusters import ClusterSet
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, csv_rows, parse_int, read_json_object
 from .heuristics import (
-    DEFAULT_COINJOIN,
+    COINJOIN_DESCRIPTION,
     HEURISTICS,
-    CoinJoinPredicate,
     EvalContext,
     HeuristicConfig,
     MergeProposal,
+    coinjoin_resistant_common_input,
 )
 from .pricing import PriceSeries, rounding_exponent
 from .reuse import ReuseIndex
@@ -40,7 +40,6 @@ class RunConfig:
     fixed_horizon_block: int | None = None  # None = last block of the dataset
     checkpoint_interval: int | None = 100_000
     checkpoints: list[int] | None = None  # explicit list overrides interval
-    coinjoin: CoinJoinPredicate = DEFAULT_COINJOIN
 
     def __post_init__(self):
         if self.heuristic not in HEURISTICS:
@@ -102,29 +101,23 @@ class RatioReport:
 
     @classmethod
     def read(cls, csv_path: str) -> "RatioReport":
+        """Read a report CSV and its sidecar; the ratio is recomputed exactly."""
         path = Path(csv_path)
         rows = []
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != REPORT_HEADER:
-                raise DataError(f"bad report header in {path}: {header}")
-            for raw in reader:
+            for where, raw in csv_rows(fh, REPORT_HEADER, f"report {path}"):
+                block, scripts, clusters, merges, txs = (
+                    parse_int(raw[i], where) for i in (0, 1, 2, 4, 5)
+                )
+                if scripts < 1:
+                    raise DataError(f"{where}: num_scripts must be positive, got {scripts}")
                 rows.append(
-                    ReportRow(
-                        block_index=int(raw[0]),
-                        num_scripts=int(raw[1]),
-                        num_clusters=int(raw[2]),
-                        ratio=Fraction(int(raw[2]), int(raw[1])),
-                        merges_applied=int(raw[4]),
-                        tx_processed=int(raw[5]),
-                    )
+                    ReportRow(block, scripts, clusters, Fraction(clusters, scripts), merges, txs)
                 )
         sidecar = path.with_suffix(".meta.json") if path.suffix else Path(str(path) + ".meta.json")
         metadata = {}
         if sidecar.exists():
-            with open(sidecar, encoding="utf-8") as fh:
-                metadata = json.load(fh)
+            metadata = read_json_object(sidecar, "report sidecar", DataError)
         return cls(rows, metadata)
 
 
@@ -185,8 +178,8 @@ def run(
 ) -> tuple[RatioReport, ClusterSet]:
     """Cluster the stream with one heuristic; returns (report, final store).
 
-    `source` must expose `blocks()` (re-iterable for fixed-horizon runs) and
-    an interning `table`.
+    `source` must expose `blocks()` (re-iterable for fixed-horizon runs), an
+    interning `table` and the `stats` of its last pass.
     """
     spec = HEURISTICS[config.heuristic]
 
@@ -210,13 +203,14 @@ def run(
     elif mode == "online":
         online_idx = ReuseIndex()
 
-    ctx = EvalContext(config=config.params, reuse=online_idx or fixed_idx, coinjoin=config.coinjoin)
+    ctx = EvalContext(config=config.params, reuse=online_idx or fixed_idx)
 
     store = ClusterSet()
     checkpoints = _Checkpoints(config)
     rows: list[ReportRow] = []
     merges_applied = 0
     tx_processed = 0
+    blocks = 0
     prev_block: int | None = None
 
     def record(cp: int) -> None:
@@ -253,6 +247,7 @@ def run(
             if eliminated:
                 merges_applied += 1
             tx_processed += 1
+        blocks += 1
         prev_block = block.index
 
     for cp in checkpoints.remaining(prev_block):
@@ -266,9 +261,7 @@ def run(
             fixed_idx.horizon_block if fixed_idx is not None else None
         ),
         "coinjoin_predicate": (
-            getattr(config.coinjoin, "description", repr(config.coinjoin))
-            if config.heuristic in ("cio-cj", "combined")
-            else None
+            COINJOIN_DESCRIPTION if coinjoin_resistant_common_input in spec.rules else None
         ),
         "checkpoints": (
             config.checkpoints
@@ -276,31 +269,31 @@ def run(
             else f"every:{config.checkpoint_interval}"
         ),
         "counts": {
-            "blocks": getattr(source, "stats", None).blocks if getattr(source, "stats", None) else None,
+            "blocks": blocks,
             "transactions": tx_processed,
             "scripts": store.num_scripts,
-            "coinbase_dropped": getattr(source, "stats", None).coinbase_dropped if getattr(source, "stats", None) else None,
+            "coinbase_dropped": source.stats.coinbase_dropped,
             "merges_applied": merges_applied,
         },
     }
     return RatioReport(rows, metadata), store
 
 
-def compare_runs(reports: list[RatioReport], names: list[str] | None = None) -> list[list[str]]:
+def compare_runs(reports: list[RatioReport]) -> list[list[str]]:
     """Merge per-heuristic reports into one wide table keyed by checkpoint.
 
-    All reports must share the same checkpoint sequence. Returns the table
-    as rows of strings, header first.
+    All reports must share the same checkpoint sequence. Columns are named by
+    each sidecar's heuristic. Returns the table as rows of strings, header
+    first.
     """
     if not reports:
         raise DataError("nothing to compare")
-    if names is None:
-        names = []
-        for i, report in enumerate(reports):
-            name = report.metadata.get("heuristic") or f"run{i}"
-            while name in names:
-                name += "'"
-            names.append(name)
+    names: list[str] = []
+    for i, report in enumerate(reports):
+        name = str(report.metadata.get("heuristic") or f"run{i}")
+        while name in names:
+            name += "'"
+        names.append(name)
     blocks = [row.block_index for row in reports[0].rows]
     for name, report in zip(names, reports):
         got = [row.block_index for row in report.rows]

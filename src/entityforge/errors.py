@@ -1,10 +1,11 @@
-"""Error types shared across the package, and the CSV reading that uses them.
+"""Package error types, and the CSV and JSON reading that uses them.
 
 Every data-level failure carries a short category string so the CLI can
 report `error[<category>]: message` and exit with a stable code.
 """
 
 import csv
+import json
 from typing import IO, Iterator
 
 
@@ -78,3 +79,15 @@ def parse_int(text: str, where: str) -> int:
         return int(text)
     except ValueError:
         raise DataError(f"{where}: expected an integer, got {text!r}") from None
+
+
+def read_json_object(path, what: str, error: type[EntityForgeError]) -> dict:
+    """The JSON object in the file at `path`; anything else raises `error`."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            value = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+            raise error(f"{what} {path}: invalid JSON: {exc}") from None
+    if not isinstance(value, dict):
+        raise error(f"{what} {path}: expected a JSON object")
+    return value

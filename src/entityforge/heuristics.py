@@ -2,11 +2,11 @@
 
 Every rule has one signature, ``rule(tx, ctx) -> tuple[frozenset[int], ...]``:
 it inspects one transaction plus the explicit context in ``EvalContext`` (the
-reuse index, the block's rounding exponent, the tunable parameters and the
-CoinJoin filter) and returns the script groups to consolidate, ``()`` when
-it does not fire. A registered heuristic is a named tuple of rules whose
-groups are concatenated in order. Nothing here mutates state; the engine
-applies the groups to the cluster store in stream order.
+reuse index, the block's rounding exponent and the tunable parameters) and
+returns the script groups to consolidate, ``()`` when it does not fire. A
+registered heuristic is a named tuple of rules whose groups are concatenated
+in order. Nothing here mutates state; the engine applies the groups to the
+cluster store in stream order.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ Groups = tuple[frozenset[int], ...]
 
 class MergeProposal(NamedTuple):
     groups: Groups
-    heuristic: str
-    txid: str
 
 
 def _input_scripts(tx: Transaction) -> set[int]:
@@ -36,36 +34,26 @@ def _output_scripts(tx: Transaction) -> set[int]:
     return {t.script for t in tx.outputs}
 
 
-class EqualOutputCoinJoinDetector:
-    """Default stand-in CoinJoin filter, swappable behind the same interface.
+# The report sidecar names `is_coinjoin` by this text. Equal outputs are a mix's denominations.
+COINJOIN_DESCRIPTION = (
+    "equal-output detector: n_in >= 2, n_out >= 2, and >= 2 distinct "
+    "output scripts carry exactly equal values"
+)
 
-    Flags a transaction when it has at least two distinct input scripts, at
-    least two distinct output scripts, and at least two distinct output
-    scripts carrying exactly equal values (the mixed denominations).
-    """
 
-    description = (
-        "equal-output detector: n_in >= 2, n_out >= 2, and >= 2 distinct "
-        "output scripts carry exactly equal values"
-    )
-
-    def __call__(self, tx: Transaction) -> bool:
-        if len(_input_scripts(tx)) < 2:
-            return False
-        if len(_output_scripts(tx)) < 2:
-            return False
-        by_value: dict[int, set[int]] = {}
-        for txo in tx.outputs:
-            scripts = by_value.setdefault(txo.value, set())
-            scripts.add(txo.script)
-            if len(scripts) >= 2:
-                return True
+def is_coinjoin(tx: Transaction) -> bool:
+    """The CoinJoin filter of `cio-cj` and `combined`: true when COINJOIN_DESCRIPTION holds."""
+    if len(_input_scripts(tx)) < 2:
         return False
-
-
-CoinJoinPredicate = Callable[[Transaction], bool]
-
-DEFAULT_COINJOIN = EqualOutputCoinJoinDetector()
+    if len(_output_scripts(tx)) < 2:
+        return False
+    by_value: dict[int, set[int]] = {}
+    for txo in tx.outputs:
+        scripts = by_value.setdefault(txo.value, set())
+        scripts.add(txo.script)
+        if len(scripts) >= 2:
+            return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -92,7 +80,6 @@ class EvalContext:
     config: HeuristicConfig = field(default_factory=HeuristicConfig)
     reuse: ReuseIndex | None = None
     exponent: int | None = None  # rounding exponent for the tx's block
-    coinjoin: CoinJoinPredicate = DEFAULT_COINJOIN
 
 
 def common_input(tx: Transaction, ctx: EvalContext) -> Groups:
@@ -102,9 +89,9 @@ def common_input(tx: Transaction, ctx: EvalContext) -> Groups:
 
 
 def coinjoin_resistant_common_input(tx: Transaction, ctx: EvalContext) -> Groups:
-    """Common-input merge, skipped when the CoinJoin filter flags the tx."""
+    """Common-input merge, skipped when `is_coinjoin` flags the tx."""
     scripts = _input_scripts(tx)
-    return (frozenset(scripts),) if len(scripts) >= 2 and not ctx.coinjoin(tx) else ()
+    return (frozenset(scripts),) if len(scripts) >= 2 and not is_coinjoin(tx) else ()
 
 
 def _two_distinct_outputs(tx: Transaction) -> tuple[int, int] | None:
@@ -300,7 +287,7 @@ def _heuristic(name: str, rules: tuple[Rule, ...], horizon: str | None = None) -
         groups: Groups = ()
         for rule in rules:
             groups += rule(tx, ctx)
-        return MergeProposal(groups, name, tx.txid)
+        return MergeProposal(groups)
 
     return HeuristicSpec(name, evaluate, rules, horizon)
 

@@ -61,45 +61,18 @@ class PriceSeries:
         return btc.scaleb(-8)
 
 
-def _parse_price(text: str, where: str) -> Decimal:
-    try:
-        value = Decimal(text)
-    except InvalidOperation as exc:
-        raise DataError(f"{where}: bad price {text!r}") from exc
-    if not value.is_finite():
-        raise DataError(f"{where}: bad price {text!r}")
-    return value
-
-
 def load_price_csv(source: IO) -> PriceSeries:
     """Read the `block_index,usd_per_btc` price file."""
     points = []
     for where, (block, price) in csv_rows(source, ["block_index", "usd_per_btc"], "price file"):
-        points.append(PricePoint(parse_int(block, where), _parse_price(price, where)))
-    return PriceSeries(points)
-
-
-def load_dated_price_csv(prices: IO, block_dates: IO) -> PriceSeries:
-    """Read a `date,usd_per_btc` file plus a `block_index,date` mapping.
-
-    Each mapped block gets the latest price dated at-or-before its date.
-    Dates are compared as ISO-8601 strings.
-    """
-    dated = [
-        (date, _parse_price(price, where))
-        for where, (date, price) in csv_rows(prices, ["date", "usd_per_btc"], "dated price file")
-    ]
-    dated.sort(key=lambda t: t[0])
-    dates = [d for d, _ in dated]
-
-    points = []
-    for where, (block, date) in csv_rows(block_dates, ["block_index", "date"], "block-date mapping"):
         block_index = parse_int(block, where)
-        pos = bisect.bisect_right(dates, date) - 1
-        if pos < 0:
-            continue  # block predates all price data
-        points.append(PricePoint(block_index, dated[pos][1]))
-    points.sort(key=lambda p: p.block_index)
+        try:
+            value = Decimal(price)
+        except InvalidOperation:
+            value = None
+        if value is None or not value.is_finite():
+            raise DataError(f"{where}: bad price {price!r}")
+        points.append(PricePoint(block_index, value))
     return PriceSeries(points)
 
 

@@ -15,11 +15,10 @@ The engine picks the horizon by which index it builds:
 
 from __future__ import annotations
 
-import csv
-from typing import IO, Iterable
+from typing import Iterable
 
 from .chain import Block, Transaction
-from .errors import DataError, csv_rows, parse_int
+from .errors import DataError
 
 
 class ReuseIndex:
@@ -77,17 +76,3 @@ class ReuseIndex:
                 idx._counts.extend([0] * (sid + 1 - len(idx._counts)))
             idx._counts[sid] = n
         return idx
-
-    def write_csv(self, sink: IO) -> None:
-        writer = csv.writer(sink)
-        writer.writerow(["script_id", "count"])
-        for sid, n in enumerate(self._counts):
-            if n:
-                writer.writerow([sid, n])
-
-    @classmethod
-    def read_csv(cls, source: IO) -> "ReuseIndex":
-        counts = {}
-        for where, (sid, n) in csv_rows(source, ["script_id", "count"], "reuse-index"):
-            counts[parse_int(sid, where)] = parse_int(n, where)
-        return cls.from_counts(counts)

@@ -377,7 +377,9 @@ def test_criterion_10_scale(tmp_path):
         "--seed", "1000000", "--params", str(params_path),
         "--out-prefix", str(tmp_path / "big"),
     ]
+    started = time.monotonic()
     subprocess.run(synth_cmd, check=True, capture_output=True)
+    print(f"\n[acceptance] criterion 10 synth: {time.monotonic() - started:.1f}s wall", flush=True)
     meta = json.loads((tmp_path / "big.meta.json").read_text())
     assert meta["counts"]["transactions"] == 1_000_000
     assert meta["counts"]["scripts"] >= 2_500_000
@@ -391,6 +393,7 @@ def test_criterion_10_scale(tmp_path):
     started = time.monotonic()
     subprocess.run(run_cmd, check=True, capture_output=True)
     elapsed = time.monotonic() - started
+    print(f"\n[acceptance] criterion 10 run: {elapsed:.1f}s wall", flush=True)
     peak_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
 
     rows = (tmp_path / "big-report.csv").read_text().splitlines()

@@ -11,7 +11,6 @@ from entityforge.chain import (
     StreamStats,
     iter_blocks,
     validate_transaction,
-    write_jsonl,
 )
 from entityforge.errors import IngestError, ValidationError
 
@@ -144,19 +143,6 @@ class TestIngestion:
     def test_undecodable_json_reports_line(self, line):
         with pytest.raises(IngestError, match="line 2"):
             list(iter_blocks(io.StringIO("\n" + line + "\n"), ScriptTable()))
-
-    def test_round_trip(self, small_stream_text):
-        table = ScriptTable()
-        blocks = list(iter_blocks(io.StringIO(small_stream_text), table))
-        buf = io.StringIO()
-        write_jsonl(blocks, table, buf)
-
-        table2 = ScriptTable()
-        blocks2 = list(iter_blocks(io.StringIO(buf.getvalue()), table2))
-        assert blocks2 == blocks
-        assert [table2.text(i) for i in range(len(table2))] == [
-            table.text(i) for i in range(len(table))
-        ]
 
 
 class TestSources:

@@ -11,6 +11,7 @@ from entityforge.cli import main
 from entityforge.synth import GenParams, generate_files
 
 CONSTANT_PRICES = "block_index,usd_per_btc\n0,10000\n"
+REPORT_HEADER = "block_index,num_scripts,num_clusters,ratio,merges_applied,tx_processed\n"
 SAMPLE_PRICES = str(Path(__file__).resolve().parent.parent / "data" / "sample_prices.csv")
 
 ONE_TX = (
@@ -226,6 +227,50 @@ class TestMalformedInputs:
         assert proc.returncode == 3
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error[generation]: ") and "users" in proc.stderr
+
+    @pytest.mark.parametrize("content", [b'{"users": ', b"\xff{}"], ids=["truncated", "not-utf8"])
+    def test_synth_params_not_json(self, tmp_path, content):
+        params = tmp_path / "params.json"
+        params.write_bytes(content)
+        out = str(tmp_path / "x")
+        proc = _cli("synth", "--seed", "1", "--params", str(params), "--out-prefix", out)
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"error[generation]: params file {params}: invalid JSON")
+
+    @pytest.mark.parametrize(
+        "row", ["abc,3,2,0.666667,1,1\n", "5,0,0,0.000000,0,0\n", "5,3\n"],
+        ids=["non-integer", "zero-scripts", "short"],
+    )
+    def test_malformed_report_row(self, tmp_path, row):
+        report = tmp_path / "r.csv"
+        report.write_text(REPORT_HEADER + row)
+        self.assert_data_error(_cli("compare", str(report)), f"report {report} line 2")
+
+    def test_report_sidecar_not_json(self, tmp_path):
+        report = tmp_path / "r.csv"
+        report.write_text(REPORT_HEADER + "5,3,2,0.666667,1,1\n")
+        (tmp_path / "r.meta.json").write_text('{"heuristic": ')
+        self.assert_data_error(_cli("compare", str(report)), "r.meta.json")
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"a": ', "5", '{"x": "abc"}', '{"x": "NaN"}', '{"x": true}', '{"j": "1"}',
+         '{"j": true}', '{"prices": 5}'],
+    )
+    def test_bad_config_file_exits_two(self, stream, tmp_path, text):
+        config = tmp_path / "run.json"
+        config.write_text(text)
+        proc = _cli("run", "--tx", stream, "--heuristic", "cio", "--config", str(config))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error[config]: ")
+
+    def test_non_finite_x_flag_exits_two(self, stream):
+        proc = _cli("run", "--tx", stream, "--heuristic", "cio", "--x", "nan")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "not a decimal number" in proc.stderr
 
 
 class TestCompare:

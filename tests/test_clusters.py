@@ -251,7 +251,9 @@ class TestSnapshots:
         with pytest.raises(DataError):
             load_snapshot(str(path))
 
-    @pytest.mark.parametrize("rows", ["x,0\n", "1\n", "1,0,0\n"])
+    @pytest.mark.parametrize(
+        "rows", ["x,0\n", "1\n", "1,0,0\n", "5000000,0\n", "1,5000000\n", "10000000000,0\n"]
+    )
     def test_malformed_csv_row_rejected(self, tmp_path, rows):
         path = tmp_path / "bad.csv"
         path.write_text("script_id,cluster_id\n0,0\n" + rows)

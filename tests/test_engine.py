@@ -1,13 +1,14 @@
 import io
 import json
 from fractions import Fraction
+from random import Random
 
 import pytest
 
-from entityforge.chain import JsonlSource, MemorySource, ScriptTable
+from entityforge.chain import JsonlSource, MemorySource, ScriptTable, iter_blocks
 from entityforge.engine import RatioReport, RunConfig, compare_runs, run
 from entityforge.errors import ConfigError, DataError
-from entityforge.heuristics import HeuristicConfig
+from entityforge.heuristics import COINJOIN_DESCRIPTION, HEURISTICS, HeuristicConfig
 from entityforge.pricing import load_price_csv
 from entityforge.synth import GenParams, generate_text
 
@@ -21,6 +22,11 @@ def _jsonl(tmp_path, text, name="stream.jsonl"):
     path = tmp_path / name
     path.write_text(text)
     return JsonlSource(str(path))
+
+
+def _memory_source(lines):
+    table = ScriptTable()
+    return MemorySource(list(iter_blocks(lines, table)), table)
 
 
 def _prices(text=CONSTANT_PRICES):
@@ -299,8 +305,65 @@ class TestErrorsAndMetadata:
 
     def test_coinjoin_predicate_described_in_metadata(self, tmp_path):
         source = _jsonl(tmp_path, ONE_TX)
-        report, _ = run(RunConfig("cio-cj", checkpoint_interval=100), source)
-        assert "equal-output" in report.metadata["coinjoin_predicate"]
-        source2 = _jsonl(tmp_path, ONE_TX, "b.jsonl")
-        report2, _ = run(RunConfig("cio", checkpoint_interval=100), source2)
-        assert report2.metadata["coinjoin_predicate"] is None
+        for name in HEURISTICS:
+            config = RunConfig(name, checkpoint_interval=100)
+            report, _ = run(config, source, price_series=_prices())
+            expected = COINJOIN_DESCRIPTION if name in ("cio-cj", "combined") else None
+            assert report.metadata["coinjoin_predicate"] == expected, name
+        assert "equal-output" in COINJOIN_DESCRIPTION
+
+    def test_block_count_same_for_file_and_memory_sources(self, tmp_path):
+        text, _, _ = generate_text(5, GenParams(users=6, blocks=8, txs_per_block=6))
+        config = RunConfig("cio", checkpoint_interval=100)
+        from_file, _ = run(config, _jsonl(tmp_path, text))
+        from_memory, _ = run(config, _memory_source(text.splitlines()))
+        assert from_memory.metadata["counts"]["blocks"] == from_file.metadata["counts"]["blocks"] == 8
+
+
+def _partition_texts(store, table, rename=None):
+    """The partition as a set of clusters of script texts, optionally renamed."""
+    clusters: dict[int, set[str]] = {}
+    for sid, label in store.labels().items():
+        text = table.text(sid)
+        clusters.setdefault(label, set()).add(rename[text] if rename else text)
+    return {frozenset(c) for c in clusters.values()}
+
+
+class TestMetamorphic:
+    """Rules may depend on neither TXO order within a side nor script ids or names."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shuffled_txos_and_renamed_scripts(self, seed):
+        text, _, _ = generate_text(
+            seed,
+            # Many endowment inputs, fresh at any horizon, let every rule fire.
+            GenParams(users=8, blocks=10, txs_per_block=10, endowment_utxos=20,
+                      address_reuse_prob=0.5, service_payee_prob=0.4, round_value_rate=0.5,
+                      coinjoin_rate=0.15, consolidation_rate=0.2, multi_pay_rate=0.2,
+                      deposit_sweep_rate=0.3, deposit_min_inputs=4),
+        )
+        rng = Random(seed)
+        txs = [json.loads(line) for line in text.splitlines()]
+        names = sorted({t["script"] for raw in txs for t in raw["inputs"] + raw["outputs"]})
+        new_names = [f"s{i}" for i in range(len(names))]
+        rng.shuffle(new_names)
+        rename = dict(zip(names, new_names))
+        for raw in txs:
+            for side in ("inputs", "outputs"):
+                rng.shuffle(raw[side])
+                for txo in raw[side]:
+                    txo["script"] = rename[txo["script"]]
+        original = _memory_source(text.splitlines())
+        transformed = _memory_source([json.dumps(raw) for raw in txs])
+        back = {new: old for old, new in rename.items()}
+        assert any(back[transformed.table.text(i)] != original.table.text(i)
+                   for i in range(len(original.table)))  # script ids were permuted
+        for name in HEURISTICS:
+            params = HeuristicConfig(min_deposit_inputs=4)
+            config = RunConfig(name, params=params, checkpoint_interval=3)
+            report, store = run(config, original, price_series=_prices())
+            report2, store2 = run(config, transformed, price_series=_prices())
+            assert report2.rows == report.rows, name
+            assert _partition_texts(store2, transformed.table, back) == _partition_texts(
+                store, original.table
+            ), name

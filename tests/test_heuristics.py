@@ -10,7 +10,6 @@ import pytest
 
 from entityforge.errors import ConfigError
 from entityforge.heuristics import (
-    DEFAULT_COINJOIN,
     HEURISTICS,
     EvalContext,
     HeuristicConfig,
@@ -18,6 +17,7 @@ from entityforge.heuristics import (
     coinjoin_resistant_common_input,
     common_input,
     force_merge_of_inputs,
+    is_coinjoin,
     one_time_change,
     reuse_based_change,
     round_output_value,
@@ -31,9 +31,9 @@ A, B, C, D, E, X, Y, Z = range(8)
 FRESH_ALL = counts({})
 
 
-def ctx(reuse=FRESH_ALL, exponent=4, coinjoin=DEFAULT_COINJOIN, **params):
+def ctx(reuse=FRESH_ALL, exponent=4, **params):
     """Evaluation context; the default round check is i=4 with offset j=1."""
-    return EvalContext(HeuristicConfig(**params), reuse, exponent, coinjoin)
+    return EvalContext(HeuristicConfig(**params), reuse, exponent)
 
 
 class TestCommonInput:
@@ -53,20 +53,20 @@ class TestCommonInput:
 
 class TestCoinJoinPredicate:
     def test_equal_valued_distinct_outputs_flagged(self):
-        assert DEFAULT_COINJOIN(tx([(A, 6), (B, 6)], [(C, 5), (D, 5), (E, 1)]))
+        assert is_coinjoin(tx([(A, 6), (B, 6)], [(C, 5), (D, 5), (E, 1)]))
 
     def test_distinct_values_not_flagged(self):
-        assert not DEFAULT_COINJOIN(tx([(A, 6), (B, 6)], [(C, 5), (D, 3)]))
+        assert not is_coinjoin(tx([(A, 6), (B, 6)], [(C, 5), (D, 3)]))
 
     def test_needs_two_input_scripts(self):
-        assert not DEFAULT_COINJOIN(tx([(A, 12)], [(C, 5), (D, 5)]))
+        assert not is_coinjoin(tx([(A, 12)], [(C, 5), (D, 5)]))
 
     def test_needs_two_output_scripts(self):
-        assert not DEFAULT_COINJOIN(tx([(A, 6), (B, 6)], [(C, 5), (C, 5)]))
+        assert not is_coinjoin(tx([(A, 6), (B, 6)], [(C, 5), (C, 5)]))
 
     def test_deterministic(self):
         t = tx([(A, 6), (B, 6)], [(C, 5), (D, 5)])
-        assert DEFAULT_COINJOIN(t) == DEFAULT_COINJOIN(t)
+        assert is_coinjoin(t) == is_coinjoin(t)
 
 
 class TestCoinJoinResistant:
@@ -80,11 +80,6 @@ class TestCoinJoinResistant:
 
     def test_single_input_never_fires(self):
         assert coinjoin_resistant_common_input(tx([(A, 9)], [(C, 4), (D, 4)]), ctx()) == ()
-
-    def test_custom_predicate_honored(self):
-        always = lambda _tx: True
-        t = tx([(A, 5), (B, 4)], [(C, 8)])
-        assert coinjoin_resistant_common_input(t, ctx(coinjoin=always)) == ()
 
 
 class TestChangeAddress:

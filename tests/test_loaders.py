@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 from entityforge.chain import ScriptTable, iter_blocks
 from entityforge.clusters import load_snapshot
+from entityforge.engine import REPORT_HEADER, RatioReport, compare_runs
 from entityforge.errors import EntityForgeError
 from entityforge.pricing import load_price_csv
-from entityforge.reuse import ReuseIndex
 from entityforge.synth import read_truth
 
 # Small enough that the whole module runs in a few seconds.
@@ -35,11 +35,12 @@ cell = st.one_of(
     st.text(alphabet='0123456789-,."x \r\n', max_size=4),
     st.text(alphabet=printable, max_size=3),
 )
-row = st.lists(cell, max_size=4).map(",".join)
 
 
 def csv_text(header):
+    """A header line, right or not, then rows of up to two cells more than it has."""
     first = st.one_of(st.just(",".join(header)), st.text(alphabet=printable, max_size=20))
+    row = st.lists(cell, max_size=len(header) + 2).map(",".join)
     body = st.lists(row, max_size=6).map("\n".join)
     return st.tuples(first, body).map("\n".join)
 
@@ -92,9 +93,24 @@ def test_price_csv(text):
 
 
 @LOADER_SETTINGS
-@given(text=csv_text(["script_id", "count"]))
-def test_reuse_index_csv(text):
-    returns_or_raises_categorized(lambda: ReuseIndex.read_csv(io.StringIO(text, newline="")))
+@given(
+    data=csv_text(REPORT_HEADER).map(str.encode) | st.binary(max_size=40),
+    sidecar=st.one_of(
+        st.none(),
+        st.binary(max_size=20),
+        json_value.map(json.dumps).map(str.encode),
+        st.fixed_dictionaries({"heuristic": json_value}).map(json.dumps).map(str.encode),
+    ),
+)
+def test_report_csv(scratch, data, sidecar):
+    scratch.write_bytes(data)
+    meta = scratch.with_name(scratch.name + ".meta.json")
+    if sidecar is None:
+        meta.unlink(missing_ok=True)
+    else:
+        meta.write_bytes(sidecar)
+    # compare reads each report, then names its column by the sidecar's heuristic.
+    returns_or_raises_categorized(lambda: compare_runs([RatioReport.read(str(scratch))] * 2))
 
 
 @LOADER_SETTINGS

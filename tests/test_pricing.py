@@ -11,7 +11,6 @@ from entityforge.pricing import (
     PricePoint,
     PriceSeries,
     exponent_series,
-    load_dated_price_csv,
     load_price_csv,
     rounding_exponent,
 )
@@ -137,19 +136,6 @@ class TestLoaders:
     def test_bad_price_value_rejected(self):
         with pytest.raises(DataError):
             load_price_csv(io.StringIO("block_index,usd_per_btc\n1,abc\n"))
-
-    def test_dated_loader_variant(self):
-        prices = io.StringIO(
-            "date,usd_per_btc\n2012-01-01,5.27\n2013-02-01,20\n"
-        )
-        mapping = io.StringIO(
-            "block_index,date\n160000,2012-01-03\n220000,2013-03-01\n150000,2011-06-01\n"
-        )
-        series = load_dated_price_csv(prices, mapping)
-        assert series.usd_per_btc(160000) == Decimal("5.27")
-        assert series.usd_per_btc(220000) == Decimal("20")
-        # the 2011 block predates all price data and is dropped
-        assert series.usd_per_btc(159999) is None
 
 
 class TestSampleData:

@@ -1,4 +1,3 @@
-import io
 from random import Random
 
 import pytest
@@ -131,21 +130,8 @@ class TestEquivalence:
                 prev = cur
 
 
-class TestPersistence:
-    def test_csv_round_trip(self):
-        idx = ReuseIndex.from_counts({0: 1, 3: 4})
-        buf = io.StringIO()
-        idx.write_csv(buf)
-        back = ReuseIndex.read_csv(io.StringIO(buf.getvalue()))
-        assert back.count(0) == 1
-        assert back.count(3) == 4
-        assert back.count(1) == 0
-
-    def test_bad_header_rejected(self):
+class TestFromCounts:
+    @pytest.mark.parametrize("counts", [{-1: 2}, {1: -2}], ids=["negative-id", "negative-count"])
+    def test_negative_rejected(self, counts):
         with pytest.raises(DataError):
-            ReuseIndex.read_csv(io.StringIO("a,b\n1,2\n"))
-
-    @pytest.mark.parametrize("rows", ["x,1\n", "1\n", "1,2,3\n", "-1,2\n", "1,-2\n"])
-    def test_malformed_row_rejected(self, rows):
-        with pytest.raises(DataError):
-            ReuseIndex.read_csv(io.StringIO("script_id,count\n0,1\n" + rows))
+            ReuseIndex.from_counts(counts)

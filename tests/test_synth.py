@@ -164,7 +164,7 @@ class TestBehaviorKnobs:
         assert h1.same_partition(h2)
 
     def test_zero_coinjoin_never_trips_default_detector(self):
-        from entityforge.heuristics import DEFAULT_COINJOIN
+        from entityforge.heuristics import is_coinjoin
 
         text, _, _ = generate_text(
             26,
@@ -177,7 +177,7 @@ class TestBehaviorKnobs:
         blocks, _ = _parse(text)
         for b in blocks:
             for t in b.transactions:
-                assert not DEFAULT_COINJOIN(t)
+                assert not is_coinjoin(t)
 
     def test_coinjoins_split_the_cio_variants(self, tmp_path):
         text, _, meta = generate_text(
