@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import gzip
 import json
+import zlib
 from typing import IO, Iterable, Iterator, NamedTuple
 
 from .errors import IngestError, ValidationError
@@ -117,29 +118,6 @@ def open_text_stream(path: str, mode: str) -> IO:
     return open(path, mode, encoding="utf-8")
 
 
-def _decode_side(raw: dict, key: str, table: ScriptTable, txid: str, lineno: int) -> tuple[Txo, ...]:
-    side = raw.get(key)
-    if not isinstance(side, list):
-        raise IngestError(f"line {lineno}: transaction {txid}: '{key}' must be a list")
-    txos = []
-    for entry in side:
-        if not isinstance(entry, dict) or "script" not in entry or "value" not in entry:
-            raise IngestError(
-                f"line {lineno}: transaction {txid}: each {key[:-1]} needs 'script' and 'value'"
-            )
-        script, value = entry["script"], entry["value"]
-        if not isinstance(script, str) or not script:
-            raise IngestError(
-                f"line {lineno}: transaction {txid}: empty or non-string script"
-            )
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise IngestError(
-                f"line {lineno}: transaction {txid}: value must be an integer, got {value!r}"
-            )
-        txos.append(Txo(table.intern(script), value))
-    return tuple(txos)
-
-
 class StreamStats:
     """Counters accumulated over one pass of a transaction stream."""
 
@@ -149,6 +127,11 @@ class StreamStats:
         self.coinbase_dropped = 0
         self.first_block: int | None = None
         self.last_block: int | None = None
+
+
+# json.loads without its wrapper; a line this rejects goes through json.loads
+# after all, so that every error message is json.loads' own.
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 def iter_blocks(
@@ -161,10 +144,19 @@ def iter_blocks(
     Transactions must be sorted by block index; consecutive lines with the
     same index form one block. Coinbase transactions (empty inputs) are
     dropped before any of their scripts are interned.
+
+    The per-line work is one loop, because a fixed-horizon run decodes the
+    stream twice. On decoded JSON, `type(x) is int` is `isinstance(x, int)`
+    without bools. Scripts are interned inline, as `ScriptTable.intern`
+    would. Each side keeps its value sum and lowest value; only a
+    transaction these show to be invalid goes through `validate_transaction`,
+    which raises its error.
     """
     stats = stats if stats is not None else StreamStats()
     current_index: int | None = None
     current_txs: list[Transaction] = []
+    ids, texts = table._ids, table._texts
+    get_id, add_text, new = ids.get, texts.append, tuple.__new__
 
     def flush() -> Block:
         stats.blocks += 1
@@ -178,16 +170,21 @@ def iter_blocks(
         if not line:
             continue
         try:
-            raw = json.loads(line)
-        except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
-            raise IngestError(f"line {lineno}: invalid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
+            raw, end = _raw_decode(line)
+            if end != len(line):
+                raise ValueError
+        except (ValueError, RecursionError, TypeError):  # TypeError: bytes lines
+            try:
+                raw = json.loads(line)
+            except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+                raise IngestError(f"line {lineno}: invalid JSON: {exc}") from exc
+        if type(raw) is not dict:
             raise IngestError(f"line {lineno}: expected a JSON object")
         txid = raw.get("txid")
-        if not isinstance(txid, str) or not txid:
+        if type(txid) is not str or not txid:
             raise IngestError(f"line {lineno}: missing or empty 'txid'")
         block_index = raw.get("block")
-        if not isinstance(block_index, int) or isinstance(block_index, bool) or block_index < 0:
+        if type(block_index) is not int or block_index < 0:
             raise IngestError(
                 f"line {lineno}: transaction {txid}: 'block' must be a non-negative integer"
             )
@@ -199,13 +196,45 @@ def iter_blocks(
 
         # Coinbase check precedes interning so dropped outputs never get ids.
         raw_inputs = raw.get("inputs")
-        if isinstance(raw_inputs, list) and len(raw_inputs) == 0:
+        if type(raw_inputs) is list and not raw_inputs:
             stats.coinbase_dropped += 1
             continue
 
-        inputs = _decode_side(raw, "inputs", table, txid, lineno)
-        outputs = _decode_side(raw, "outputs", table, txid, lineno)
-        tx = validate_transaction(Transaction(txid, inputs, outputs))
+        sides = []
+        for key, side in (("inputs", raw_inputs), ("outputs", raw.get("outputs"))):
+            if type(side) is not list:
+                raise IngestError(f"line {lineno}: transaction {txid}: '{key}' must be a list")
+            txos = []
+            total = low = 0
+            for entry in side:
+                try:
+                    script = entry["script"]
+                    value = entry["value"]
+                except (KeyError, TypeError):
+                    raise IngestError(
+                        f"line {lineno}: transaction {txid}: each {key[:-1]} needs 'script' and 'value'"
+                    ) from None
+                if type(script) is not str or not script:
+                    raise IngestError(
+                        f"line {lineno}: transaction {txid}: empty or non-string script"
+                    )
+                if type(value) is not int:
+                    raise IngestError(
+                        f"line {lineno}: transaction {txid}: value must be an integer, got {value!r}"
+                    )
+                sid = get_id(script)
+                if sid is None:
+                    sid = ids[script] = len(texts)
+                    add_text(script)
+                txos.append(new(Txo, (sid, value)))
+                total += value
+                if value < low:
+                    low = value
+            sides.append((tuple(txos), total, low))
+        (inputs, v_in, low_in), (outputs, v_out, low_out) = sides
+        tx = new(Transaction, (txid, inputs, outputs))
+        if not outputs or low_in < 0 or low_out < 0 or v_out > v_in:
+            validate_transaction(tx)
 
         if current_index is None:
             current_index = block_index
@@ -234,8 +263,12 @@ class JsonlSource:
 
     def blocks(self) -> Iterator[Block]:
         self.stats = StreamStats()
-        with open_text_stream(self.path, "r") as fh:
-            yield from iter_blocks(fh, self.table, self.stats)
+        try:
+            with open_text_stream(self.path, "r") as fh:
+                yield from iter_blocks(fh, self.table, self.stats)
+        except (UnicodeDecodeError, EOFError, gzip.BadGzipFile, zlib.error) as exc:
+            # bytes that are not UTF-8, or gzip data that is cut short or corrupt
+            raise IngestError(f"{self.path}: cannot read the stream: {exc}") from None
 
 
 class MemorySource:

@@ -17,7 +17,7 @@ from decimal import Decimal, InvalidOperation
 from io import StringIO
 
 from . import engine
-from .chain import JsonlSource, ScriptTable, StreamStats, iter_blocks, open_text_stream
+from .chain import JsonlSource
 from .clusters import load_snapshot
 from .errors import ConfigError, EntityForgeError, GenerationError, read_json_object
 from .heuristics import HEURISTICS, HeuristicConfig
@@ -69,17 +69,19 @@ def _parse_blocks(text: str) -> list[int]:
     for item in text.split(","):
         if not item:
             continue
-        if ":" in item:
-            pieces = item.split(":")
-            if len(pieces) not in (2, 3):
-                raise ConfigError(f"bad --blocks range: {item!r}")
-            start, end = int(pieces[0]), int(pieces[1])
-            step = int(pieces[2]) if len(pieces) == 3 else 1
-            if step < 1 or end < start:
-                raise ConfigError(f"bad --blocks range: {item!r}")
-            blocks.extend(range(start, end + 1, step))
-        else:
-            blocks.append(int(item))
+        try:
+            values = [int(piece) for piece in item.split(":")]
+        except ValueError:
+            raise ConfigError(f"bad --blocks item: {item!r}") from None
+        if len(values) == 1:
+            blocks.extend(values)
+            continue
+        if len(values) > 3:
+            raise ConfigError(f"bad --blocks range: {item!r}")
+        start, end, step = values if len(values) == 3 else (*values, 1)
+        if step < 1 or end < start:
+            raise ConfigError(f"bad --blocks range: {item!r}")
+        blocks.extend(range(start, end + 1, step))
     if not blocks:
         raise ConfigError("--blocks needs at least one index")
     return blocks
@@ -233,15 +235,14 @@ def cmd_exponent_series(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    table = ScriptTable()
-    stats = StreamStats()
-    with open_text_stream(args.tx, "r") as fh:
-        for _ in iter_blocks(fh, table, stats):
-            pass
+    source = JsonlSource(args.tx)
+    for _ in source.blocks():
+        pass
+    stats = source.stats
     summary = {
         "blocks": stats.blocks,
         "transactions": stats.transactions,
-        "distinct_scripts": len(table),
+        "distinct_scripts": len(source.table),
         "coinbase_dropped": stats.coinbase_dropped,
         "first_block": stats.first_block,
         "last_block": stats.last_block,
@@ -318,7 +319,7 @@ def main(argv: list[str] | None = None) -> int:
     except EntityForgeError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)
         return DATA_EXIT
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)
         return DATA_EXIT
 

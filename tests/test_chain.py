@@ -3,6 +3,8 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entityforge.chain import (
     JsonlSource,
@@ -15,6 +17,8 @@ from entityforge.chain import (
 from entityforge.errors import IngestError, ValidationError
 
 from conftest import tx
+from oracles import reference_iter_blocks
+from test_loaders import jsonl_line
 
 
 class TestScriptTable:
@@ -169,3 +173,59 @@ class TestSources:
         a, b = table.intern("a"), table.intern("b")
         source = MemorySource([Block(1, [tx([(a, 2)], [(b, 1)])])], table)
         assert [blk.index for blk in source.blocks()] == [1]
+
+
+PAY = _line("t", 1, [("a", 5)], [("b", 4)])
+
+# Lines at the edges of each check, mixed with arbitrary ones below.
+EDGE_LINES = [
+    "\ufeff" + PAY,  # leading BOM
+    PAY + " x",  # trailing data
+    PAY + ' {"txid": "u"}',
+    _line("t", True, [("a", 5)], [("b", 4)]),
+    _line("t", -1, [("a", 5)], [("b", 4)]),
+    _line("t", 2**70, [("a", 5)], [("b", 4)]),
+    # a negative value, then a malformed entry: the entry's error comes first
+    _line("t", 1, [("a", -1)], [("b", 4)]).replace('"value": 4', '"valu": 4'),
+    _line("t", 1, [("a", -1), ("c", 9)], [("b", 1)]),
+    _line("t", 1, [("a", 5)], [("b", -2), ("c", 1)]),
+    _line("t", 1, [("a", 5), ("c", 1)], [("b", 4), ("d", 3)]),  # outputs above inputs
+    _line("t", 1, [("a", 5)], []),
+    _line("cb", 1, [], [("m", 50)]),  # coinbase
+    _line("t", 1, [("a", 5)], [("a", 5)]),
+    _line("t", 1, [("a", True)], [("b", 0)]),
+    _line("t", 1, [("a", 1.0)], [("b", 0)]),
+    _line("t", 1, [("", 1)], [("b", 0)]),
+    _line("t", 1, [(7, 1)], [("b", 0)]),
+    _line("t", 0, [("x", 3), ("a", 2)], [("y", 5)]),
+    _line("t", 3, [("b", 3)], [("z", 1)]),
+    _line("t", 5, [("c", 4)], [("a", 4), ("w", 0)]),  # 5 then 3 is unsorted
+    '{"txid": "t", "block": 1, "inputs": [5], "outputs": []}',
+    '{"txid": "t", "block": 1, "inputs": ["script"], "outputs": []}',
+    '{"txid": "t", "block": 1, "inputs": [{"script": "a", "value": 1}], "outputs": null}',
+    '{"txid": "t", "block": 1, "inputs": {"script": "a"}, "outputs": []}',
+    "[" * 100_000,
+    '{"block": 1' + "0" * 5000 + "}",
+    "",
+    "  \t ",
+]
+
+
+def _decode_outcome(decode, lines):
+    """Blocks yielded, table, stats and the error, if any, of one decode."""
+    table, stats, blocks = ScriptTable(), StreamStats(), []
+    error = None
+    try:
+        for block in decode(lines, table, stats):
+            blocks.append(block)
+    except Exception as exc:
+        error = (type(exc), getattr(exc, "category", None), str(exc))
+    # repr shows the record types and tells True from 1
+    return repr(blocks), table._texts, vars(stats), error
+
+
+@settings(max_examples=1000, deadline=None)
+@given(lines=st.lists(jsonl_line | st.sampled_from(EDGE_LINES), max_size=6))
+def test_decoder_matches_reference(lines):
+    """Same blocks, interning order and stats, or the same error, as the reference."""
+    assert _decode_outcome(iter_blocks, lines) == _decode_outcome(reference_iter_blocks, lines)

@@ -1,3 +1,4 @@
+import gzip
 import json
 import os
 import struct
@@ -271,6 +272,52 @@ class TestMalformedInputs:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "not a decimal number" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "name, content",
+        [
+            ("s.jsonl", ONE_TX.encode().replace(b'"pA"', b'"p\xff"')),
+            ("s.jsonl.gz", gzip.compress(ONE_TX.encode() * 50)[:30]),
+            ("s.jsonl.gz", ONE_TX.encode()),
+            # a gzip header, then a deflate block of the reserved type
+            ("s.jsonl.gz", b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x00\xff\x07" + bytes(16)),
+        ],
+        ids=["not-utf8", "gzip-cut-short", "not-gzip", "corrupt-deflate"],
+    )
+    def test_unreadable_stream_bytes(self, tmp_path, name, content):
+        path = tmp_path / name
+        path.write_bytes(content)
+        for argv in (["validate"], ["run", "--heuristic", "cio"]):
+            proc = _cli(*argv, "--tx", str(path))
+            assert proc.returncode == 3
+            assert "Traceback" not in proc.stderr
+            assert proc.stderr.startswith(f"error[ingest]: {path}: cannot read the stream: ")
+
+    @pytest.mark.parametrize("blocks", ["abc", "1:abc", "1:5:x", "1.5"])
+    def test_non_integer_blocks_exit_two(self, tmp_path, blocks):
+        prices = tmp_path / "prices.csv"
+        prices.write_text(CONSTANT_PRICES)
+        proc = _cli("exponent-series", "--prices", str(prices), "--blocks", blocks)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"error[config]: bad --blocks item: {blocks!r}")
+
+    @pytest.mark.parametrize("flag", ["--tx", "--snapshot", "--config", "--prices"])
+    def test_directory_path_exits_three(self, stream, tmp_path, flag):
+        argv = {"--tx": stream, "--heuristic": "round", "--prices": SAMPLE_PRICES}
+        argv[flag] = str(tmp_path)
+        proc = _cli("run", *(item for pair in argv.items() for item in pair))
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error[io]: ") and "Is a directory" in proc.stderr
+
+    def test_directory_snapshot_to_score_exits_three(self, tmp_path):
+        truth = tmp_path / "truth.csv"
+        truth.write_text("script_id,user_id\n0,0\n")
+        proc = _cli("score", "--snapshot", str(tmp_path), "--truth", str(truth))
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error[io]: ")
 
 
 class TestCompare:

@@ -1,5 +1,6 @@
 import io
 import json
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -329,19 +330,30 @@ def _partition_texts(store, table, rename=None):
     return {frozenset(c) for c in clusters.values()}
 
 
+def _firing_stream(seed):
+    """A small synthetic stream on which every rule fires."""
+    text, _, _ = generate_text(
+        seed,
+        # Many endowment inputs, fresh at any horizon, let every rule fire.
+        GenParams(users=8, blocks=10, txs_per_block=10, endowment_utxos=20,
+                  address_reuse_prob=0.5, service_payee_prob=0.4, round_value_rate=0.5,
+                  coinjoin_rate=0.15, consolidation_rate=0.2, multi_pay_rate=0.2,
+                  deposit_sweep_rate=0.3, deposit_min_inputs=4),
+    )
+    return text
+
+
 class TestMetamorphic:
-    """Rules may depend on neither TXO order within a side nor script ids or names."""
+    """Relations between runs that hold on any stream.
+
+    Rules depend on neither TXO order within a side nor script ids or
+    names; a checkpoint past the end reports the final partition; and
+    `combined` is coarser than each of its members.
+    """
 
     @pytest.mark.parametrize("seed", range(4))
     def test_shuffled_txos_and_renamed_scripts(self, seed):
-        text, _, _ = generate_text(
-            seed,
-            # Many endowment inputs, fresh at any horizon, let every rule fire.
-            GenParams(users=8, blocks=10, txs_per_block=10, endowment_utxos=20,
-                      address_reuse_prob=0.5, service_payee_prob=0.4, round_value_rate=0.5,
-                      coinjoin_rate=0.15, consolidation_rate=0.2, multi_pay_rate=0.2,
-                      deposit_sweep_rate=0.3, deposit_min_inputs=4),
-        )
+        text = _firing_stream(seed)
         rng = Random(seed)
         txs = [json.loads(line) for line in text.splitlines()]
         names = sorted({t["script"] for raw in txs for t in raw["inputs"] + raw["outputs"]})
@@ -367,3 +379,38 @@ class TestMetamorphic:
             assert _partition_texts(store2, transformed.table, back) == _partition_texts(
                 store, original.table
             ), name
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_checkpoint_past_end_reports_final_partition(self, seed):
+        source = _memory_source(_firing_stream(seed).splitlines())
+        last = max(b.index for b in source.blocks())
+        for name in HEURISTICS:
+            config = RunConfig(name, checkpoints=[last // 2, last + 1000], checkpoint_interval=None)
+            report, store = run(config, source, price_series=_prices())
+            at_end, _ = run(
+                RunConfig(name, checkpoints=[last], checkpoint_interval=None),
+                source,
+                price_series=_prices(),
+            )
+            final = report.rows[-1]
+            assert final.block_index == last + 1000, name
+            assert replace(final, block_index=last) == at_end.rows[-1], name
+            assert (final.num_scripts, final.num_clusters) == (len(source.table), store.num_clusters)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_combined_coarser_than_each_member(self, seed):
+        combined = HEURISTICS["combined"]
+        members = [name for name, spec in HEURISTICS.items()
+                   if name != "combined" and set(spec.rules) <= set(combined.rules)]
+        assert len(members) == len(combined.rules) == 4
+        source = _memory_source(_firing_stream(seed).splitlines())
+        config = RunConfig("combined", checkpoint_interval=3)
+        combined_report, combined_store = run(config, source, price_series=_prices())
+        finer = 0
+        for name in members:
+            report, store = run(replace(config, heuristic=name), source, price_series=_prices())
+            assert store.refines(combined_store), name
+            for row, combined_row in zip(report.rows, combined_report.rows, strict=True):
+                assert combined_row.ratio <= row.ratio, name
+            finer += store.num_clusters > combined_store.num_clusters
+        assert finer  # combined merges more than at least one member alone
