@@ -42,7 +42,7 @@ class Block(NamedTuple):
 
 
 class ScriptTable:
-    """Injective script-text <-> dense-id interning table.
+    """Script-text -> dense-id interning table.
 
     Ids are assigned in first-observation order with no gaps, so array-backed
     structures can index directly by script id.
@@ -50,29 +50,17 @@ class ScriptTable:
 
     def __init__(self) -> None:
         self._ids: dict[str, int] = {}
-        self._texts: list[str] = []
 
     def __len__(self) -> int:
-        return len(self._texts)
-
-    def __contains__(self, text: str) -> bool:
-        return text in self._ids
+        return len(self._ids)
 
     def intern(self, text: str) -> int:
         if not text:
             raise IngestError("empty script text", category="ingest")
         sid = self._ids.get(text)
         if sid is None:
-            sid = len(self._texts)
-            self._ids[text] = sid
-            self._texts.append(text)
+            sid = self._ids[text] = len(self._ids)
         return sid
-
-    def lookup(self, text: str) -> int | None:
-        return self._ids.get(text)
-
-    def text(self, sid: int) -> str:
-        return self._texts[sid]
 
 
 def validate_transaction(tx: Transaction) -> Transaction:
@@ -155,8 +143,8 @@ def iter_blocks(
     stats = stats if stats is not None else StreamStats()
     current_index: int | None = None
     current_txs: list[Transaction] = []
-    ids, texts = table._ids, table._texts
-    get_id, add_text, new = ids.get, texts.append, tuple.__new__
+    ids = table._ids
+    get_id, new = ids.get, tuple.__new__
 
     def flush() -> Block:
         stats.blocks += 1
@@ -224,8 +212,7 @@ def iter_blocks(
                     )
                 sid = get_id(script)
                 if sid is None:
-                    sid = ids[script] = len(texts)
-                    add_text(script)
+                    sid = ids[script] = len(ids)
                 txos.append(new(Txo, (sid, value)))
                 total += value
                 if value < low:
@@ -266,9 +253,27 @@ class JsonlSource:
         try:
             with open_text_stream(self.path, "r") as fh:
                 yield from iter_blocks(fh, self.table, self.stats)
-        except (UnicodeDecodeError, EOFError, gzip.BadGzipFile, zlib.error) as exc:
-            # bytes that are not UTF-8, or gzip data that is cut short or corrupt
+        except UnicodeDecodeError as exc:
+            raise IngestError(f"{self.path}: cannot read the stream: {self._not_utf8(exc)}") from None
+        except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+            # gzip data that is cut short or corrupt
             raise IngestError(f"{self.path}: cannot read the stream: {exc}") from None
+
+    def _not_utf8(self, exc: UnicodeDecodeError) -> str:
+        """The first line that is not UTF-8, and the bad byte's offset in it.
+
+        The decoder's own position counts from its chunk, so the bytes are read
+        again; lines split as in text mode."""
+        lineno = 0
+        with (gzip.open if self.path.endswith(".gz") else open)(self.path, "rb") as fh:
+            for chunk in fh:
+                for line in chunk.splitlines():
+                    lineno += 1
+                    try:
+                        line.decode("utf-8")
+                    except UnicodeDecodeError as bad:
+                        return f"line {lineno}: byte 0x{line[bad.start]:02x} at offset {bad.start} is not UTF-8"
+        return str(exc)
 
 
 class MemorySource:

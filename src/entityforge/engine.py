@@ -1,9 +1,12 @@
 """Replay a block stream, apply one heuristic, and checkpoint the ratio.
 
 The run starts from the atomic clustering and processes transactions in
-stream order: register scripts, update the online reuse index if one is in
-play, evaluate the heuristic, apply its merge groups immediately. At each
-checkpoint block index k the report records |S_k|, |C_k| and their ratio.
+stream order: grow the store to the scripts seen, update the online reuse
+index if one is in play, evaluate the heuristic, apply its merge groups
+immediately. At each checkpoint block index k the report records |S_k|,
+|C_k| and their ratio. Script ids are dense in stream order, as
+`ScriptTable` assigns them, so |S_k| is the high-water id: one more than
+the largest id so far. A source whose ids skip or go negative is an error.
 
 Heuristics whose reuse horizon is fixed get a first pass over the stream to
 precompute occurrence counts before the clustering pass.
@@ -16,7 +19,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import IO, Callable, Iterable
+from typing import IO, Iterable
 
 from .clusters import ClusterSet
 from .errors import ConfigError, DataError, csv_rows, parse_int, read_json_object
@@ -25,7 +28,6 @@ from .heuristics import (
     HEURISTICS,
     EvalContext,
     HeuristicConfig,
-    MergeProposal,
     coinjoin_resistant_common_input,
 )
 from .pricing import PriceSeries, rounding_exponent
@@ -171,15 +173,13 @@ def _describe_params(params: HeuristicConfig) -> dict:
 
 
 def run(
-    config: RunConfig,
-    source,
-    price_series: PriceSeries | None = None,
-    group_sink: Callable[[MergeProposal], None] | None = None,
+    config: RunConfig, source, price_series: PriceSeries | None = None
 ) -> tuple[RatioReport, ClusterSet]:
     """Cluster the stream with one heuristic; returns (report, final store).
 
-    `source` must expose `blocks()` (re-iterable for fixed-horizon runs), an
-    interning `table` and the `stats` of its last pass.
+    `source` must expose `blocks()` (re-iterable for fixed-horizon runs),
+    whose script ids are dense in stream order, and the `stats` of its last
+    pass.
     """
     spec = HEURISTICS[config.heuristic]
 
@@ -211,6 +211,7 @@ def run(
     merges_applied = 0
     tx_processed = 0
     blocks = 0
+    hw = 0  # scripts seen so far: ids 0..hw-1
     prev_block: int | None = None
 
     def record(cp: int) -> None:
@@ -234,13 +235,19 @@ def run(
         ctx.exponent = exponent
 
         for tx in block.transactions:
-            store.register({t.script for t in tx.inputs})
-            store.register({t.script for t in tx.outputs})
+            seen = hw
+            for side in (tx.inputs, tx.outputs):
+                for sid, _ in side:
+                    if not 0 <= sid < hw:
+                        if sid != hw:
+                            raise DataError(f"transaction {tx.txid} in block {block.index}: "
+                                            f"script id {sid} is neither seen nor the next id {hw}")
+                        hw += 1
+            if hw > seen:
+                store.register(hw)
             if online_idx is not None:
                 online_idx.record(tx)
             proposal = spec.evaluate(tx, ctx)
-            if group_sink is not None and proposal.groups:
-                group_sink(proposal)
             eliminated = 0
             for group in proposal.groups:
                 eliminated += store.merge_scripts(group)

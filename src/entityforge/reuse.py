@@ -34,17 +34,16 @@ class ReuseIndex:
     def reused(self, sid: int) -> bool:
         return self.count(sid) >= 2
 
-    def _bump(self, sids: Iterable[int]) -> None:
-        counts = self._counts
-        for sid in sids:
-            if sid >= len(counts):
-                counts.extend([0] * (sid + 1 - len(counts)))
-            counts[sid] += 1
-
     def record(self, tx: Transaction) -> None:
         """Count this transaction's scripts, one per side of appearance."""
-        self._bump({t.script for t in tx.inputs})
-        self._bump({t.script for t in tx.outputs})
+        counts = self._counts
+        for sids in ({t.script for t in tx.inputs}, {t.script for t in tx.outputs}):
+            for sid in sids:
+                if sid >= len(counts):
+                    counts.extend([0] * (sid + 1 - len(counts)))
+                elif sid < 0:
+                    raise DataError(f"transaction {tx.txid}: script id {sid} is negative")
+                counts[sid] += 1
 
     @classmethod
     def build_fixed(cls, blocks: Iterable[Block], k: int | None = None) -> "ReuseIndex":
@@ -64,15 +63,4 @@ class ReuseIndex:
             for tx in block.transactions:
                 idx.record(tx)
         idx.horizon_block = k if k is not None else last
-        return idx
-
-    @classmethod
-    def from_counts(cls, counts: dict[int, int]) -> "ReuseIndex":
-        idx = cls()
-        for sid, n in counts.items():
-            if sid < 0 or n < 0:
-                raise DataError(f"negative script id or count: {sid},{n}")
-            if sid >= len(idx._counts):
-                idx._counts.extend([0] * (sid + 1 - len(idx._counts)))
-            idx._counts[sid] = n
         return idx

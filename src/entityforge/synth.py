@@ -14,7 +14,6 @@ precision/recall and counts clusters that collapse multiple users together.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from dataclasses import asdict, dataclass
 from random import Random
@@ -449,13 +448,6 @@ def generate_files(prefix: str, seed: int, params: GenParams) -> dict:
     return {"jsonl": jsonl, "truth": truth_path, "meta": meta_path}
 
 
-def generate_text(seed: int, params: GenParams) -> tuple[str, dict[int, int], dict]:
-    """In-memory variant for tests: returns (jsonl text, truth, metadata)."""
-    buf = io.StringIO()
-    _, truth, meta = generate(seed, params, buf)
-    return buf.getvalue(), truth, meta
-
-
 def write_truth(sink: IO, truth: dict[int, int]) -> None:
     writer = csv.writer(sink)
     writer.writerow(["script_id", "user_id"])
@@ -467,7 +459,10 @@ def read_truth(path: str) -> dict[int, int]:
     truth = {}
     with open(path, newline="", encoding="utf-8") as fh:
         for where, (sid, uid) in csv_rows(fh, ["script_id", "user_id"], f"ground truth {path}"):
-            truth[parse_int(sid, where)] = parse_int(uid, where)
+            sid = parse_int(sid, where)
+            if sid in truth:
+                raise DataError(f"{where}: script id {sid} repeats")
+            truth[sid] = parse_int(uid, where)
     return truth
 
 
@@ -485,7 +480,7 @@ def score(partition: ClusterSet, truth: dict[int, int]) -> dict:
     """
     cluster_of: dict[int, int] = {}
     for sid in truth:
-        if not partition.is_registered(sid):
+        if not 0 <= sid < partition.num_scripts:
             raise DataError(f"truth script {sid} is not in the partition")
         cluster_of[sid] = partition.find(sid)
 

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+import io
+
 import pytest
 
 from entityforge.chain import Block, Transaction, Txo
+from entityforge.heuristics import HEURISTICS
 from entityforge.reuse import ReuseIndex
+from entityforge.synth import generate
 
 _TX_COUNTER = [0]
 
@@ -24,11 +29,39 @@ def tx(inputs, outputs, txid=None):
 
 def counts(mapping):
     """Fixed-mode reuse index with explicit per-script counts."""
-    return ReuseIndex.from_counts(mapping)
+    idx = ReuseIndex()
+    idx._counts = [mapping.get(sid, 0) for sid in range(max(mapping, default=-1) + 1)]
+    return idx
 
 
 def block(index, *txs):
     return Block(index, list(txs))
+
+
+def generate_text(seed, params):
+    """A synthetic stream in memory: (JSONL text, truth, metadata)."""
+    buf = io.StringIO()
+    _, truth, meta = generate(seed, params, buf)
+    return buf.getvalue(), truth, meta
+
+
+@pytest.fixture
+def proposed_groups(monkeypatch):
+    """Every merge group the heuristics propose during the test, in order.
+
+    Each registry entry's `evaluate` is wrapped to record its groups; clear
+    the list between runs.
+    """
+    groups = []
+    for name, spec in list(HEURISTICS.items()):
+
+        def evaluate(tx, ctx, evaluate=spec.evaluate):
+            proposal = evaluate(tx, ctx)
+            groups.extend(proposal.groups)
+            return proposal
+
+        monkeypatch.setitem(HEURISTICS, name, dataclasses.replace(spec, evaluate=evaluate))
+    return groups
 
 
 @pytest.fixture

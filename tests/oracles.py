@@ -56,6 +56,18 @@ def closure_labels(num_scripts: int, groups) -> dict[int, int]:
     return out
 
 
+def refines(fine: dict[int, int], coarse: dict[int, int]) -> bool:
+    """True iff every class of the `fine` labeling lies within one of `coarse`.
+
+    Both map the same scripts to labels, as `ClusterSet.labels()` does; the
+    check compares labels only and never touches a disjoint-set.
+    """
+    if fine.keys() != coarse.keys():
+        raise ValueError("refinement needs the same scripts on both sides")
+    image: dict[int, int] = {}  # fine label -> the coarse label of its first script
+    return all(image.setdefault(label, coarse[sid]) == coarse[sid] for sid, label in fine.items())
+
+
 def store_labels(store) -> dict[int, int]:
     return store.labels()
 

@@ -293,6 +293,23 @@ class TestMalformedInputs:
             assert "Traceback" not in proc.stderr
             assert proc.stderr.startswith(f"error[ingest]: {path}: cannot read the stream: ")
 
+    @pytest.mark.parametrize("name", ["s.jsonl", "s.jsonl.gz"])
+    def test_non_utf8_byte_named_by_line_and_offset(self, tmp_path, name):
+        lines = [ONE_TX.encode()] * 3000
+        lines[10] = ONE_TX.encode().replace(b"\n", b"\r\n")  # one line, as in text mode
+        lines[20] = b"\n"
+        lines[2500] = ONE_TX.encode().replace(b'"pA"', b'"p\xff"')
+        data = b"".join(lines)
+        path = tmp_path / name
+        path.write_bytes(gzip.compress(data) if name.endswith(".gz") else data)
+        for argv in (["validate"], ["run", "--heuristic", "cio"]):
+            proc = _cli(*argv, "--tx", str(path))
+            assert proc.returncode == 3
+            assert proc.stderr == (
+                f"error[ingest]: {path}: cannot read the stream: "
+                "line 2501: byte 0xff at offset 47 is not UTF-8\n"
+            )
+
     @pytest.mark.parametrize("blocks", ["abc", "1:abc", "1:5:x", "1.5"])
     def test_non_integer_blocks_exit_two(self, tmp_path, blocks):
         prices = tmp_path / "prices.csv"

@@ -1,4 +1,5 @@
 import io
+import re
 import struct
 from fractions import Fraction
 from random import Random
@@ -8,65 +9,72 @@ import pytest
 from entityforge.clusters import ClusterSet, load_snapshot
 from entityforge.errors import DataError
 
-from oracles import closure_labels
+from oracles import closure_labels, refines
 
 
 class TestRegister:
     def test_single_registration(self):
         store = ClusterSet()
-        store.register({0})
+        store.register(1)
         assert (store.num_scripts, store.num_clusters) == (1, 1)
 
     def test_registration_idempotent(self):
         store = ClusterSet()
-        store.register({0})
-        store.register({0})
+        store.register(1)
+        store.register(1)
+        store.register(0)
         assert (store.num_scripts, store.num_clusters) == (1, 1)
 
     def test_batch_registration(self):
         store = ClusterSet()
-        store.register({0, 1, 2})
+        store.register(3)
         assert (store.num_scripts, store.num_clusters) == (3, 3)
+        store.merge_scripts({0, 1})
+        store.register(5)  # growth adds singletons and keeps the merge
+        assert (store.num_scripts, store.num_clusters) == (5, 4)
 
 
 class TestMerge:
     def test_basic_merge(self):
         store = ClusterSet()
-        store.register({0, 1, 2})
+        store.register(3)
         store.merge_scripts({0, 1})
         assert store.num_clusters == 2
-        assert store.same_cluster(0, 1)
-        assert not store.same_cluster(0, 2)
+        assert store.find(0) == store.find(1) != store.find(2)
 
     def test_transitive_through_shared_cluster(self):
         store = ClusterSet()
-        store.register({0, 1, 2})
+        store.register(3)
         store.merge_scripts({0, 1})
         store.merge_scripts({1, 2})
         assert store.num_clusters == 1
-        assert store.same_cluster(0, 2)
+        assert store.find(0) == store.find(2)
 
     def test_singleton_merge_is_noop(self):
         store = ClusterSet()
-        store.register({0, 1, 2})
+        store.register(3)
         assert store.merge_scripts({0}) == 0
         assert store.num_clusters == 3
 
     def test_empty_merge_is_noop(self):
         store = ClusterSet()
-        store.register({0})
+        store.register(1)
         assert store.merge_scripts(set()) == 0
 
-    def test_merge_auto_registers(self):
-        store = ClusterSet()
-        store.merge_scripts({3, 5})
-        assert store.num_scripts == 2
-        assert store.num_clusters == 1
-        assert store.same_cluster(3, 5)
+    def test_merge_outside_the_store_rejected(self):
+        for outside in (3, 4, -1, -4):
+            store = ClusterSet()
+            store.register(3)
+            store.merge_scripts({0, 1})
+            with pytest.raises(DataError, match=f"script id {outside} is not in the store of 3"):
+                store.merge_scripts([2, 1, outside])
+            # the merges made before the bad id stay counted; the forest stays valid
+            assert store.num_clusters == 1
+            assert store.labels() == {0: 0, 1: 0, 2: 0}
 
     def test_decrement_equals_touched_minus_one(self):
         store = ClusterSet()
-        store.register(range(6))
+        store.register(6)
         store.merge_scripts({0, 1})
         store.merge_scripts({2, 3})
         # touches clusters {0,1}, {2,3}, {4}: three clusters -> one
@@ -76,7 +84,7 @@ class TestMerge:
     def test_monotone_cluster_count(self):
         rng = Random(7)
         store = ClusterSet()
-        store.register(range(50))
+        store.register(50)
         prev = store.num_clusters
         for _ in range(100):
             group = rng.sample(range(50), rng.randrange(1, 5))
@@ -88,23 +96,25 @@ class TestMerge:
 class TestQueries:
     def test_same_cluster_reflexive(self):
         store = ClusterSet()
-        store.register({4})
-        assert store.same_cluster(4, 4)
+        store.register(5)
+        assert store.find(4) == 4
+        assert store.labels()[4] == 4
 
     def test_unregistered_query_errors(self):
         store = ClusterSet()
-        store.register({0})
-        with pytest.raises(DataError):
-            store.same_cluster(0, 9)
+        store.register(1)
+        for sid in (9, 1, -1):
+            with pytest.raises(DataError):
+                store.find(sid)
 
     def test_ratio_atomic_is_one(self):
         store = ClusterSet()
-        store.register(range(5))
+        store.register(5)
         assert store.clustering_ratio() == 1
 
     def test_ratio_after_full_merge(self):
         store = ClusterSet()
-        store.register(range(4))
+        store.register(4)
         store.merge_scripts({0, 1, 2, 3})
         assert store.clustering_ratio() == Fraction(1, 4)
 
@@ -115,46 +125,48 @@ class TestQueries:
 
     def test_ratio_is_exact(self):
         store = ClusterSet()
-        store.register(range(3))
+        store.register(3)
         store.merge_scripts({0, 1})
         assert store.clustering_ratio() == Fraction(2, 3)
 
 
 class TestRefinement:
+    """The labeling oracle `refines`, over the store's `labels()`."""
+
     def test_atomic_refines_everything(self):
         fine = ClusterSet()
-        fine.register(range(4))
+        fine.register(4)
         coarse = ClusterSet()
-        coarse.register(range(4))
+        coarse.register(4)
         coarse.merge_scripts({0, 1, 2, 3})
-        assert fine.refines(coarse)
-        assert not coarse.refines(fine)
+        assert refines(fine.labels(), coarse.labels())
+        assert not refines(coarse.labels(), fine.labels())
 
     def test_equal_partitions_refine_both_ways(self):
         a = ClusterSet()
         b = ClusterSet()
-        for store in (a, b):
-            store.register(range(4))
-            store.merge_scripts({1, 2})
-        assert a.same_partition(b)
+        for store, group in ((a, {1, 2}), (b, [2, 1])):
+            store.register(4)
+            store.merge_scripts(group)
+        assert refines(a.labels(), b.labels()) and refines(b.labels(), a.labels())
 
     def test_crossing_partitions_do_not_refine(self):
         a = ClusterSet()
-        a.register(range(4))
+        a.register(4)
         a.merge_scripts({0, 1})
         b = ClusterSet()
-        b.register(range(4))
+        b.register(4)
         b.merge_scripts({1, 2})
-        assert not a.refines(b)
-        assert not b.refines(a)
+        assert not refines(a.labels(), b.labels())
+        assert not refines(b.labels(), a.labels())
 
     def test_mismatched_script_sets_error(self):
         a = ClusterSet()
-        a.register(range(3))
+        a.register(3)
         b = ClusterSet()
-        b.register(range(4))
-        with pytest.raises(DataError):
-            a.refines(b)
+        b.register(4)
+        with pytest.raises(ValueError):
+            refines(a.labels(), b.labels())
 
 
 class TestOrderIndependence:
@@ -166,7 +178,7 @@ class TestOrderIndependence:
             order = groups[:]
             rng.shuffle(order)
             store = ClusterSet()
-            store.register(range(30))
+            store.register(30)
             for group in order:
                 store.merge_scripts(group)
             labels = store.labels()
@@ -180,7 +192,7 @@ class TestOrderIndependence:
             n = rng.randrange(5, 40)
             groups = [rng.sample(range(n), rng.randrange(2, 5)) for _ in range(rng.randrange(0, 15))]
             store = ClusterSet()
-            store.register(range(n))
+            store.register(n)
             for group in groups:
                 store.merge_scripts(group)
             assert store.labels() == closure_labels(n, groups)
@@ -196,7 +208,7 @@ class TestThroughput:
         rng = Random(2)
         n = 500_000
         store = ClusterSet()
-        store.register(range(n))
+        store.register(n)
         groups = [tuple(rng.randrange(n) for _ in range(5)) for _ in range(200_000)]
         started = time.monotonic()
         for group in groups:
@@ -208,7 +220,7 @@ class TestThroughput:
 class TestSnapshots:
     def _two_cluster_store(self):
         store = ClusterSet()
-        store.register({0, 1, 2})
+        store.register(3)
         store.merge_scripts({0, 1})
         return store
 
@@ -228,7 +240,7 @@ class TestSnapshots:
         with open(path, "w", newline="") as fh:
             store.write_snapshot_csv(fh)
         loaded = load_snapshot(str(path))
-        assert loaded.same_partition(store)
+        assert loaded.labels() == store.labels()
 
     def test_binary_round_trip(self, tmp_path):
         store = self._two_cluster_store()
@@ -237,13 +249,7 @@ class TestSnapshots:
             store.write_snapshot_binary(fh)
         assert path.read_bytes().startswith(b"ECLS1")
         loaded = load_snapshot(str(path))
-        assert loaded.same_partition(store)
-
-    def test_binary_requires_dense_ids(self, tmp_path):
-        store = ClusterSet()
-        store.register({0, 5})
-        with pytest.raises(DataError):
-            store.write_snapshot_binary(io.BytesIO())
+        assert loaded.labels() == store.labels()
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -252,13 +258,21 @@ class TestSnapshots:
             load_snapshot(str(path))
 
     @pytest.mark.parametrize(
-        "rows", ["x,0\n", "1\n", "1,0,0\n", "5000000,0\n", "1,5000000\n", "10000000000,0\n"]
+        "rows",
+        ["x,0\n", "1\n", "1,0,0\n", "5000000,0\n", "1,5000000\n", "10000000000,0\n",
+         "-1,0\n", "1,-1\n", "0,0\n", "1,1\n1,0\n", "1,1\n\n-1,0\n"],
     )
     def test_malformed_csv_row_rejected(self, tmp_path, rows):
         path = tmp_path / "bad.csv"
         path.write_text("script_id,cluster_id\n0,0\n" + rows)
-        with pytest.raises(DataError, match="line 3"):
+        line = 3 + rows.count("\n") - 1
+        with pytest.raises(DataError, match=re.escape(f"snapshot {path} line {line}: ")):
             load_snapshot(str(path))
+
+    def test_csv_rows_in_any_order_load(self, tmp_path):
+        path = tmp_path / "ok.csv"
+        path.write_text("script_id,cluster_id\n2,0\n0,0\n1,1\n")
+        assert load_snapshot(str(path)).labels() == {0: 0, 1: 1, 2: 0}
 
     @pytest.mark.parametrize(
         "body",
@@ -280,4 +294,4 @@ class TestSnapshots:
         path = tmp_path / "ok.bin"
         path.write_bytes(b"ECLS1" + struct.pack("<Q2Q", 2, 1, 1))
         loaded = load_snapshot(str(path))
-        assert loaded.num_scripts == 2 and loaded.same_cluster(0, 1)
+        assert loaded.labels() == {0: 0, 1: 0}

@@ -11,10 +11,10 @@ from entityforge.engine import RatioReport, RunConfig, compare_runs, run
 from entityforge.errors import ConfigError, DataError
 from entityforge.heuristics import COINJOIN_DESCRIPTION, HEURISTICS, HeuristicConfig
 from entityforge.pricing import load_price_csv
-from entityforge.synth import GenParams, generate_text
+from entityforge.synth import GenParams
 
-from conftest import block, tx
-from oracles import closure_labels
+from conftest import block, generate_text, tx
+from oracles import closure_labels, refines
 
 CONSTANT_PRICES = "block_index,usd_per_btc\n0,10000\n"
 
@@ -90,15 +90,14 @@ class TestHorizons:
     def test_fixed_horizon_sees_future_reuse(self, tmp_path):
         source = _jsonl(tmp_path, self.TEXT)
         _, store = run(RunConfig("change", checkpoint_interval=1), source)
-        f, p, c = (source.table.lookup(s) for s in ("F", "P", "C"))
-        assert store.same_cluster(f, c)
-        assert not store.same_cluster(f, p)
+        f, p, c = (source.table.intern(s) for s in ("F", "P", "C"))
+        assert store.find(f) == store.find(c) != store.find(p)
 
     def test_online_horizon_cannot_see_future(self, tmp_path):
         source = _jsonl(tmp_path, self.TEXT)
         _, store = run(RunConfig("change", horizon="online", checkpoint_interval=1), source)
-        f, c = source.table.lookup("F"), source.table.lookup("C")
-        assert not store.same_cluster(f, c)
+        f, c = source.table.intern("F"), source.table.intern("C")
+        assert store.find(f) != store.find(c)
 
     def test_online_records_transaction_before_evaluating(self, tmp_path):
         # B already appeared earlier in the same block, so it counts as
@@ -111,11 +110,10 @@ class TestHorizons:
         )
         source = _jsonl(tmp_path, text)
         _, store = run(RunConfig("change", horizon="online", checkpoint_interval=1), source)
-        d, e = source.table.lookup("D"), source.table.lookup("E")
-        a = source.table.lookup("A")
-        assert store.same_cluster(d, e)
+        a, d, e = (source.table.intern(s) for s in "ADE")
+        assert store.find(d) == store.find(e)
         assert store.num_clusters == store.num_scripts - 1  # only that one merge
-        assert not store.same_cluster(a, d)
+        assert store.find(a) != store.find(d)
 
     def test_fixed_horizon_block_recorded_in_metadata(self, tmp_path):
         source = _jsonl(tmp_path, self.TEXT)
@@ -226,7 +224,7 @@ class TestOracle:
         ["cio", "cio-cj", "change", "round", "force-merge", "deposit",
          "shadow", "one-time-change", "reuse-change", "combined"],
     )
-    def test_partition_equals_transitive_closure(self, heuristic, tmp_path):
+    def test_partition_equals_transitive_closure(self, heuristic, tmp_path, proposed_groups):
         text, _, _ = generate_text(
             41,
             GenParams(
@@ -240,15 +238,14 @@ class TestOracle:
             ),
         )
         source = _jsonl(tmp_path, text)
-        groups = []
         config = RunConfig(
             heuristic,
             params=HeuristicConfig(min_deposit_inputs=4),
             checkpoint_interval=100,
         )
         prices = _prices() if heuristic in ("round", "combined") else None
-        _, store = run(config, source, price_series=prices, group_sink=lambda p: groups.extend(p.groups))
-        expected = closure_labels(len(source.table), groups)
+        _, store = run(config, source, price_series=prices)
+        expected = closure_labels(len(source.table), proposed_groups)
         assert store.labels() == expected
 
 
@@ -321,11 +318,47 @@ class TestErrorsAndMetadata:
         assert from_memory.metadata["counts"]["blocks"] == from_file.metadata["counts"]["blocks"] == 8
 
 
+class TestDenseIds:
+    """Ids are dense in stream order: each new script takes the next id."""
+
+    STREAMS = {
+        "first-id-skips": ("t1", 1, [block(1, tx([(1, 5)], [(0, 4)], "t1"))]),
+        "later-gap": ("t3", 4, [
+            block(1, tx([(0, 5)], [(1, 4)], "t1")),
+            block(2, tx([(1, 4)], [(0, 3), (2, 1)], "t2"), tx([(2, 1)], [(0, 1), (4, 0)], "t3")),
+        ]),
+        "negative": ("t2", -1, [block(1, tx([(0, 5)], [(1, 4)], "t1"), tx([(1, 4)], [(-1, 3)], "t2"))]),
+        "negative-first": ("t1", -2, [block(1, tx([(-2, 5)], [(0, 4)], "t1"))]),
+    }
+
+    @pytest.mark.parametrize("case", STREAMS)
+    @pytest.mark.parametrize("heuristic, horizon", [("cio", None), ("change", "online"), ("change", "fixed")])
+    def test_ids_that_skip_rejected(self, case, heuristic, horizon):
+        txid, sid, blocks = self.STREAMS[case]
+        source = MemorySource(blocks, ScriptTable())
+        with pytest.raises(DataError, match=f"transaction {txid}\\b.*script id {sid} is"):
+            run(RunConfig(heuristic, horizon=horizon, checkpoint_interval=100), source)
+
+    def test_engine_error_names_transaction_and_block(self):
+        _, _, blocks = self.STREAMS["later-gap"]
+        with pytest.raises(DataError) as err:
+            run(RunConfig("cio", checkpoint_interval=100), MemorySource(blocks, ScriptTable()))
+        assert str(err.value) == (
+            "transaction t3 in block 2: script id 4 is neither seen nor the next id 3"
+        )
+
+
+def _texts(table):
+    """Script texts in id order; the table's dict keeps first-observation order."""
+    return list(table._ids)
+
+
 def _partition_texts(store, table, rename=None):
     """The partition as a set of clusters of script texts, optionally renamed."""
+    texts = _texts(table)
     clusters: dict[int, set[str]] = {}
     for sid, label in store.labels().items():
-        text = table.text(sid)
+        text = texts[sid]
         clusters.setdefault(label, set()).add(rename[text] if rename else text)
     return {frozenset(c) for c in clusters.values()}
 
@@ -368,8 +401,7 @@ class TestMetamorphic:
         original = _memory_source(text.splitlines())
         transformed = _memory_source([json.dumps(raw) for raw in txs])
         back = {new: old for old, new in rename.items()}
-        assert any(back[transformed.table.text(i)] != original.table.text(i)
-                   for i in range(len(original.table)))  # script ids were permuted
+        assert [back[t] for t in _texts(transformed.table)] != _texts(original.table)  # ids permuted
         for name in HEURISTICS:
             params = HeuristicConfig(min_deposit_inputs=4)
             config = RunConfig(name, params=params, checkpoint_interval=3)
@@ -409,7 +441,7 @@ class TestMetamorphic:
         finer = 0
         for name in members:
             report, store = run(replace(config, heuristic=name), source, price_series=_prices())
-            assert store.refines(combined_store), name
+            assert refines(store.labels(), combined_store.labels()), name
             for row, combined_row in zip(report.rows, combined_report.rows, strict=True):
                 assert combined_row.ratio <= row.ratio, name
             finer += store.num_clusters > combined_store.num_clusters

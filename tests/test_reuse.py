@@ -6,7 +6,7 @@ from entityforge.chain import Block
 from entityforge.errors import DataError
 from entityforge.reuse import ReuseIndex
 
-from conftest import block, tx
+from conftest import block, counts, tx
 from oracles import recount_usage
 
 
@@ -39,8 +39,15 @@ class TestRecord:
         assert ReuseIndex().count(99) == 0
         assert not ReuseIndex().reused(99)
 
+    def test_negative_script_rejected(self):
+        # a negative id would index the counts from their end
+        idx = ReuseIndex()
+        idx.record(tx([(0, 5)], [(1, 4)]))
+        with pytest.raises(DataError, match="transaction t9: script id -1 is negative"):
+            idx.record(tx([(1, 4)], [(-1, 3)], "t9"))
+
     def test_reused_thresholds(self):
-        idx = ReuseIndex.from_counts({0: 0, 1: 1, 2: 2})
+        idx = counts({0: 0, 1: 1, 2: 2})
         assert not idx.reused(0)
         assert not idx.reused(1)
         assert idx.reused(2)
@@ -128,10 +135,3 @@ class TestEquivalence:
                 cur = ReuseIndex.build_fixed(blocks, k=k).count(sid)
                 assert cur >= prev
                 prev = cur
-
-
-class TestFromCounts:
-    @pytest.mark.parametrize("counts", [{-1: 2}, {1: -2}], ids=["negative-id", "negative-count"])
-    def test_negative_rejected(self, counts):
-        with pytest.raises(DataError):
-            ReuseIndex.from_counts(counts)
