@@ -75,21 +75,13 @@ def validate_transaction(tx: Transaction) -> Transaction:
             category="coinbase-or-malformed",
         )
     if not tx.outputs:
-        raise ValidationError(
-            f"transaction {tx.txid}: no outputs", category="malformed"
-        )
-    for txo in tx.inputs:
-        if txo.value < 0:
-            raise ValidationError(
-                f"transaction {tx.txid}: negative input value {txo.value}",
-                category="format",
-            )
-    for txo in tx.outputs:
-        if txo.value < 0:
-            raise ValidationError(
-                f"transaction {tx.txid}: negative output value {txo.value}",
-                category="format",
-            )
+        raise ValidationError(f"transaction {tx.txid}: no outputs", category="malformed")
+    for side, txos in (("input", tx.inputs), ("output", tx.outputs)):
+        for txo in txos:
+            if txo.value < 0:
+                raise ValidationError(
+                    f"transaction {tx.txid}: negative {side} value {txo.value}", category="format"
+                )
     v_in = sum(t.value for t in tx.inputs)
     v_out = sum(t.value for t in tx.outputs)
     if v_out > v_in:
@@ -263,17 +255,24 @@ class JsonlSource:
         """The first line that is not UTF-8, and the bad byte's offset in it.
 
         The decoder's own position counts from its chunk, so the bytes are read
-        again; lines split as in text mode."""
-        lineno = 0
-        with (gzip.open if self.path.endswith(".gz") else open)(self.path, "rb") as fh:
-            for chunk in fh:
-                for line in chunk.splitlines():
-                    lineno += 1
-                    try:
-                        line.decode("utf-8")
-                    except UnicodeDecodeError as bad:
-                        return f"line {lineno}: byte 0x{line[bad.start]:02x} at offset {bad.start} is not UTF-8"
+        again, lines split as in text mode."""
+        for lineno, line in enumerate(self._byte_lines(), 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as bad:
+                return f"line {lineno}: byte 0x{line[bad.start]:02x} at offset {bad.start} is not UTF-8"
         return str(exc)
+
+    def _byte_lines(self) -> Iterator[bytes]:
+        pending = b""
+        try:
+            with (gzip.open if self.path.endswith(".gz") else open)(self.path, "rb") as fh:
+                while chunk := fh.read1(1 << 16):  # one read: keeps the bytes before any damage
+                    *lines, pending = (pending + chunk).splitlines(keepends=True)
+                    yield from lines
+        except (EOFError, gzip.BadGzipFile, zlib.error):
+            pass  # damaged gzip data: the bytes before the damage are still checked
+        yield pending
 
 
 class MemorySource:
@@ -285,5 +284,4 @@ class MemorySource:
         self.stats = StreamStats()
 
     def blocks(self) -> Iterator[Block]:
-        for block in self._blocks:
-            yield block
+        return iter(self._blocks)

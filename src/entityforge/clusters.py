@@ -110,16 +110,17 @@ class ClusterSet:
 
 def _snapshot_store(labels: dict[int, int], where_of) -> ClusterSet:
     """A snapshot's partition: its ids are exactly 0..n-1, each once, and every
-    label is below n. Readers reject a repeat; `where_of(sid)` names an id's row.
+    label is below n. Readers reject a repeated or negative id or label, so only
+    the upper bound is left; `where_of(sid)` names an id's row.
     """
     n = len(labels)
     store = ClusterSet()
     store.register(n)
     for sid, lab in labels.items():
-        if not 0 <= sid < n:
-            raise DataError(f"{where_of(sid)}: script id {sid} is not in 0..{n - 1}")
-        if not 0 <= lab < n:
-            raise DataError(f"{where_of(sid)}: cluster id {lab} is not in 0..{n - 1}")
+        if sid >= n:
+            raise DataError(f"{where_of(sid)}: script id {sid} is not below the {n} ids")
+        if lab >= n:
+            raise DataError(f"{where_of(sid)}: cluster id {lab} is not below the {n} ids")
         store.merge_scripts((sid, lab))
     return store
 
@@ -142,10 +143,12 @@ def load_snapshot(path: str) -> ClusterSet:
             return _snapshot_store(labels, lambda sid: f"binary snapshot {path} entry {sid}")
     labels = {}
     for where, sid, lab in _csv_snapshot_rows(path):
+        if min(sid, lab) < 0:
+            raise DataError(f"{where}: id {min(sid, lab)} is negative")
         if sid in labels:
             raise DataError(f"{where}: script id {sid} repeats")
         labels[sid] = lab
-    # Ids are unique by now, so a second read finds an id's row on the error path.
-    return _snapshot_store(
-        labels, lambda sid: next(where for where, s, _ in _csv_snapshot_rows(path) if s == sid)
-    )
+    # Only a too-large id or label needs its row again: the row count is known now.
+    return _snapshot_store(labels, lambda sid: next(
+        (where for where, s, _ in _csv_snapshot_rows(path) if s == sid), f"snapshot {path}"
+    ))

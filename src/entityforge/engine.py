@@ -164,14 +164,6 @@ class _Checkpoints:
                 yield last_block
 
 
-def _describe_params(params: HeuristicConfig) -> dict:
-    return {
-        "min_deposit_inputs": params.min_deposit_inputs,
-        "small_amount": str(params.small_amount),
-        "round_offset": params.round_offset,
-    }
-
-
 def run(
     config: RunConfig, source, price_series: PriceSeries | None = None
 ) -> tuple[RatioReport, ClusterSet]:
@@ -262,7 +254,11 @@ def run(
 
     metadata = {
         "heuristic": config.heuristic,
-        "parameters": _describe_params(config.params),
+        "parameters": {
+            "min_deposit_inputs": config.params.min_deposit_inputs,
+            "small_amount": str(config.params.small_amount),
+            "round_offset": config.params.round_offset,
+        },
         "horizon": mode,
         "fixed_horizon_block": (
             fixed_idx.horizon_block if fixed_idx is not None else None

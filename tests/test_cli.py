@@ -310,6 +310,24 @@ class TestMalformedInputs:
                 "line 2501: byte 0xff at offset 47 is not UTF-8\n"
             )
 
+    @pytest.mark.parametrize("cut", [9, 10, 11, 12])
+    def test_non_utf8_byte_on_the_cut_short_line_of_a_gzip(self, tmp_path, cut):
+        # The text decoder meets the bad byte before the gzip reader meets the
+        # damage; re-reading the bytes to find its line must not raise either.
+        lines = [ONE_TX.encode()] * 3000
+        lines[-1] = ONE_TX.encode().replace(b'"pA"', b'"p\xff"')
+        path = tmp_path / "s.jsonl.gz"
+        path.write_bytes(gzip.compress(b"".join(lines))[:-cut])
+        proc = _cli("validate", "--tx", str(path))
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr in (
+            f"error[ingest]: {path}: cannot read the stream: "
+            "line 3000: byte 0xff at offset 47 is not UTF-8\n",
+            f"error[ingest]: {path}: cannot read the stream: "
+            "Compressed file ended before the end-of-stream marker was reached\n",
+        )
+
     @pytest.mark.parametrize("blocks", ["abc", "1:abc", "1:5:x", "1.5"])
     def test_non_integer_blocks_exit_two(self, tmp_path, blocks):
         prices = tmp_path / "prices.csv"
