@@ -6,7 +6,6 @@ from .chain import (
     MemorySource,
     ScriptTable,
     Transaction,
-    Txo,
     validate_transaction,
 )
 from .clusters import ClusterSet, load_snapshot
@@ -32,7 +31,6 @@ __all__ = [
     "RunConfig",
     "ScriptTable",
     "Transaction",
-    "Txo",
     "compare_runs",
     "exponent_series",
     "generate",

@@ -23,17 +23,15 @@ from typing import IO, Iterable, Iterator, NamedTuple
 from .errors import IngestError, ValidationError
 
 
-class Txo(NamedTuple):
-    """One transaction output: a locking script id and a satoshi value."""
-
-    script: int
-    value: int
-
-
 class Transaction(NamedTuple):
+    """One transaction as flat columns: per side, the script ids of its
+    entries and their satoshi values, in wire order and index-aligned."""
+
     txid: str
-    inputs: tuple[Txo, ...]
-    outputs: tuple[Txo, ...]
+    in_scripts: tuple[int, ...]
+    in_values: tuple[int, ...]
+    out_scripts: tuple[int, ...]
+    out_values: tuple[int, ...]
 
 
 class Block(NamedTuple):
@@ -69,21 +67,21 @@ def validate_transaction(tx: Transaction) -> Transaction:
     No inputs means a coinbase-style transaction, which callers are expected
     to drop before this point; here it is an error.
     """
-    if not tx.inputs:
+    if not tx.in_values:
         raise ValidationError(
             f"transaction {tx.txid}: no inputs (coinbase or malformed)",
             category="coinbase-or-malformed",
         )
-    if not tx.outputs:
+    if not tx.out_values:
         raise ValidationError(f"transaction {tx.txid}: no outputs", category="malformed")
-    for side, txos in (("input", tx.inputs), ("output", tx.outputs)):
-        for txo in txos:
-            if txo.value < 0:
+    for side, values in (("input", tx.in_values), ("output", tx.out_values)):
+        for value in values:
+            if value < 0:
                 raise ValidationError(
-                    f"transaction {tx.txid}: negative {side} value {txo.value}", category="format"
+                    f"transaction {tx.txid}: negative {side} value {value}", category="format"
                 )
-    v_in = sum(t.value for t in tx.inputs)
-    v_out = sum(t.value for t in tx.outputs)
+    v_in = sum(tx.in_values)
+    v_out = sum(tx.out_values)
     if v_out > v_in:
         raise ValidationError(
             f"transaction {tx.txid}: outputs {v_out} exceed inputs {v_in}",
@@ -128,9 +126,9 @@ def iter_blocks(
     The per-line work is one loop, because a fixed-horizon run decodes the
     stream twice. On decoded JSON, `type(x) is int` is `isinstance(x, int)`
     without bools. Scripts are interned inline, as `ScriptTable.intern`
-    would. Each side keeps its value sum and lowest value; only a
-    transaction these show to be invalid goes through `validate_transaction`,
-    which raises its error.
+    would. Each side fills an id list and a value list; only a transaction
+    whose value columns' `sum` and `min` show it invalid goes through
+    `validate_transaction`, which raises its error.
     """
     stats = stats if stats is not None else StreamStats()
     current_index: int | None = None
@@ -180,12 +178,11 @@ def iter_blocks(
             stats.coinbase_dropped += 1
             continue
 
-        sides = []
+        columns = [txid]
         for key, side in (("inputs", raw_inputs), ("outputs", raw.get("outputs"))):
             if type(side) is not list:
                 raise IngestError(f"line {lineno}: transaction {txid}: '{key}' must be a list")
-            txos = []
-            total = low = 0
+            sids, values = [], []
             for entry in side:
                 try:
                     script = entry["script"]
@@ -205,14 +202,13 @@ def iter_blocks(
                 sid = get_id(script)
                 if sid is None:
                     sid = ids[script] = len(ids)
-                txos.append(new(Txo, (sid, value)))
-                total += value
-                if value < low:
-                    low = value
-            sides.append((tuple(txos), total, low))
-        (inputs, v_in, low_in), (outputs, v_out, low_out) = sides
-        tx = new(Transaction, (txid, inputs, outputs))
-        if not outputs or low_in < 0 or low_out < 0 or v_out > v_in:
+                sids.append(sid)
+                values.append(value)
+            columns += (tuple(sids), tuple(values))
+        tx = new(Transaction, columns)
+        in_values, out_values = columns[2], columns[4]
+        if (not out_values or min(in_values) < 0 or min(out_values) < 0
+                or sum(out_values) > sum(in_values)):
             validate_transaction(tx)
 
         if current_index is None:

@@ -9,6 +9,7 @@ level (debug, info, warning, error).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import os
@@ -311,6 +312,10 @@ def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A command builds only acyclic data, so the cyclic collector would scan a growing
+    # heap and find no garbage; the caller's setting comes back however the command ends.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -322,6 +327,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)
         return DATA_EXIT
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -228,8 +228,8 @@ def run(
 
         for tx in block.transactions:
             seen = hw
-            for side in (tx.inputs, tx.outputs):
-                for sid, _ in side:
+            for side in (tx.in_scripts, tx.out_scripts):
+                for sid in side:
                     if not 0 <= sid < hw:
                         if sid != hw:
                             raise DataError(f"transaction {tx.txid} in block {block.index}: "

@@ -26,14 +26,6 @@ class MergeProposal(NamedTuple):
     groups: Groups
 
 
-def _input_scripts(tx: Transaction) -> set[int]:
-    return {t.script for t in tx.inputs}
-
-
-def _output_scripts(tx: Transaction) -> set[int]:
-    return {t.script for t in tx.outputs}
-
-
 # The report sidecar names `is_coinjoin` by this text. Equal outputs are a mix's denominations.
 COINJOIN_DESCRIPTION = (
     "equal-output detector: n_in >= 2, n_out >= 2, and >= 2 distinct "
@@ -43,14 +35,12 @@ COINJOIN_DESCRIPTION = (
 
 def is_coinjoin(tx: Transaction) -> bool:
     """The CoinJoin filter of `cio-cj` and `combined`: true when COINJOIN_DESCRIPTION holds."""
-    if len(_input_scripts(tx)) < 2:
-        return False
-    if len(_output_scripts(tx)) < 2:
+    if len(set(tx.in_scripts)) < 2 or len(set(tx.out_scripts)) < 2:
         return False
     by_value: dict[int, set[int]] = {}
-    for txo in tx.outputs:
-        scripts = by_value.setdefault(txo.value, set())
-        scripts.add(txo.script)
+    for sid, value in zip(tx.out_scripts, tx.out_values):
+        scripts = by_value.setdefault(value, set())
+        scripts.add(sid)
         if len(scripts) >= 2:
             return True
     return False
@@ -84,24 +74,22 @@ class EvalContext:
 
 def common_input(tx: Transaction, ctx: EvalContext) -> Groups:
     """Merge all input scripts of any transaction with >= 2 of them."""
-    scripts = _input_scripts(tx)
-    return (frozenset(scripts),) if len(scripts) >= 2 else ()
+    scripts = frozenset(tx.in_scripts)
+    return (scripts,) if len(scripts) >= 2 else ()
 
 
 def coinjoin_resistant_common_input(tx: Transaction, ctx: EvalContext) -> Groups:
     """Common-input merge, skipped when `is_coinjoin` flags the tx."""
-    scripts = _input_scripts(tx)
-    return (frozenset(scripts),) if len(scripts) >= 2 and not is_coinjoin(tx) else ()
+    scripts = frozenset(tx.in_scripts)
+    return (scripts,) if len(scripts) >= 2 and not is_coinjoin(tx) else ()
 
 
 def _two_distinct_outputs(tx: Transaction) -> tuple[int, int] | None:
     """Output scripts when the tx has exactly two TXOs with distinct scripts."""
-    if len(tx.outputs) != 2:
+    if len(tx.out_scripts) != 2:
         return None
-    a, b = tx.outputs[0].script, tx.outputs[1].script
-    if a == b:
-        return None
-    return a, b
+    a, b = tx.out_scripts
+    return None if a == b else (a, b)
 
 
 def change_address(tx: Transaction, ctx: EvalContext) -> Groups:
@@ -111,9 +99,9 @@ def change_address(tx: Transaction, ctx: EvalContext) -> Groups:
     unreused (the change), and the other output script is reused (the
     payment); merges the input script with the change script.
     """
-    if len(tx.inputs) != 1:
+    if len(tx.in_scripts) != 1:
         return ()
-    p_in = tx.inputs[0].script
+    p_in = tx.in_scripts[0]
     outs = _two_distinct_outputs(tx)
     if outs is None:
         return ()
@@ -142,25 +130,27 @@ def round_output_value(tx: Transaction, ctx: EvalContext) -> Groups:
     """
     exponent = ctx.exponent
     offset = ctx.config.round_offset
-    if exponent is None or exponent <= offset or len(tx.inputs) != 1:
+    if exponent is None or exponent <= offset or len(tx.in_scripts) != 1:
         return ()
-    if _two_distinct_outputs(tx) is None:
+    outs = _two_distinct_outputs(tx)
+    if outs is None:
         return ()
     idx = ctx.reuse
-    p_in = tx.inputs[0].script
+    p_in = tx.in_scripts[0]
     if idx.reused(p_in):
         return ()
-    pay_modulus = 10**exponent
-    candidates = [
-        txo for txo in tx.outputs
-        if not idx.reused(txo.script) and txo.value % pay_modulus == 0
-    ]
-    if len(candidates) != 1:
+    (a, b), (v_a, v_b) = outs, tx.out_values
+    # Both values are below 2^bound <= 10^bound, so for e >= bound a value is a multiple
+    # of 10^e, as of 10^bound, only when it is 0: a vast exponent costs no vast power.
+    bound = max(v_a, v_b).bit_length()
+    pay_modulus = 10 ** min(exponent, bound)
+    pays_a = not idx.reused(a) and v_a % pay_modulus == 0
+    if pays_a == (not idx.reused(b) and v_b % pay_modulus == 0):
+        return ()  # no payment candidate, or two
+    change, v_change = (b, v_b) if pays_a else (a, v_a)
+    if v_change % 10 ** min(exponent - offset, bound) == 0:
         return ()
-    other = tx.outputs[0] if tx.outputs[1] is candidates[0] else tx.outputs[1]
-    if other.value % 10 ** (exponent - offset) == 0:
-        return ()
-    return (frozenset((p_in, other.script)),)
+    return (frozenset((p_in, change)),)
 
 
 def force_merge_of_inputs(tx: Transaction, ctx: EvalContext) -> Groups:
@@ -172,31 +162,31 @@ def force_merge_of_inputs(tx: Transaction, ctx: EvalContext) -> Groups:
     the payment: v_in - min_input < v_max. Merges all input scripts with the
     change script.
     """
-    in_scripts = _input_scripts(tx)
-    if len(tx.inputs) < 2 or len(in_scripts) != len(tx.inputs):
+    in_scripts = frozenset(tx.in_scripts)
+    if len(tx.in_scripts) < 2 or len(in_scripts) != len(tx.in_scripts):
         return ()
-    if _two_distinct_outputs(tx) is None:
+    outs = _two_distinct_outputs(tx)
+    if outs is None:
         return ()
-    out_a, out_b = tx.outputs
-    if out_a.value == out_b.value:
+    v_a, v_b = tx.out_values
+    if v_a == v_b:
         return ()  # no strict higher-value payment output
-    pay, change = (out_a, out_b) if out_a.value > out_b.value else (out_b, out_a)
+    v_pay, change = (v_a, outs[1]) if v_a > v_b else (v_b, outs[0])
     idx = ctx.reuse
     if any(idx.reused(s) for s in in_scripts):
         return ()
-    if idx.reused(change.script):
+    if idx.reused(change):
         return ()
-    v_in = sum(t.value for t in tx.inputs)
-    if v_in - min(t.value for t in tx.inputs) >= pay.value:
+    if sum(tx.in_values) - min(tx.in_values) >= v_pay:
         return ()  # some input was unnecessary
-    return (frozenset(in_scripts | {change.script}),)
+    return (in_scripts | {change},)
 
 
 def service_deposit(tx: Transaction, ctx: EvalContext) -> Groups:
     """Consolidation sweeps: many distinct input scripts, one output script."""
-    scripts = _input_scripts(tx)
-    if len(scripts) >= ctx.config.min_deposit_inputs and len(_output_scripts(tx)) == 1:
-        return (frozenset(scripts),)
+    scripts = frozenset(tx.in_scripts)
+    if len(scripts) >= ctx.config.min_deposit_inputs and len(set(tx.out_scripts)) == 1:
+        return (scripts,)
     return ()
 
 
@@ -217,7 +207,7 @@ def shadow_address(tx: Transaction, ctx: EvalContext) -> Groups:
     p_pay = outs[0] if outs[1] == fresh[0] else outs[1]
     if idx.count(p_pay) < 2:
         return ()
-    return (frozenset(_input_scripts(tx) | {fresh[0]}),)
+    return (frozenset((*tx.in_scripts, fresh[0])),)
 
 
 def one_time_change(tx: Transaction, ctx: EvalContext) -> Groups:
@@ -226,15 +216,15 @@ def one_time_change(tx: Transaction, ctx: EvalContext) -> Groups:
     Output count is unconstrained. Merges all input scripts with the single
     fresh output script.
     """
-    in_scripts = _input_scripts(tx)
-    out_scripts = _output_scripts(tx)
-    if in_scripts & out_scripts:
+    in_scripts = frozenset(tx.in_scripts)
+    out_scripts = set(tx.out_scripts)
+    if not in_scripts.isdisjoint(out_scripts):
         return ()
     idx = ctx.reuse
     fresh = [s for s in out_scripts if idx.count(s) < 2]
     if len(fresh) != 1:
         return ()
-    return (frozenset(in_scripts | {fresh[0]}),)
+    return (in_scripts | {fresh[0]},)
 
 
 def reuse_based_change(tx: Transaction, ctx: EvalContext) -> Groups:
@@ -244,15 +234,15 @@ def reuse_based_change(tx: Transaction, ctx: EvalContext) -> Groups:
     output script's total occurrence count must be exactly one (never used
     before this transaction, never used after).
     """
-    in_scripts = _input_scripts(tx)
-    out_scripts = _output_scripts(tx)
-    if in_scripts & out_scripts:
+    in_scripts = frozenset(tx.in_scripts)
+    out_scripts = set(tx.out_scripts)
+    if not in_scripts.isdisjoint(out_scripts):
         return ()
     idx = ctx.reuse
     single_use = [s for s in out_scripts if idx.count(s) == 1]
     if len(single_use) != 1:
         return ()
-    return (frozenset(in_scripts | {single_use[0]}),)
+    return (in_scripts | {single_use[0]},)
 
 
 Rule = Callable[[Transaction, EvalContext], Groups]

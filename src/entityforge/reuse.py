@@ -37,7 +37,7 @@ class ReuseIndex:
     def record(self, tx: Transaction) -> None:
         """Count this transaction's scripts, one per side of appearance."""
         counts = self._counts
-        for sids in ({t.script for t in tx.inputs}, {t.script for t in tx.outputs}):
+        for sids in (set(tx.in_scripts), set(tx.out_scripts)):
             for sid in sids:
                 if sid >= len(counts):
                     counts.extend([0] * (sid + 1 - len(counts)))

@@ -7,7 +7,7 @@ import io
 
 import pytest
 
-from entityforge.chain import Block, Transaction, Txo
+from entityforge.chain import Block, Transaction
 from entityforge.heuristics import HEURISTICS
 from entityforge.reuse import ReuseIndex
 from entityforge.synth import generate
@@ -16,14 +16,16 @@ _TX_COUNTER = [0]
 
 
 def tx(inputs, outputs, txid=None):
-    """Build a Transaction from (script_id, value) pair lists."""
+    """Build a Transaction's columns from (script_id, value) pair lists."""
     if txid is None:
         _TX_COUNTER[0] += 1
         txid = f"tx{_TX_COUNTER[0]}"
     return Transaction(
         txid,
-        tuple(Txo(s, v) for s, v in inputs),
-        tuple(Txo(s, v) for s, v in outputs),
+        tuple(s for s, _ in inputs),
+        tuple(v for _, v in inputs),
+        tuple(s for s, _ in outputs),
+        tuple(v for _, v in outputs),
     )
 
 

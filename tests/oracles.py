@@ -5,17 +5,22 @@ closure oracle is a fixpoint relabeling, not a disjoint-set, and the reuse
 recount uses plain dicts over a second pass of the stream. The reference
 JSONL decoder is the package's earlier, plainer one: a walk with isinstance
 probes, a helper per side, `ScriptTable.intern` per TXO and a full
-`validate_transaction` per transaction. It builds the package's record
-types, so its output compares equal to the package's decoder.
+`validate_transaction` per transaction. It builds its own record types, one
+`Txo` per entry as the package once did; `as_columns` maps its blocks to
+the package's column layout for comparison. The reference rounding
+exponent is the package's earlier one, over exact rationals.
 """
 
 from __future__ import annotations
 
 import json
-from typing import IO, Iterable, Iterator
+from decimal import Decimal
+from fractions import Fraction
+from typing import IO, Iterable, Iterator, NamedTuple
 
-from entityforge.chain import Block, ScriptTable, StreamStats, Transaction, Txo
-from entityforge.errors import IngestError, ValidationError
+from entityforge import chain
+from entityforge.chain import Block, ScriptTable, StreamStats
+from entityforge.errors import DataError, IngestError, ValidationError
 
 
 def closure_labels(num_scripts: int, groups) -> dict[int, int]:
@@ -79,10 +84,57 @@ def recount_usage(blocks, upto=None) -> dict[int, int]:
         if upto is not None and block.index > upto:
             break
         for tx in block.transactions:
-            for side in ({t.script for t in tx.inputs}, {t.script for t in tx.outputs}):
+            for side in (set(tx.in_scripts), set(tx.out_scripts)):
                 for sid in side:
                     counts[sid] = counts.get(sid, 0) + 1
     return counts
+
+
+def reference_rounding_exponent(satoshi_price: Decimal, x: Decimal) -> int:
+    """Largest integer i with 10^i * satoshi_price <= x; may be negative.
+
+    Exact: both operands are converted to rationals, so x/p equal to a power
+    of ten classifies as that power, never off by one.
+    """
+    if satoshi_price <= 0 or x <= 0:
+        raise DataError("rounding exponent requires positive price and amount")
+    q = Fraction(x) / Fraction(satoshi_price)
+    # Digit-length difference starts within one of floor(log10); adjust exactly.
+    i = len(str(q.numerator)) - len(str(q.denominator))
+    ten = Fraction(10)
+    while ten**i > q:
+        i -= 1
+    while ten ** (i + 1) <= q:
+        i += 1
+    return i
+
+
+class Txo(NamedTuple):
+    """One transaction output: a locking script id and a satoshi value."""
+
+    script: int
+    value: int
+
+
+class Transaction(NamedTuple):
+    txid: str
+    inputs: tuple[Txo, ...]
+    outputs: tuple[Txo, ...]
+
+
+def as_columns(blocks: list[Block]) -> list[Block]:
+    """The reference decoder's blocks with each transaction as the package's columns."""
+    return [
+        Block(b.index, [
+            chain.Transaction(
+                t.txid,
+                tuple(x.script for x in t.inputs), tuple(x.value for x in t.inputs),
+                tuple(x.script for x in t.outputs), tuple(x.value for x in t.outputs),
+            )
+            for t in b.transactions
+        ])
+        for b in blocks
+    ]
 
 
 def _reference_validate_transaction(tx: Transaction) -> Transaction:

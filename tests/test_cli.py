@@ -1,3 +1,4 @@
+import gc
 import gzip
 import json
 import os
@@ -195,12 +196,36 @@ class TestMalformedInputs:
         prices = tmp_path / "prices.csv"
         prices.write_text("block_index,usd_per_btc\n0,10000\n" + rows)
         self.assert_data_error(
-            _cli("exponent-series", "--prices", str(prices), "--blocks", "1"), "price file line 3"
+            _cli("exponent-series", "--prices", str(prices), "--blocks", "1"),
+            f"price file {prices} line 3: ",
         )
         self.assert_data_error(
             _cli("run", "--tx", stream, "--heuristic", "round", "--prices", str(prices)),
-            "price file line 3",
+            f"price file {prices} line 3: ",
         )
+
+    @pytest.mark.parametrize("row, error", [
+        ("1,x", "bad price 'x'"),
+        ("1,inf", "bad price 'inf'"),
+        ("0,20000", "price series block indices must strictly increase (saw 0 after 0)"),
+        ("\n\n-1,20000", "price series block indices must strictly increase (saw -1 after 0)"),
+        ("1,0", "non-positive price at block 1"),
+        ("1,-0.5", "non-positive price at block 1"),
+    ])
+    def test_bad_price_row_named_by_file_and_line(self, stream, tmp_path, capsys, row, error):
+        prices = tmp_path / "prices.csv"
+        prices.write_text("block_index,usd_per_btc\n0,10000\n" + row + "\n")
+        line = 3 + row.count("\n")
+        for argv in (["exponent-series", "--prices", str(prices), "--blocks", "1"],
+                     ["run", "--tx", stream, "--heuristic", "round", "--prices", str(prices)]):
+            assert main(argv) == 3
+            assert capsys.readouterr().err == f"error[data]: price file {prices} line {line}: {error}\n"
+
+    def test_price_file_without_rows_named(self, tmp_path, capsys):
+        prices = tmp_path / "prices.csv"
+        prices.write_text("block_index,usd_per_btc\n\n")
+        assert main(["exponent-series", "--prices", str(prices), "--blocks", "1"]) == 3
+        assert capsys.readouterr().err == f"error[data]: price file {prices}: no price rows\n"
 
     @pytest.mark.parametrize("rows", ["x,1\n", "0\n"])
     def test_malformed_truth_row(self, tmp_path, rows):
@@ -406,6 +431,32 @@ class TestExponentSeries:
         parse = lambda text: [int(ln.split(",")[1]) for ln in text.splitlines()[1:]]
         assert [i + 1 for i in parse(one)] == parse(ten)
 
+    @pytest.mark.parametrize("price, x, i", [
+        ("1e5000", "1", -4992),
+        ("1e-5000", "1", 5008),
+        ("10000", "1e5000", 5004),
+        ("1e999999999", "1", -999999991),
+        ("10000", "1e-999999999", -999999995),
+    ])
+    def test_extreme_price_or_amount_exact(self, tmp_path, capsys, price, x, i):
+        prices = tmp_path / "p.csv"
+        prices.write_text(f"block_index,usd_per_btc\n0,{price}\n")
+        assert main(["exponent-series", "--prices", str(prices), "--x", x, "--blocks", "0"]) == 0
+        assert capsys.readouterr().out == f"block_index,i\n0,{i}\n"
+
+    @pytest.mark.parametrize("price, x", [
+        ("1e5000", "1"), ("1e-5000", "1"), ("10000", "1e5000"), ("1e999999999", "1"),
+        ("10000", "1e-999999999"), ("10000", "1e999999999"),
+    ])
+    def test_extreme_price_or_amount_in_round_run(self, synth_files, tmp_path, capsys, price, x):
+        """Every exponent is either at most j or above every value, so round never fires."""
+        prices = tmp_path / "p.csv"
+        prices.write_text(f"block_index,usd_per_btc\n0,{price}\n")
+        argv = ["run", "--tx", synth_files["jsonl"], "--heuristic", "round", "--prices",
+                str(prices), "--x", x, "--checkpoints", "9"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[-1].split(",")[4] == "0"
+
     def test_no_price_blocks_warn(self, tmp_path, capsys):
         prices = tmp_path / "p.csv"
         prices.write_text("block_index,usd_per_btc\n100,10000\n")
@@ -432,6 +483,56 @@ class TestValidate:
             "first_block": 7,
             "last_block": 7,
         }
+
+
+class TestCollectorPause:
+    """A command runs without the cyclic collector: it builds no cycles that
+    grow with the stream, and the caller's collector setting comes back."""
+
+    @pytest.fixture
+    def prefixes(self, tmp_path):
+        """The 200- and 2,000-transaction prefixes of one synthetic stream."""
+        paths = generate_files(str(tmp_path / "synth"), 5, GenParams(users=40, txs_per_block=100))
+        lines = Path(paths["jsonl"]).read_text().splitlines(keepends=True)
+        assert len(lines) == 2000
+        out = []
+        for n in (200, 2000):
+            path = tmp_path / f"s{n}.jsonl"
+            path.write_text("".join(lines[:n]))
+            out.append(str(path))
+        return out
+
+    def test_leftover_cycles_do_not_grow_with_the_stream(self, prefixes, tmp_path, capsys):
+        prices = tmp_path / "p.csv"
+        prices.write_text(CONSTANT_PRICES)
+        commands = [
+            ["run", "--heuristic", "combined", "--prices", str(prices), "--checkpoints", "5"],
+            ["run", "--heuristic", "one-time-change", "--checkpoints", "5",
+             "--snapshot", str(tmp_path / "part.csv")],
+            ["validate"],
+        ]
+        for command in commands:
+            found = []
+            for path in (prefixes[0], *prefixes):  # the first run warms one-time caches
+                gc.collect()
+                assert main([command[0], "--tx", path, *command[1:]]) == 0
+                found.append(gc.collect())
+            capsys.readouterr()
+            assert found[1] == found[2], command
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_setting_restored(self, stream, tmp_path, capsys, enabled):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("{\n")
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            assert main(["validate", "--tx", stream]) == 0
+            assert gc.isenabled() is enabled
+            assert main(["validate", "--tx", str(bad)]) == 3
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
 
 class TestEntryPoint:

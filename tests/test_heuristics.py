@@ -161,6 +161,13 @@ class TestRoundOutputValue:
     def test_no_price_data_skipped(self):
         assert round_output_value(self.base_tx(), ctx(exponent=None)) == ()
 
+    def test_exponent_beyond_every_value(self):
+        """Only a 0 output is a multiple of 10^i then; a vast i costs no vast power."""
+        t = tx([(X, 300000)], [(B, 0), (C, 123457)])
+        for exponent in (60, 10**9):
+            assert round_output_value(t, ctx(exponent=exponent)) == (frozenset({X, C}),)
+            assert round_output_value(self.base_tx(), ctx(exponent=exponent)) == ()
+
 
 class TestForceMergeOfInputs:
     def base_tx(self):
@@ -358,7 +365,7 @@ class TestInvariants:
         context = ctx(idx)
         for _ in range(300):
             t = _random_tx(rng)
-            scripts = {o.script for o in t.inputs} | {o.script for o in t.outputs}
+            scripts = set(t.in_scripts) | set(t.out_scripts)
             for spec in HEURISTICS.values():
                 for group in spec.evaluate(t, context).groups:
                     assert group, "empty group emitted"
@@ -379,8 +386,8 @@ class TestInvariants:
         idx = FRESH_ALL
         for _ in range(300):
             t = _random_tx(rng)
-            n_out = len({o.script for o in t.outputs})
-            if len(t.outputs) != 2 or n_out != 2:
+            n_out = len(set(t.out_scripts))
+            if len(t.out_scripts) != 2 or n_out != 2:
                 assert change_address(t, ctx(idx)) == ()
                 assert round_output_value(t, ctx(idx)) == ()
             if n_out != 1:

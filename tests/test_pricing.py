@@ -1,10 +1,13 @@
 import io
+import re
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entityforge.errors import DataError
 from entityforge.pricing import (
@@ -14,6 +17,8 @@ from entityforge.pricing import (
     load_price_csv,
     rounding_exponent,
 )
+
+from oracles import reference_rounding_exponent
 
 SAMPLE_PRICES = Path(__file__).resolve().parent.parent / "data" / "sample_prices.csv"
 
@@ -92,6 +97,15 @@ class TestRoundingExponent:
             x = Decimal(rng.randrange(1, 100))
             assert rounding_exponent(p * 10, x) == rounding_exponent(p, x) - 1
 
+    @settings(max_examples=500, deadline=None)
+    @given(
+        p=st.tuples(st.integers(1, 10**30), st.integers(-300, 300)),
+        x=st.tuples(st.integers(1, 10**30), st.integers(-300, 300)),
+    )
+    def test_matches_rational_reference(self, p, x):
+        p, x = (Decimal(f"{m}e{e}") for m, e in (p, x))
+        assert rounding_exponent(p, x) == reference_rounding_exponent(p, x)
+
     def test_non_positive_inputs_rejected(self):
         with pytest.raises(DataError):
             rounding_exponent(Decimal(0), Decimal(1))
@@ -133,9 +147,12 @@ class TestLoaders:
         with pytest.raises(DataError):
             load_price_csv(io.StringIO("block,usd\n1,2\n"))
 
-    def test_bad_price_value_rejected(self):
-        with pytest.raises(DataError):
-            load_price_csv(io.StringIO("block_index,usd_per_btc\n1,abc\n"))
+    def test_bad_price_value_rejected(self, tmp_path):
+        path = tmp_path / "prices.csv"
+        path.write_text("block_index,usd_per_btc\n1,abc\n")
+        with open(path, newline="", encoding="utf-8") as fh:
+            with pytest.raises(DataError, match=f"^price file {re.escape(str(path))} line 2: bad price 'abc'$"):
+                load_price_csv(fh)
 
 
 class TestSampleData:

@@ -1,4 +1,5 @@
 import io
+from pathlib import Path
 
 import pytest
 
@@ -44,7 +45,7 @@ class TestDeterminism:
         p1 = generate_files(str(tmp_path / "one"), 3, params)
         p2 = generate_files(str(tmp_path / "two"), 3, params)
         for key in ("jsonl", "truth", "meta"):
-            assert open(p1[key], "rb").read() == open(p2[key], "rb").read()
+            assert Path(p1[key]).read_bytes() == Path(p2[key]).read_bytes()
 
 
 class TestStreamValidity:
@@ -59,7 +60,7 @@ class TestStreamValidity:
         blocks, _ = _parse(text)  # ingestion validates v_in >= v_out
         for b in blocks:
             for t in b.transactions:
-                assert sum(i.value for i in t.inputs) >= sum(o.value for o in t.outputs)
+                assert sum(t.in_values) >= sum(t.out_values)
 
     def test_truth_covers_every_observed_script(self):
         text, truth, _ = generate_text(13, GenParams(users=6, blocks=8, txs_per_block=8))
@@ -116,16 +117,14 @@ class TestParamValidation:
 
 def _h5_shape_possible(t):
     """Index-free part of the forced-merge conditions (a, b, e)."""
-    in_scripts = {i.script for i in t.inputs}
-    if len(t.inputs) < 2 or len(in_scripts) != len(t.inputs):
+    in_scripts = set(t.in_scripts)
+    if len(t.in_scripts) < 2 or len(in_scripts) != len(t.in_scripts):
         return False
-    if len(t.outputs) != 2 or t.outputs[0].script == t.outputs[1].script:
+    if len(t.out_scripts) != 2 or t.out_scripts[0] == t.out_scripts[1]:
         return False
-    if t.outputs[0].value == t.outputs[1].value:
+    if t.out_values[0] == t.out_values[1]:
         return False
-    v_max = max(o.value for o in t.outputs)
-    v_in = sum(i.value for i in t.inputs)
-    return v_in - min(i.value for i in t.inputs) < v_max
+    return sum(t.in_values) - min(t.in_values) < max(t.out_values)
 
 
 class TestBehaviorKnobs:
@@ -211,8 +210,8 @@ class TestBehaviorKnobs:
         sweeps = 0
         for b in blocks:
             for t in b.transactions:
-                in_scripts = {i.script for i in t.inputs}
-                if len({o.script for o in t.outputs}) == 1 and len(in_scripts) >= 5:
+                in_scripts = set(t.in_scripts)
+                if len(set(t.out_scripts)) == 1 and len(in_scripts) >= 5:
                     sweeps += 1
                     assert len({store.find(s) for s in in_scripts}) == 1
                     # sweep inputs all belong to the service user
