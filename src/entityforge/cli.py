@@ -15,7 +15,8 @@ import logging
 import os
 import sys
 from decimal import Decimal, InvalidOperation
-from io import StringIO
+from itertools import chain
+from typing import Iterable
 
 from . import engine
 from .chain import JsonlSource
@@ -50,7 +51,7 @@ def _setup_logging() -> None:
     )
 
 
-def _parse_checkpoints(text: str) -> tuple[list[int] | None, int | None]:
+def _parse_checkpoints(text: str) -> int | list[int]:
     """A single integer means an interval; a comma list means explicit points."""
     parts = [p for p in text.split(",") if p]
     try:
@@ -60,13 +61,13 @@ def _parse_checkpoints(text: str) -> tuple[list[int] | None, int | None]:
     if not values:
         raise ConfigError("--checkpoints needs at least one integer")
     if len(values) == 1 and "," not in text:
-        return None, values[0]
-    return values, None
+        return values[0]
+    return values
 
 
-def _parse_blocks(text: str) -> list[int]:
+def _parse_blocks(text: str) -> list[range]:
     """Comma-separated block indices; items may be start:end[:step] ranges."""
-    blocks: list[int] = []
+    blocks: list[range] = []
     for item in text.split(","):
         if not item:
             continue
@@ -75,14 +76,14 @@ def _parse_blocks(text: str) -> list[int]:
         except ValueError:
             raise ConfigError(f"bad --blocks item: {item!r}") from None
         if len(values) == 1:
-            blocks.extend(values)
+            blocks.append(range(values[0], values[0] + 1))
             continue
         if len(values) > 3:
             raise ConfigError(f"bad --blocks range: {item!r}")
         start, end, step = values if len(values) == 3 else (*values, 1)
         if step < 1 or end < start:
             raise ConfigError(f"bad --blocks range: {item!r}")
-        blocks.extend(range(start, end + 1, step))
+        blocks.append(range(start, end + 1, step))
     if not blocks:
         raise ConfigError("--blocks needs at least one index")
     return blocks
@@ -98,13 +99,13 @@ def _decimal(text: str) -> Decimal:
     return value
 
 
-def _emit(text: str, out: str | None) -> int:
+def _emit(lines: Iterable[str], out: str | None) -> int:
     """Write a command's result to `out`, or to stdout when it is omitted."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     return 0
 
 
@@ -160,10 +161,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if needs_prices and not settings["prices"]:
         raise ConfigError(f"heuristic '{heuristic}' needs a price file; pass --prices <csv>")
 
-    explicit, interval = (None, 100_000)
-    if settings["checkpoints"]:
-        explicit, interval = _parse_checkpoints(settings["checkpoints"])
-
+    checkpoints = settings["checkpoints"]
     config = engine.RunConfig(
         heuristic=heuristic,
         params=HeuristicConfig(
@@ -172,8 +170,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             round_offset=settings["j"],
         ),
         horizon=settings["horizon"],
-        checkpoints=explicit,
-        checkpoint_interval=interval,
+        checkpoints=_parse_checkpoints(checkpoints) if checkpoints else 100_000,
     )
     source = JsonlSource(args.tx)
     prices = _load_prices(settings["prices"]) if needs_prices else None
@@ -185,9 +182,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         report.write(args.out)
         log.info("report written to %s", args.out)
     else:
-        buf = StringIO()
-        report.write_csv(buf)
-        sys.stdout.write(buf.getvalue())
+        report.write_csv(sys.stdout)
     if args.snapshot:
         if args.snapshot.endswith(".bin"):
             with open(args.snapshot, "wb") as fh:
@@ -202,8 +197,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     reports = [engine.RatioReport.read(path) for path in args.reports]
     table = engine.compare_runs(reports)
-    lines = [",".join(row) for row in table]
-    return _emit("\n".join(lines) + "\n", args.out)
+    return _emit((",".join(row) + "\n" for row in table), args.out)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -221,18 +215,27 @@ def cmd_score(args: argparse.Namespace) -> int:
     partition = load_snapshot(args.snapshot)
     truth = read_truth(args.truth)
     metrics = score(partition, truth)
-    return _emit(json.dumps(metrics, indent=2, sort_keys=True) + "\n", args.out)
+    return _emit([json.dumps(metrics, indent=2, sort_keys=True) + "\n"], args.out)
 
 
 def cmd_exponent_series(args: argparse.Namespace) -> int:
     series = _load_prices(args.prices)
     blocks = _parse_blocks(args.blocks)
-    rows = exponent_series(series, args.x, blocks)
-    omitted = len(blocks) - len(rows)
+    rows = exponent_series(series, args.x, chain.from_iterable(blocks))
+    written = 0
+
+    def lines():
+        nonlocal written
+        yield "block_index,i\n"
+        for block, i in rows:
+            written += 1
+            yield f"{block},{i}\n"
+
+    _emit(lines(), args.out)
+    omitted = sum(map(len, blocks)) - written
     if omitted:
         print(f"warning: {omitted} block(s) precede the price data; omitted", file=sys.stderr)
-    lines = ["block_index,i"] + [f"{block},{i}" for block, i in rows]
-    return _emit("\n".join(lines) + "\n", args.out)
+    return 0
 
 
 def cmd_validate(args: argparse.Namespace) -> int:

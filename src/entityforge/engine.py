@@ -15,11 +15,13 @@ precompute occurrence counts before the clustering pass.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO
 
 from .clusters import ClusterSet
 from .errors import ConfigError, DataError, csv_rows, parse_int, read_json_object
@@ -39,9 +41,7 @@ class RunConfig:
     heuristic: str
     params: HeuristicConfig = field(default_factory=HeuristicConfig)
     horizon: str | None = None  # None = heuristic's default
-    fixed_horizon_block: int | None = None  # None = last block of the dataset
-    checkpoint_interval: int | None = 100_000
-    checkpoints: list[int] | None = None  # explicit list overrides interval
+    checkpoints: int | list[int] = 100_000  # an int is an interval, a list explicit blocks
 
     def __post_init__(self):
         if self.heuristic not in HEURISTICS:
@@ -51,11 +51,11 @@ class RunConfig:
             )
         if self.horizon not in (None, "online", "fixed"):
             raise ConfigError(f"unknown horizon mode {self.horizon!r}")
-        if self.checkpoints is not None:
-            if any(b <= a for a, b in zip(self.checkpoints, self.checkpoints[1:])):
-                raise ConfigError("checkpoints must be strictly increasing")
-        elif self.checkpoint_interval is not None and self.checkpoint_interval < 1:
-            raise ConfigError("checkpoint interval must be >= 1")
+        if isinstance(self.checkpoints, int):
+            if self.checkpoints < 1:
+                raise ConfigError("checkpoint interval must be >= 1")
+        elif any(b <= a for a, b in zip(self.checkpoints, self.checkpoints[1:])):
+            raise ConfigError("checkpoints must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,7 @@ class RatioReport:
         path = Path(csv_path)
         with open(path, "w", newline="", encoding="utf-8") as fh:
             self.write_csv(fh)
-        sidecar = path.with_suffix(".meta.json") if path.suffix else Path(str(path) + ".meta.json")
-        with open(sidecar, "w", encoding="utf-8") as fh:
+        with open(_sidecar(path), "w", encoding="utf-8") as fh:
             json.dump(self.metadata, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
@@ -116,52 +115,15 @@ class RatioReport:
                 rows.append(
                     ReportRow(block, scripts, clusters, Fraction(clusters, scripts), merges, txs)
                 )
-        sidecar = path.with_suffix(".meta.json") if path.suffix else Path(str(path) + ".meta.json")
+        sidecar = _sidecar(path)
         metadata = {}
         if sidecar.exists():
             metadata = read_json_object(sidecar, "report sidecar", DataError)
         return cls(rows, metadata)
 
 
-class _Checkpoints:
-    """Emits checkpoint indices as the stream advances past them."""
-
-    def __init__(self, config: RunConfig):
-        self.explicit = list(config.checkpoints) if config.checkpoints is not None else None
-        self.interval = config.checkpoint_interval
-        self._next = self.interval if self.explicit is None and self.interval else None
-        self._pos = 0
-
-    def due_before(self, block_index: int) -> Iterable[int]:
-        """Checkpoints strictly below the given block index."""
-        if self.explicit is not None:
-            while self._pos < len(self.explicit) and self.explicit[self._pos] < block_index:
-                yield self.explicit[self._pos]
-                self._pos += 1
-        elif self._next is not None:
-            while self._next < block_index:
-                yield self._next
-                self._next += self.interval
-
-    def remaining(self, last_block: int | None) -> Iterable[int]:
-        """Checkpoints to flush once the stream is exhausted.
-
-        Explicit checkpoints are all emitted (the clustering up to a block
-        beyond the stream end equals the final clustering). Interval mode
-        emits multiples up to the last block, then the last block itself.
-        """
-        if self.explicit is not None:
-            while self._pos < len(self.explicit):
-                yield self.explicit[self._pos]
-                self._pos += 1
-        elif self._next is not None and last_block is not None:
-            covered = False
-            while self._next <= last_block:
-                covered = self._next == last_block
-                yield self._next
-                self._next += self.interval
-            if not covered:
-                yield last_block
+def _sidecar(path: Path) -> Path:
+    return path.with_suffix(".meta.json") if path.suffix else Path(str(path) + ".meta.json")
 
 
 def run(
@@ -188,17 +150,15 @@ def run(
     elif mode != "none" and config.horizon:
         mode = config.horizon
 
-    fixed_idx: ReuseIndex | None = None
-    online_idx: ReuseIndex | None = None
-    if mode == "fixed":
-        fixed_idx = ReuseIndex.build_fixed(source.blocks(), config.fixed_horizon_block)
-    elif mode == "online":
-        online_idx = ReuseIndex()
-
+    online_idx = ReuseIndex() if mode == "online" else None
+    fixed_idx = ReuseIndex.build_fixed(source.blocks()) if mode == "fixed" else None
     ctx = EvalContext(config=config.params, reuse=online_idx or fixed_idx)
 
     store = ClusterSet()
-    checkpoints = _Checkpoints(config)
+    # Checkpoints come due as the stream passes them; math.inf means none is left.
+    interval = config.checkpoints if isinstance(config.checkpoints, int) else None
+    due = itertools.count(interval, interval) if interval else iter(config.checkpoints)
+    cp = next(due, math.inf)
     rows: list[ReportRow] = []
     merges_applied = 0
     tx_processed = 0
@@ -206,19 +166,20 @@ def run(
     hw = 0  # scripts seen so far: ids 0..hw-1
     prev_block: int | None = None
 
-    def record(cp: int) -> None:
+    def record(at: int) -> None:
         if store.num_scripts == 0:
             return  # ratio undefined before any script is observed
         rows.append(
-            ReportRow(cp, store.num_scripts, store.num_clusters,
+            ReportRow(at, store.num_scripts, store.num_clusters,
                       store.clustering_ratio(), merges_applied, tx_processed)
         )
 
     for block in source.blocks():
         if prev_block is not None and block.index <= prev_block:
             raise DataError(f"block {block.index} after block {prev_block}: stream must be sorted")
-        for cp in checkpoints.due_before(block.index):
+        while cp < block.index:
             record(cp)
+            cp = next(due, math.inf)
         exponent = None
         if spec.needs_prices:
             p = price_series.satoshi_price(block.index)
@@ -249,8 +210,14 @@ def run(
         blocks += 1
         prev_block = block.index
 
-    for cp in checkpoints.remaining(prev_block):
+    # The loop recorded every point below the last block. An interval then closes the
+    # report at the last block, once; explicit points left report the final clustering.
+    if interval:
+        due = iter(() if prev_block is None else (prev_block,))
+        cp = next(due, math.inf)
+    while cp < math.inf:
         record(cp)
+        cp = next(due, math.inf)
 
     metadata = {
         "heuristic": config.heuristic,
@@ -260,17 +227,11 @@ def run(
             "round_offset": config.params.round_offset,
         },
         "horizon": mode,
-        "fixed_horizon_block": (
-            fixed_idx.horizon_block if fixed_idx is not None else None
-        ),
+        "fixed_horizon_block": prev_block if mode == "fixed" else None,
         "coinjoin_predicate": (
             COINJOIN_DESCRIPTION if coinjoin_resistant_common_input in spec.rules else None
         ),
-        "checkpoints": (
-            config.checkpoints
-            if config.checkpoints is not None
-            else f"every:{config.checkpoint_interval}"
-        ),
+        "checkpoints": f"every:{interval}" if interval else config.checkpoints,
         "counts": {
             "blocks": blocks,
             "transactions": tx_processed,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import bisect
 from decimal import Decimal, InvalidOperation
-from typing import IO, Iterable, NamedTuple
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from .errors import DataError, csv_rows, parse_int
 
@@ -103,12 +103,13 @@ def rounding_exponent(satoshi_price: Decimal, x: Decimal) -> int:
 
 def exponent_series(
     series: PriceSeries, x: Decimal, blocks: Iterable[int]
-) -> list[tuple[int, int]]:
-    """Per-block rounding exponent; blocks with no price data are omitted."""
-    out = []
-    for block in blocks:
-        p = series.satoshi_price(block)
-        if p is None:
-            continue
-        out.append((block, rounding_exponent(p, x)))
-    return out
+) -> Iterator[tuple[int, int]]:
+    """Per-block rounding exponent, yielded lazily; blocks with no price data are omitted.
+
+    The exponent is a step function of the block, so it is computed up front
+    once per price point, and each block only looks up its point.
+    """
+    starts = series._blocks
+    exponents = [rounding_exponent(series.satoshi_price(b), x) for b in starts]
+    positions = ((block, bisect.bisect_right(starts, block) - 1) for block in blocks)
+    return ((block, exponents[pos]) for block, pos in positions if pos >= 0)

@@ -9,8 +9,8 @@ The engine picks the horizon by which index it builds:
   * online  - an empty index that the engine records each transaction into
               just before evaluating heuristics on it, so counts reflect the
               transactions seen so far.
-  * fixed   - `build_fixed` counts every block up to a horizon K in a first
-              pass; the counts never change afterwards.
+  * fixed   - `build_fixed` counts every transaction of the dataset in a
+              first pass; the counts never change afterwards.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from .errors import DataError
 
 
 class ReuseIndex:
-    def __init__(self, horizon_block: int | None = None):
-        self.horizon_block = horizon_block
+    def __init__(self):
         self._counts: list[int] = []
 
     def count(self, sid: int) -> int:
@@ -46,21 +45,10 @@ class ReuseIndex:
                 counts[sid] += 1
 
     @classmethod
-    def build_fixed(cls, blocks: Iterable[Block], k: int | None = None) -> "ReuseIndex":
-        """Count every transaction in blocks up to index k (all, if None)."""
+    def build_fixed(cls, blocks: Iterable[Block]) -> "ReuseIndex":
+        """Count every transaction of the stream; block order does not change counts."""
         idx = cls()
-        prev = None
-        last = None
         for block in blocks:
-            if prev is not None and block.index <= prev:
-                raise DataError(
-                    f"block {block.index} after block {prev}: stream must be sorted"
-                )
-            prev = block.index
-            if k is not None and block.index > k:
-                break
-            last = block.index
             for tx in block.transactions:
                 idx.record(tx)
-        idx.horizon_block = k if k is not None else last
         return idx

@@ -8,7 +8,9 @@ probes, a helper per side, `ScriptTable.intern` per TXO and a full
 `validate_transaction` per transaction. It builds its own record types, one
 `Txo` per entry as the package once did; `as_columns` maps its blocks to
 the package's column layout for comparison. The reference rounding
-exponent is the package's earlier one, over exact rationals.
+exponent is the package's earlier one, over exact rationals. The
+checkpoint walk and the `--blocks` parser are the package's earlier ones,
+which built their state in a class and a flat list.
 """
 
 from __future__ import annotations
@@ -16,11 +18,12 @@ from __future__ import annotations
 import json
 from decimal import Decimal
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import IO, Iterable, Iterator, NamedTuple
 
 from entityforge import chain
 from entityforge.chain import Block, ScriptTable, StreamStats
-from entityforge.errors import DataError, IngestError, ValidationError
+from entityforge.errors import ConfigError, DataError, IngestError, ValidationError
 
 
 def closure_labels(num_scripts: int, groups) -> dict[int, int]:
@@ -107,6 +110,92 @@ def reference_rounding_exponent(satoshi_price: Decimal, x: Decimal) -> int:
     while ten ** (i + 1) <= q:
         i += 1
     return i
+
+
+class _Checkpoints:
+    """Emits checkpoint indices as the stream advances past them."""
+
+    def __init__(self, config: RunConfig):
+        self.explicit = list(config.checkpoints) if config.checkpoints is not None else None
+        self.interval = config.checkpoint_interval
+        self._next = self.interval if self.explicit is None and self.interval else None
+        self._pos = 0
+
+    def due_before(self, block_index: int) -> Iterable[int]:
+        """Checkpoints strictly below the given block index."""
+        if self.explicit is not None:
+            while self._pos < len(self.explicit) and self.explicit[self._pos] < block_index:
+                yield self.explicit[self._pos]
+                self._pos += 1
+        elif self._next is not None:
+            while self._next < block_index:
+                yield self._next
+                self._next += self.interval
+
+    def remaining(self, last_block: int | None) -> Iterable[int]:
+        """Checkpoints to flush once the stream is exhausted.
+
+        Explicit checkpoints are all emitted (the clustering up to a block
+        beyond the stream end equals the final clustering). Interval mode
+        emits multiples up to the last block, then the last block itself.
+        """
+        if self.explicit is not None:
+            while self._pos < len(self.explicit):
+                yield self.explicit[self._pos]
+                self._pos += 1
+        elif self._next is not None and last_block is not None:
+            covered = False
+            while self._next <= last_block:
+                covered = self._next == last_block
+                yield self._next
+                self._next += self.interval
+            if not covered:
+                yield last_block
+
+
+def reference_checkpoint_rows(checkpoints: int | list[int], block_indices: list[int]) -> list[int]:
+    """The report's `block_index` column for a stream whose every block adds a script.
+
+    `checkpoints` is an interval or a list of explicit blocks. A checkpoint due
+    before the first block finds no script yet, so it has no row.
+    """
+    explicit = isinstance(checkpoints, list)
+    walk = _Checkpoints(SimpleNamespace(
+        checkpoints=checkpoints if explicit else None,
+        checkpoint_interval=None if explicit else checkpoints,
+    ))
+    if not block_indices:
+        return []
+    rows: list[int] = []
+    for n, index in enumerate(block_indices):
+        due = list(walk.due_before(index))
+        if n:
+            rows += due
+    return rows + list(walk.remaining(block_indices[-1]))
+
+
+def reference_parse_blocks(text: str) -> list[int]:
+    """Comma-separated block indices; items may be start:end[:step] ranges."""
+    blocks: list[int] = []
+    for item in text.split(","):
+        if not item:
+            continue
+        try:
+            values = [int(piece) for piece in item.split(":")]
+        except ValueError:
+            raise ConfigError(f"bad --blocks item: {item!r}") from None
+        if len(values) == 1:
+            blocks.extend(values)
+            continue
+        if len(values) > 3:
+            raise ConfigError(f"bad --blocks range: {item!r}")
+        start, end, step = values if len(values) == 3 else (*values, 1)
+        if step < 1 or end < start:
+            raise ConfigError(f"bad --blocks range: {item!r}")
+        blocks.extend(range(start, end + 1, step))
+    if not blocks:
+        raise ConfigError("--blocks needs at least one index")
+    return blocks
 
 
 class Txo(NamedTuple):

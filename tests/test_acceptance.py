@@ -100,7 +100,7 @@ def test_criterion_01_merge_oracle(stream_pool, proposed_groups):
         for name in ALL_HEURISTICS:
             proposed_groups.clear()
             _, store = run(
-                RunConfig(name, params=config_params, checkpoint_interval=10**9),
+                RunConfig(name, params=config_params, checkpoints=10**9),
                 source,
                 price_series=prices if name in PRICE_USERS else None,
             )
@@ -121,7 +121,7 @@ def test_criterion_02_refinement(stream_pool):
         checkpoints = sorted({last // 2, last})
         results = {}
         for name in ("cio", "cio-cj", "deposit"):
-            config = RunConfig(name, params=params, checkpoints=checkpoints, checkpoint_interval=None)
+            config = RunConfig(name, params=params, checkpoints=checkpoints)
             results[name] = run(config, source)
         for name in ("cio-cj", "deposit"):
             assert refines(results[name][1].labels(), results["cio"][1].labels())
@@ -137,13 +137,13 @@ def test_criterion_03_combined_coarsening(stream_pool):
         last = max(b.index for b in source.blocks())
         checkpoints = sorted({last // 2, last})
         combined_report, combined_store = run(
-            RunConfig("combined", checkpoints=checkpoints, checkpoint_interval=None),
+            RunConfig("combined", checkpoints=checkpoints),
             source,
             price_series=prices,
         )
         for name in constituents:
             report, store = run(
-                RunConfig(name, checkpoints=checkpoints, checkpoint_interval=None),
+                RunConfig(name, checkpoints=checkpoints),
                 source,
                 price_series=prices if name in PRICE_USERS else None,
             )
@@ -244,7 +244,7 @@ def test_criterion_07_horizon_equivalence(stream_pool):
                     break
                 for t in block.transactions:
                     online.record(t)
-            fixed = ReuseIndex.build_fixed(blocks, k=k)
+            fixed = ReuseIndex.build_fixed(b for b in blocks if b.index <= k)
             for sid in range(len(source.table)):
                 assert online.count(sid) == fixed.count(sid)
 
@@ -261,7 +261,7 @@ def test_criterion_08_ground_truth():
         ),
     )
     source = _parse(text)
-    _, store = run(RunConfig("cio", params=HeuristicConfig(min_deposit_inputs=4), checkpoint_interval=10**9), source)
+    _, store = run(RunConfig("cio", params=HeuristicConfig(min_deposit_inputs=4), checkpoints=10**9), source)
     metrics = score(store, truth)
     assert metrics["pairwise_precision"] == 1.0
     assert metrics["cluster_collapse"] == 0
@@ -278,7 +278,7 @@ def test_criterion_08_ground_truth():
         ),
     )
     source = _parse(text)
-    _, store = run(RunConfig("change", horizon="online", checkpoint_interval=10**9), source)
+    _, store = run(RunConfig("change", horizon="online", checkpoints=10**9), source)
 
     qualifying = _qualifying_change_pairs(source)
     assert qualifying, "stream produced no qualifying change transactions"
@@ -326,7 +326,7 @@ def test_criterion_09_determinism(tmp_path):
         outputs = []
         for _ in range(2):
             report, _ = run(
-                RunConfig(name, checkpoint_interval=4),
+                RunConfig(name, checkpoints=4),
                 JsonlSource(str(path)),
                 price_series=prices if name in PRICE_USERS else None,
             )
@@ -341,11 +341,11 @@ def test_criterion_09_determinism(tmp_path):
     (tmp_path / "cut.jsonl").write_text("\n".join(cut) + "\n")
     for name, horizon in (("cio", None), ("change", "online")):
         full_report, _ = run(
-            RunConfig(name, horizon=horizon, checkpoints=[cut_at, 11], checkpoint_interval=None),
+            RunConfig(name, horizon=horizon, checkpoints=[cut_at, 11]),
             JsonlSource(str(path)),
         )
         cut_report, _ = run(
-            RunConfig(name, horizon=horizon, checkpoints=[cut_at], checkpoint_interval=None),
+            RunConfig(name, horizon=horizon, checkpoints=[cut_at]),
             JsonlSource(str(tmp_path / "cut.jsonl")),
         )
         assert cut_report.rows[0] == full_report.rows[0]

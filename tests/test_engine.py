@@ -5,6 +5,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entityforge.chain import JsonlSource, MemorySource, ScriptTable, iter_blocks
 from entityforge.engine import RatioReport, RunConfig, compare_runs, run
@@ -14,7 +16,7 @@ from entityforge.pricing import load_price_csv
 from entityforge.synth import GenParams
 
 from conftest import block, generate_text, tx
-from oracles import closure_labels, refines
+from oracles import closure_labels, reference_checkpoint_rows, refines
 
 CONSTANT_PRICES = "block_index,usd_per_btc\n0,10000\n"
 
@@ -40,7 +42,7 @@ ONE_TX = '{"txid":"t1","block":100,"inputs":[{"script":"pA","value":5},{"script"
 class TestBasicRuns:
     def test_single_merge_run(self, tmp_path):
         source = _jsonl(tmp_path, ONE_TX)
-        report, store = run(RunConfig("cio", checkpoints=[100], checkpoint_interval=None), source)
+        report, store = run(RunConfig("cio", checkpoints=[100]), source)
         assert len(report.rows) == 1
         row = report.rows[0]
         assert (row.block_index, row.num_scripts, row.num_clusters) == (100, 3, 2)
@@ -49,7 +51,7 @@ class TestBasicRuns:
 
     def test_csv_format_matches_contract(self, tmp_path):
         source = _jsonl(tmp_path, ONE_TX)
-        report, _ = run(RunConfig("cio", checkpoints=[100], checkpoint_interval=None), source)
+        report, _ = run(RunConfig("cio", checkpoints=[100]), source)
         buf = io.StringIO()
         report.write_csv(buf)
         assert buf.getvalue().splitlines() == [
@@ -63,7 +65,6 @@ class TestBasicRuns:
             "deposit",
             params=HeuristicConfig(min_deposit_inputs=25),
             checkpoints=[100],
-            checkpoint_interval=None,
         )
         report, store = run(config, source)
         assert report.rows[0].ratio == 1
@@ -72,7 +73,7 @@ class TestBasicRuns:
     def test_final_store_matches_report_tail(self, tmp_path):
         text, _, _ = generate_text(5, GenParams(users=6, blocks=8, txs_per_block=6))
         source = _jsonl(tmp_path, text)
-        report, store = run(RunConfig("cio", checkpoints=[7], checkpoint_interval=None), source)
+        report, store = run(RunConfig("cio", checkpoints=[7]), source)
         assert report.rows[-1].num_clusters == store.num_clusters
         assert report.rows[-1].num_scripts == store.num_scripts
 
@@ -89,13 +90,13 @@ class TestHorizons:
 
     def test_fixed_horizon_sees_future_reuse(self, tmp_path):
         source = _jsonl(tmp_path, self.TEXT)
-        _, store = run(RunConfig("change", checkpoint_interval=1), source)
+        _, store = run(RunConfig("change", checkpoints=1), source)
         f, p, c = (source.table.intern(s) for s in ("F", "P", "C"))
         assert store.find(f) == store.find(c) != store.find(p)
 
     def test_online_horizon_cannot_see_future(self, tmp_path):
         source = _jsonl(tmp_path, self.TEXT)
-        _, store = run(RunConfig("change", horizon="online", checkpoint_interval=1), source)
+        _, store = run(RunConfig("change", horizon="online", checkpoints=1), source)
         f, c = source.table.intern("F"), source.table.intern("C")
         assert store.find(f) != store.find(c)
 
@@ -109,7 +110,7 @@ class TestHorizons:
             '"outputs":[{"script":"E","value":5},{"script":"B","value":4}]}\n'
         )
         source = _jsonl(tmp_path, text)
-        _, store = run(RunConfig("change", horizon="online", checkpoint_interval=1), source)
+        _, store = run(RunConfig("change", horizon="online", checkpoints=1), source)
         a, d, e = (source.table.intern(s) for s in "ADE")
         assert store.find(d) == store.find(e)
         assert store.num_clusters == store.num_scripts - 1  # only that one merge
@@ -117,7 +118,7 @@ class TestHorizons:
 
     def test_fixed_horizon_block_recorded_in_metadata(self, tmp_path):
         source = _jsonl(tmp_path, self.TEXT)
-        report, _ = run(RunConfig("change", checkpoint_interval=1), source)
+        report, _ = run(RunConfig("change", checkpoints=1), source)
         assert report.metadata["horizon"] == "fixed"
         assert report.metadata["fixed_horizon_block"] == 2
 
@@ -144,21 +145,21 @@ class TestCheckpoints:
         return _jsonl(tmp_path, "\n".join(lines) + "\n")
 
     def test_interval_mode_emits_multiples_plus_final(self, tmp_path):
-        report, _ = run(RunConfig("cio", checkpoint_interval=100), self._stream(tmp_path))
+        report, _ = run(RunConfig("cio", checkpoints=100), self._stream(tmp_path))
         assert [r.block_index for r in report.rows] == [100, 200, 250]
         # checkpoint 100 covers blocks 50 and 100: six scripts, two merges
         assert report.rows[0].num_scripts == 6
         assert report.rows[0].tx_processed == 2
 
     def test_explicit_checkpoints_cover_stream_end(self, tmp_path):
-        config = RunConfig("cio", checkpoints=[60, 300], checkpoint_interval=None)
+        config = RunConfig("cio", checkpoints=[60, 300])
         report, store = run(config, self._stream(tmp_path))
         assert [r.block_index for r in report.rows] == [60, 300]
         assert report.rows[0].num_scripts == 3
         assert report.rows[1].num_clusters == store.num_clusters
 
     def test_checkpoint_before_any_data_is_skipped(self, tmp_path):
-        config = RunConfig("cio", checkpoints=[10, 300], checkpoint_interval=None)
+        config = RunConfig("cio", checkpoints=[10, 300])
         report, _ = run(config, self._stream(tmp_path))
         assert [r.block_index for r in report.rows] == [300]
 
@@ -168,27 +169,50 @@ class TestCheckpoints:
         cut = [ln for ln in lines if json.loads(ln)["block"] <= 4]
         for heuristic, horizon in (("cio", None), ("change", "online")):
             full = run(
-                RunConfig(heuristic, horizon=horizon, checkpoints=[4, 9], checkpoint_interval=None),
+                RunConfig(heuristic, horizon=horizon, checkpoints=[4, 9]),
                 _jsonl(tmp_path, "\n".join(lines) + "\n", "full.jsonl"),
             )[0]
             part = run(
-                RunConfig(heuristic, horizon=horizon, checkpoints=[4], checkpoint_interval=None),
+                RunConfig(heuristic, horizon=horizon, checkpoints=[4]),
                 _jsonl(tmp_path, "\n".join(cut) + "\n", "cut.jsonl"),
             )[0]
             assert part.rows[0] == full.rows[0]
 
     def test_decreasing_checkpoints_rejected(self):
         with pytest.raises(ConfigError):
-            RunConfig("cio", checkpoints=[5, 5], checkpoint_interval=None)
+            RunConfig("cio", checkpoints=[5, 5])
 
     def test_interval_mode_covers_single_block_zero(self, tmp_path):
         text = ONE_TX.replace('"block":100', '"block":0')
-        report, _ = run(RunConfig("cio", checkpoint_interval=100_000), _jsonl(tmp_path, text))
+        report, _ = run(RunConfig("cio", checkpoints=100_000), _jsonl(tmp_path, text))
         assert [r.block_index for r in report.rows] == [0]
 
     def test_interval_mode_no_duplicate_final_row(self, tmp_path):
-        report, _ = run(RunConfig("cio", checkpoint_interval=100), _jsonl(tmp_path, ONE_TX))
+        report, _ = run(RunConfig("cio", checkpoints=100), _jsonl(tmp_path, ONE_TX))
         assert [r.block_index for r in report.rows] == [100]
+
+
+def _one_tx_per_block(indices):
+    """Each block spends a fresh script into a fresh script: ids stay dense."""
+    blocks = [block(index, tx([(2 * n, 5)], [(2 * n + 1, 4)])) for n, index in enumerate(indices)]
+    return MemorySource(blocks, ScriptTable())
+
+
+block_indices = st.lists(st.integers(0, 60), unique=True, max_size=8).map(sorted)
+checkpoint_settings = st.one_of(
+    st.integers(1, 25),
+    # Explicit points fall before the first block, between blocks, past the
+    # last one, and below zero.
+    st.lists(st.integers(-10, 90), unique=True, min_size=1, max_size=8).map(sorted),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(indices=block_indices, checkpoints=checkpoint_settings)
+def test_checkpoint_rows_match_reference_walk(indices, checkpoints):
+    report, _ = run(RunConfig("cio", checkpoints=checkpoints), _one_tx_per_block(indices))
+    expected = reference_checkpoint_rows(checkpoints, indices)
+    assert [row.block_index for row in report.rows] == expected
 
 
 class TestDeterminismAndConservation:
@@ -198,7 +222,7 @@ class TestDeterminismAndConservation:
         for _ in range(2):
             source = _jsonl(tmp_path, text)
             report, _ = run(
-                RunConfig("combined", checkpoint_interval=3), source, price_series=_prices()
+                RunConfig("combined", checkpoints=3), source, price_series=_prices()
             )
             buf = io.StringIO()
             report.write_csv(buf)
@@ -208,7 +232,7 @@ class TestDeterminismAndConservation:
     def test_script_count_matches_interning_table(self, tmp_path):
         text, _, _ = generate_text(23, GenParams(users=5, blocks=6, txs_per_block=7))
         source = _jsonl(tmp_path, text)
-        _, store = run(RunConfig("cio", checkpoint_interval=100), source)
+        _, store = run(RunConfig("cio", checkpoints=100), source)
         assert store.num_scripts == len(source.table)
         distinct = set()
         for line in text.strip().split("\n"):
@@ -241,7 +265,7 @@ class TestOracle:
         config = RunConfig(
             heuristic,
             params=HeuristicConfig(min_deposit_inputs=4),
-            checkpoint_interval=100,
+            checkpoints=100,
         )
         prices = _prices() if heuristic in ("round", "combined") else None
         _, store = run(config, source, price_series=prices)
@@ -253,7 +277,7 @@ class TestCompare:
     def _report(self, heuristic, tmp_path, name):
         text, _, _ = generate_text(3, GenParams(users=6, blocks=9, txs_per_block=6))
         source = _jsonl(tmp_path, text, name)
-        report, _ = run(RunConfig(heuristic, checkpoints=[4, 8], checkpoint_interval=None), source)
+        report, _ = run(RunConfig(heuristic, checkpoints=[4, 8]), source)
         return report
 
     def test_wide_table(self, tmp_path):
@@ -268,7 +292,7 @@ class TestCompare:
         r1 = self._report("cio", tmp_path, "a.jsonl")
         text, _, _ = generate_text(3, GenParams(users=6, blocks=9, txs_per_block=6))
         source = _jsonl(tmp_path, text, "c.jsonl")
-        r3, _ = run(RunConfig("cio", checkpoints=[5], checkpoint_interval=None), source)
+        r3, _ = run(RunConfig("cio", checkpoints=[5]), source)
         with pytest.raises(DataError):
             compare_runs([r1, r3])
 
@@ -294,17 +318,18 @@ class TestErrorsAndMetadata:
         with pytest.raises(ConfigError):
             run(RunConfig("round"), source)
 
-    def test_unsorted_memory_stream_rejected(self):
+    @pytest.mark.parametrize("heuristic", ["cio", "change", "shadow"])  # no, fixed, online reuse
+    def test_unsorted_memory_stream_rejected(self, heuristic):
         table = ScriptTable()
         a, b, c, d = (table.intern(s) for s in "abcd")
         blocks = [block(5, tx([(a, 2)], [(b, 1)])), block(3, tx([(c, 2)], [(d, 1)]))]
-        with pytest.raises(DataError):
-            run(RunConfig("cio", checkpoint_interval=100), MemorySource(blocks, table))
+        with pytest.raises(DataError, match="^block 3 after block 5: stream must be sorted$"):
+            run(RunConfig(heuristic, checkpoints=100), MemorySource(blocks, table))
 
     def test_coinjoin_predicate_described_in_metadata(self, tmp_path):
         source = _jsonl(tmp_path, ONE_TX)
         for name in HEURISTICS:
-            config = RunConfig(name, checkpoint_interval=100)
+            config = RunConfig(name, checkpoints=100)
             report, _ = run(config, source, price_series=_prices())
             expected = COINJOIN_DESCRIPTION if name in ("cio-cj", "combined") else None
             assert report.metadata["coinjoin_predicate"] == expected, name
@@ -312,7 +337,7 @@ class TestErrorsAndMetadata:
 
     def test_block_count_same_for_file_and_memory_sources(self, tmp_path):
         text, _, _ = generate_text(5, GenParams(users=6, blocks=8, txs_per_block=6))
-        config = RunConfig("cio", checkpoint_interval=100)
+        config = RunConfig("cio", checkpoints=100)
         from_file, _ = run(config, _jsonl(tmp_path, text))
         from_memory, _ = run(config, _memory_source(text.splitlines()))
         assert from_memory.metadata["counts"]["blocks"] == from_file.metadata["counts"]["blocks"] == 8
@@ -337,12 +362,12 @@ class TestDenseIds:
         txid, sid, blocks = self.STREAMS[case]
         source = MemorySource(blocks, ScriptTable())
         with pytest.raises(DataError, match=f"transaction {txid}\\b.*script id {sid} is"):
-            run(RunConfig(heuristic, horizon=horizon, checkpoint_interval=100), source)
+            run(RunConfig(heuristic, horizon=horizon, checkpoints=100), source)
 
     def test_engine_error_names_transaction_and_block(self):
         _, _, blocks = self.STREAMS["later-gap"]
         with pytest.raises(DataError) as err:
-            run(RunConfig("cio", checkpoint_interval=100), MemorySource(blocks, ScriptTable()))
+            run(RunConfig("cio", checkpoints=100), MemorySource(blocks, ScriptTable()))
         assert str(err.value) == (
             "transaction t3 in block 2: script id 4 is neither seen nor the next id 3"
         )
@@ -404,7 +429,7 @@ class TestMetamorphic:
         assert [back[t] for t in _texts(transformed.table)] != _texts(original.table)  # ids permuted
         for name in HEURISTICS:
             params = HeuristicConfig(min_deposit_inputs=4)
-            config = RunConfig(name, params=params, checkpoint_interval=3)
+            config = RunConfig(name, params=params, checkpoints=3)
             report, store = run(config, original, price_series=_prices())
             report2, store2 = run(config, transformed, price_series=_prices())
             assert report2.rows == report.rows, name
@@ -417,10 +442,10 @@ class TestMetamorphic:
         source = _memory_source(_firing_stream(seed).splitlines())
         last = max(b.index for b in source.blocks())
         for name in HEURISTICS:
-            config = RunConfig(name, checkpoints=[last // 2, last + 1000], checkpoint_interval=None)
+            config = RunConfig(name, checkpoints=[last // 2, last + 1000])
             report, store = run(config, source, price_series=_prices())
             at_end, _ = run(
-                RunConfig(name, checkpoints=[last], checkpoint_interval=None),
+                RunConfig(name, checkpoints=[last]),
                 source,
                 price_series=_prices(),
             )
@@ -436,7 +461,7 @@ class TestMetamorphic:
                    if name != "combined" and set(spec.rules) <= set(combined.rules)]
         assert len(members) == len(combined.rules) == 4
         source = _memory_source(_firing_stream(seed).splitlines())
-        config = RunConfig("combined", checkpoint_interval=3)
+        config = RunConfig("combined", checkpoints=3)
         combined_report, combined_store = run(config, source, price_series=_prices())
         finer = 0
         for name in members:

@@ -8,6 +8,7 @@ traceback.
 
 import io
 import json
+import re
 import struct
 
 import pytest
@@ -15,11 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entityforge.chain import ScriptTable, iter_blocks
+from entityforge.cli import _parse_blocks
 from entityforge.clusters import load_snapshot
 from entityforge.engine import REPORT_HEADER, RatioReport, compare_runs
-from entityforge.errors import EntityForgeError
+from entityforge.errors import ConfigError, EntityForgeError
 from entityforge.pricing import load_price_csv
 from entityforge.synth import read_truth
+
+from oracles import reference_parse_blocks
 
 # Small enough that the whole module runs in a few seconds.
 LOADER_SETTINGS = settings(max_examples=100, deadline=None)
@@ -147,3 +151,24 @@ binary_body = st.one_of(
 def test_binary_snapshot(scratch, body):
     scratch.write_bytes(b"ECLS1" + body)
     returns_or_raises_categorized(lambda: load_snapshot(str(scratch)))
+
+
+# `--blocks` items: indices and ranges, well formed or not, some arbitrary
+# text. Numbers stay small, so the reference's flat list stays small too.
+blocks_item = st.one_of(
+    st.integers(-5, 30).map(str),
+    st.lists(st.integers(-5, 30).map(str), min_size=2, max_size=4).map(":".join),
+    st.text(alphabet="0123:,- x", max_size=5),
+)
+
+
+@LOADER_SETTINGS
+@given(text=st.lists(blocks_item, max_size=4).map(",".join))
+def test_blocks_flatten_to_reference(text):
+    try:
+        expected = reference_parse_blocks(text)
+    except ConfigError as exc:
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(exc))}$"):
+            _parse_blocks(text)
+    else:
+        assert [b for r in _parse_blocks(text) for b in r] == expected

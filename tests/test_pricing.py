@@ -1,5 +1,6 @@
 import io
 import re
+from itertools import islice
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entityforge import pricing
 from entityforge.errors import DataError
 from entityforge.pricing import (
     PricePoint,
@@ -117,7 +119,7 @@ class TestExponentSeries:
     def test_constant_price_gives_constant_exponent(self):
         series = _series((0, "10000"))
         rows = exponent_series(series, Decimal(1), [0, 10, 20])
-        assert rows == [(0, 4), (10, 4), (20, 4)]
+        assert list(rows) == [(0, 4), (10, 4), (20, 4)]
 
     def test_price_step_decade_drops_by_one(self):
         series = _series((0, "1000"), (10, "10000"))
@@ -127,13 +129,31 @@ class TestExponentSeries:
     def test_no_price_blocks_omitted(self):
         series = _series((100, "10000"))
         rows = exponent_series(series, Decimal(1), [50, 150])
-        assert [b for b, _ in rows] == [150]
+        assert list(rows) == [(150, 4)]
 
     def test_x_shift_moves_series_up_by_one(self):
         series = _series((0, "10000"), (10, "25000"))
         one = exponent_series(series, Decimal(1), [0, 10])
         ten = exponent_series(series, Decimal(10), [0, 10])
-        assert [(b, i + 1) for b, i in one] == ten
+        assert [(b, i + 1) for b, i in one] == list(ten)
+
+    def test_lazy_over_a_huge_range(self):
+        series = _series((0, "10000"))
+        rows = exponent_series(series, Decimal(1), range(10**12))
+        assert list(islice(rows, 3)) == [(0, 4), (1, 4), (2, 4)]
+
+    def test_one_exponent_per_price_point(self, monkeypatch):
+        calls = []
+
+        def counting(price, x):
+            calls.append(price)
+            return rounding_exponent(price, x)
+
+        monkeypatch.setattr(pricing, "rounding_exponent", counting)
+        series = _series((0, "1000"), (10, "10000"), (20, "5000"))
+        rows = list(exponent_series(series, Decimal(1), range(-5, 100)))
+        assert rows == [(b, 5 if b < 10 else 4) for b in range(100)]
+        assert len(calls) == 3
 
 
 class TestLoaders:
@@ -173,7 +193,7 @@ class TestSampleData:
         with open(SAMPLE_PRICES, newline="", encoding="utf-8") as fh:
             series = load_price_csv(fh)
         blocks = list(range(600000, 700001, 1000))
-        rows = exponent_series(series, Decimal(1), blocks)
+        rows = list(exponent_series(series, Decimal(1), blocks))
         assert len(rows) == len(blocks)
         assert set(i for _, i in rows) == {3, 4}
         # settles at 3 from 641000 on

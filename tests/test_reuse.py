@@ -61,28 +61,23 @@ def _stream_with_script_in_blocks():
     ]
 
 
+def _upto(blocks, k):
+    """The stream cut after block k."""
+    return [b for b in blocks if b.index <= k]
+
+
 class TestFixedBuild:
     def test_horizon_cut_excludes_later_blocks(self):
-        idx = ReuseIndex.build_fixed(_stream_with_script_in_blocks(), k=15)
+        idx = ReuseIndex.build_fixed(_upto(_stream_with_script_in_blocks(), 15))
         assert idx.count(0) == 1
-        assert idx.horizon_block == 15
 
     def test_horizon_covers_both_blocks(self):
-        idx = ReuseIndex.build_fixed(_stream_with_script_in_blocks(), k=25)
+        idx = ReuseIndex.build_fixed(_upto(_stream_with_script_in_blocks(), 25))
         assert idx.count(0) == 2
 
     def test_horizon_before_first_block(self):
-        idx = ReuseIndex.build_fixed(_stream_with_script_in_blocks(), k=5)
+        idx = ReuseIndex.build_fixed(_upto(_stream_with_script_in_blocks(), 5))
         assert idx.count(0) == 0
-
-    def test_full_horizon_records_last_block(self):
-        idx = ReuseIndex.build_fixed(_stream_with_script_in_blocks())
-        assert idx.horizon_block == 20
-
-    def test_unsorted_stream_rejected(self):
-        blocks = [block(20, tx([(0, 1)], [(1, 1)])), block(10, tx([(2, 1)], [(3, 1)]))]
-        with pytest.raises(DataError):
-            ReuseIndex.build_fixed(blocks)
 
 
 def _random_blocks(rng, n_blocks=12, max_txs=4, n_scripts=30):
@@ -113,7 +108,7 @@ class TestEquivalence:
                         break
                     for t in b.transactions:
                         online.record(t)
-                fixed = ReuseIndex.build_fixed(blocks, k=k)
+                fixed = ReuseIndex.build_fixed(_upto(blocks, k))
                 scripts = set(recount_usage(blocks))
                 assert all(online.count(s) == fixed.count(s) for s in scripts)
 
@@ -132,6 +127,6 @@ class TestEquivalence:
         for sid in range(30):
             prev = 0
             for k in ks:
-                cur = ReuseIndex.build_fixed(blocks, k=k).count(sid)
+                cur = ReuseIndex.build_fixed(_upto(blocks, k)).count(sid)
                 assert cur >= prev
                 prev = cur

@@ -152,7 +152,7 @@ class TestBehaviorKnobs:
         )
         assert meta["counts"]["consolidations"] > 0
         report, _ = run(
-            RunConfig("force-merge", horizon="online", checkpoint_interval=100),
+            RunConfig("force-merge", horizon="online", checkpoints=100),
             _source(text, tmp_path),
         )
         assert report.metadata["counts"]["merges_applied"] > 0
@@ -161,8 +161,8 @@ class TestBehaviorKnobs:
         text, _, _ = generate_text(
             23, GenParams(users=6, blocks=10, txs_per_block=8, coinjoin_rate=0.0)
         )
-        _, h1 = run(RunConfig("cio", checkpoint_interval=100), _source(text, tmp_path, "a.jsonl"))
-        _, h2 = run(RunConfig("cio-cj", checkpoint_interval=100), _source(text, tmp_path, "b.jsonl"))
+        _, h1 = run(RunConfig("cio", checkpoints=100), _source(text, tmp_path, "a.jsonl"))
+        _, h2 = run(RunConfig("cio-cj", checkpoints=100), _source(text, tmp_path, "b.jsonl"))
         assert h1.labels() == h2.labels()
 
     def test_zero_coinjoin_never_trips_default_detector(self):
@@ -186,8 +186,8 @@ class TestBehaviorKnobs:
             24, GenParams(users=6, blocks=12, txs_per_block=8, coinjoin_rate=0.4)
         )
         assert meta["counts"]["coinjoins"] > 0
-        _, h1 = run(RunConfig("cio", checkpoint_interval=100), _source(text, tmp_path, "a.jsonl"))
-        _, h2 = run(RunConfig("cio-cj", checkpoint_interval=100), _source(text, tmp_path, "b.jsonl"))
+        _, h1 = run(RunConfig("cio", checkpoints=100), _source(text, tmp_path, "a.jsonl"))
+        _, h2 = run(RunConfig("cio-cj", checkpoints=100), _source(text, tmp_path, "b.jsonl"))
         assert h2.num_clusters > h1.num_clusters
         assert refines(h2.labels(), h1.labels())
 
@@ -204,7 +204,7 @@ class TestBehaviorKnobs:
 
         blocks, table = _parse(text)
         _, store = run(
-            RunConfig("deposit", params=HeuristicConfig(min_deposit_inputs=5), checkpoint_interval=100),
+            RunConfig("deposit", params=HeuristicConfig(min_deposit_inputs=5), checkpoints=100),
             _source(text, tmp_path),
         )
         sweeps = 0
