@@ -18,6 +18,8 @@ from __future__ import annotations
 import gzip
 import json
 import zlib
+from array import array
+from itertools import accumulate, chain, pairwise
 from typing import IO, Iterable, Iterator, NamedTuple
 
 from .errors import IngestError, ValidationError
@@ -61,6 +63,11 @@ class ScriptTable:
         return sid
 
 
+# The largest input total, as Bitcoin Core's int64 `CAmount` and the packed value
+# column hold it; with outputs at most inputs and no negatives, it bounds every value.
+MAX_VALUE = 2**63 - 1
+
+
 def validate_transaction(tx: Transaction) -> Transaction:
     """Check value invariants; returns tx unchanged if everything holds.
 
@@ -87,6 +94,9 @@ def validate_transaction(tx: Transaction) -> Transaction:
             f"transaction {tx.txid}: outputs {v_out} exceed inputs {v_in}",
             category="value-inflation",
         )
+    if v_in > MAX_VALUE:
+        raise ValidationError(f"transaction {tx.txid}: inputs {v_in} exceed the 64-bit bound "
+                              f"{MAX_VALUE}", category="value-range")
     return tx
 
 
@@ -123,12 +133,12 @@ def iter_blocks(
     same index form one block. Coinbase transactions (empty inputs) are
     dropped before any of their scripts are interned.
 
-    The per-line work is one loop, because a fixed-horizon run decodes the
-    stream twice. On decoded JSON, `type(x) is int` is `isinstance(x, int)`
+    The per-line work is one loop, since decoding is the largest layer of a
+    run. On decoded JSON, `type(x) is int` is `isinstance(x, int)`
     without bools. Scripts are interned inline, as `ScriptTable.intern`
     would. Each side fills an id list and a value list; only a transaction
-    whose value columns' `sum` and `min` show it invalid goes through
-    `validate_transaction`, which raises its error.
+    whose value columns' `sum` and `min` show it invalid or past `MAX_VALUE`
+    goes through `validate_transaction`, which raises its error.
     """
     stats = stats if stats is not None else StreamStats()
     current_index: int | None = None
@@ -208,7 +218,7 @@ def iter_blocks(
         tx = new(Transaction, columns)
         in_values, out_values = columns[2], columns[4]
         if (not out_values or min(in_values) < 0 or min(out_values) < 0
-                or sum(out_values) > sum(in_values)):
+                or not sum(out_values) <= sum(in_values) <= MAX_VALUE):
             validate_transaction(tx)
 
         if current_index is None:
@@ -227,8 +237,7 @@ def iter_blocks(
 class JsonlSource:
     """Re-iterable block source backed by a JSONL (optionally .gz) file.
 
-    Owns the interning table so that repeated passes (for example a reuse
-    pre-pass followed by the clustering pass) see identical script ids.
+    Owns the interning table so that repeated passes see identical script ids.
     """
 
     def __init__(self, path: str):
@@ -246,6 +255,15 @@ class JsonlSource:
         except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
             # gzip data that is cut short or corrupt
             raise IngestError(f"{self.path}: cannot read the stream: {exc}") from None
+
+    def pack(self, packed: "PackedStream") -> Iterator[Block]:
+        """Decode the stream, adding each block to `packed` as it is yielded; then release
+        the script texts. A later pass gets the same ids: they follow first observation."""
+        for block in self.blocks():
+            packed.add(block)
+            yield block
+        packed.stats = self.stats
+        self.table = ScriptTable()
 
     def _not_utf8(self, exc: UnicodeDecodeError) -> str:
         """The first line that is not UTF-8, and the bad byte's offset in it.
@@ -281,3 +299,37 @@ class MemorySource:
 
     def blocks(self) -> Iterator[Block]:
         return iter(self._blocks)
+
+
+class PackedStream:
+    """A decoded stream in flat `array` columns, replayed as equal blocks. Per block:
+    its index (unbounded, so an int), its transaction count and its txids joined. Per
+    transaction: its txid's length, input count and output count. Per entry, inputs
+    first: a script id and a value, which `MAX_VALUE` bounds. No script text is kept."""
+
+    def __init__(self) -> None:
+        self._blocks: list[tuple[int, int, str]] = []
+        self._txid_lengths, self._sizes = array("I"), array("I")
+        self._scripts, self._values = array("q"), array("q")
+
+    def add(self, block: Block) -> None:
+        flat = chain.from_iterable
+        txids, in_scripts, in_values, out_scripts, out_values = zip(*block.transactions)
+        self._blocks.append((block.index, len(txids), "".join(txids)))
+        self._txid_lengths.extend(map(len, txids))
+        sides = tuple(flat(zip(in_scripts, out_scripts)))
+        self._sizes.extend(map(len, sides))
+        self._scripts.extend(flat(sides))
+        self._values.extend(flat(flat(zip(in_values, out_values))))
+
+    def blocks(self) -> Iterator[Block]:
+        new, tx, entry = tuple.__new__, 0, 0  # tx and entry: the block's first of each
+        for index, count, text in self._blocks:
+            cuts = accumulate(self._txid_lengths[tx:tx + count], initial=0)
+            txids = [text[a:b] for a, b in pairwise(cuts)]
+            cuts = list(accumulate(self._sizes[2 * tx:2 * (tx + count)], initial=0))
+            tx, start, entry = tx + count, entry, entry + cuts[-1]
+            ids, values = tuple(self._scripts[start:entry]), tuple(self._values[start:entry])
+            ids, values = ([col[a:b] for a, b in pairwise(cuts)] for col in (ids, values))
+            rows = zip(txids, ids[0::2], values[0::2], ids[1::2], values[1::2])
+            yield Block(index, [new(Transaction, row) for row in rows])

@@ -219,6 +219,8 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_exponent_series(args: argparse.Namespace) -> int:
+    if args.x <= 0:
+        raise ConfigError("small_amount must be positive")  # as `run` words it
     series = _load_prices(args.prices)
     blocks = _parse_blocks(args.blocks)
     rows = exponent_series(series, args.x, chain.from_iterable(blocks))

@@ -8,8 +8,9 @@ immediately. At each checkpoint block index k the report records |S_k|,
 `ScriptTable` assigns them, so |S_k| is the high-water id: one more than
 the largest id so far. A source whose ids skip or go negative is an error.
 
-Heuristics whose reuse horizon is fixed get a first pass over the stream to
-precompute occurrence counts before the clustering pass.
+Heuristics whose reuse horizon is fixed count every occurrence first. A JSONL
+source is decoded once, packed into flat columns as it is counted, and the
+clustering pass replays those.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import IO
 
+from .chain import JsonlSource, PackedStream
 from .clusters import ClusterSet
 from .errors import ConfigError, DataError, csv_rows, parse_int, read_json_object
 from .heuristics import (
@@ -151,7 +153,11 @@ def run(
         mode = config.horizon
 
     online_idx = ReuseIndex() if mode == "online" else None
-    fixed_idx = ReuseIndex.build_fixed(source.blocks()) if mode == "fixed" else None
+    if mode == "fixed" and isinstance(source, JsonlSource):  # one decode, counted as packed
+        blocks, source = source.pack(packed := PackedStream()), packed
+    elif mode == "fixed":
+        blocks = source.blocks()
+    fixed_idx = ReuseIndex.build_fixed(blocks) if mode == "fixed" else None
     ctx = EvalContext(config=config.params, reuse=online_idx or fixed_idx)
 
     store = ClusterSet()

@@ -260,6 +260,11 @@ def _reference_validate_transaction(tx: Transaction) -> Transaction:
             f"transaction {tx.txid}: outputs {v_out} exceed inputs {v_in}",
             category="value-inflation",
         )
+    if v_in > 2**63 - 1:
+        raise ValidationError(
+            f"transaction {tx.txid}: inputs {v_in} exceed the 64-bit bound {2**63 - 1}",
+            category="value-range",
+        )
     return tx
 
 

@@ -3,12 +3,14 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entityforge.chain import (
+    MAX_VALUE,
     JsonlSource,
     MemorySource,
+    PackedStream,
     ScriptTable,
     StreamStats,
     iter_blocks,
@@ -230,3 +232,58 @@ def test_decoder_matches_reference(lines):
     """Same blocks, interning order and stats, or the same error, as the reference."""
     expected = _decode_outcome(reference_iter_blocks, lines, as_columns)
     assert _decode_outcome(iter_blocks, lines) == expected
+
+
+@st.composite
+def _split(draw, total, max_parts):
+    """`total` as a list of 1..max_parts non-negative parts."""
+    cuts = sorted(draw(st.lists(st.integers(0, total), max_size=max_parts - 1)))
+    return [b - a for a, b in zip([0] + cuts, cuts + [total])]
+
+
+_text = st.text(st.sampled_from("ab\n\x00\U0001f600\u00e9"), min_size=1, max_size=3)
+_total = st.sampled_from([0, MAX_VALUE]) | st.integers(0, MAX_VALUE)
+
+
+@st.composite
+def _decodable_line(draw, block):
+    """A line the decoder accepts: a valid transaction, or a coinbase it drops."""
+    v_in = draw(_total)
+    inputs = [] if draw(st.integers(0, 5)) == 0 else draw(_split(v_in, 4))
+    outputs = draw(_split(draw(st.integers(0, v_in)), 4))
+    side = lambda values: [{"script": draw(_text), "value": v} for v in values]
+    line = {"txid": draw(_text), "block": block, "inputs": side(inputs), "outputs": side(outputs)}
+    return json.dumps(line, ensure_ascii=draw(st.booleans())) + "\n"
+
+
+@st.composite
+def _decodable_stream(draw):
+    blocks = sorted(draw(st.lists(st.integers(0, 4) | st.just(2**70), max_size=8)))
+    return [draw(_decodable_line(block)) for block in blocks]
+
+
+_EDGE_STREAM = [
+    json.dumps({"txid": txid, "block": block, "inputs": [{"script": "\U0001f600", "value": v}],
+                "outputs": [{"script": "\n", "value": v}, {"script": "a\x00", "value": 0}]}) + "\n"
+    for txid, block, v in [("\n", 0, MAX_VALUE), ("\x00", 0, 0), ("\U0001f600\n", 3, 1)]
+]
+
+
+@pytest.fixture(scope="module")
+def stream_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("packed") / "s.jsonl"
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=_decodable_stream())
+@example(lines=_EDGE_STREAM)
+def test_packed_replay_equals_decoded_blocks(stream_path, lines):
+    """Packing passes each decoded block through, and every replay repeats them all."""
+    stream_path.write_text("".join(lines), encoding="utf-8")
+    reference = JsonlSource(str(stream_path))
+    decoded = repr(list(reference.blocks()))
+    source, packed = JsonlSource(str(stream_path)), PackedStream()
+    assert repr(list(source.pack(packed))) == decoded
+    assert repr(list(packed.blocks())) == repr(list(packed.blocks())) == decoded
+    assert vars(packed.stats) == vars(reference.stats)
+    assert len(source.table) == 0 and repr(list(source.blocks())) == decoded

@@ -9,7 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from entityforge import engine
+from entityforge.chain import MemorySource, ScriptTable, StreamStats, iter_blocks
 from entityforge.cli import main
+from entityforge.heuristics import HEURISTICS
+from entityforge.pricing import load_price_csv
 from entityforge.synth import GenParams, generate_files
 
 CONSTANT_PRICES = "block_index,usd_per_btc\n0,10000\n"
@@ -298,6 +302,27 @@ class TestMalformedInputs:
         assert "Traceback" not in proc.stderr
         assert "not a decimal number" in proc.stderr
 
+    @pytest.mark.parametrize("horizon", ["online", "fixed"])
+    @pytest.mark.parametrize("inputs", [[2**62, 2**62 - 1], [2**63 - 1], [2**62, 2**62], [2**63]])
+    def test_input_total_bound(self, tmp_path, horizon, inputs):
+        """Every value fits a signed 64-bit integer: the input total is at most 2^63-1."""
+        path = tmp_path / "s.jsonl"
+        path.write_text(json.dumps({
+            "txid": "big", "block": 1,
+            "inputs": [{"script": f"in{k}", "value": v} for k, v in enumerate(inputs)],
+            "outputs": [{"script": "out", "value": 2**63 - 1}],
+        }) + "\n")
+        proc = _cli("run", "--tx", str(path), "--heuristic", "change", "--horizon", horizon,
+                    "--checkpoints", "1")
+        if sum(inputs) < 2**63:
+            assert (proc.returncode, proc.stderr) == (0, "")
+            assert proc.stdout.splitlines()[-1] == f"1,{len(inputs) + 1},{len(inputs) + 1},1.000000,0,1"
+        else:
+            assert proc.returncode == 3
+            assert "Traceback" not in proc.stderr
+            assert proc.stderr == (f"error[value-range]: transaction big: inputs {sum(inputs)} "
+                                   f"exceed the 64-bit bound {2**63 - 1}\n")
+
     @pytest.mark.parametrize(
         "name, content",
         [
@@ -380,6 +405,63 @@ class TestMalformedInputs:
         assert proc.stderr.startswith("error[io]: ")
 
 
+class TestPackedReplay:
+    """A fixed-horizon `run` replays its one decode from packed columns; an
+    engine run over a `MemorySource` of the same stream never packs. Their
+    outputs are byte-identical."""
+
+    CASES = [(name, None) for name, spec in HEURISTICS.items() if spec.horizon in ("fixed", "full")]
+    CASES += [("shadow", "fixed"), ("one-time-change", "fixed")]
+
+    @staticmethod
+    def _stream(tmp_path, seed):
+        """A synthetic stream on which the rules fire, with a coinbase line opening each block."""
+        params = GenParams(users=8, blocks=10, txs_per_block=10, endowment_utxos=20,
+                           address_reuse_prob=0.5, service_payee_prob=0.4, round_value_rate=0.5,
+                           coinjoin_rate=0.15, consolidation_rate=0.2, multi_pay_rate=0.2)
+        jsonl = Path(generate_files(str(tmp_path / f"s{seed}"), seed, params)["jsonl"])
+        lines, last = [], None
+        for line in jsonl.read_text().splitlines(keepends=True):
+            block = json.loads(line)["block"]
+            if block != last:
+                lines.append(json.dumps({"txid": f"cb{block}", "block": block, "inputs": [],
+                                         "outputs": [{"script": f"miner{block}", "value": 50}]}) + "\n")
+                last = block
+            lines.append(line)
+        jsonl.write_text("".join(lines))
+        return jsonl
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_cli_matches_memory_source_run(self, tmp_path, seed):
+        jsonl = self._stream(tmp_path, seed)
+        prices = tmp_path / "p.csv"
+        prices.write_text(CONSTANT_PRICES)
+        table, stats = ScriptTable(), StreamStats()
+        with open(jsonl, encoding="utf-8") as fh:
+            memory = MemorySource(list(iter_blocks(fh, table, stats)), table)
+        memory.stats = stats
+        assert stats.coinbase_dropped == 10
+        for heuristic, horizon in self.CASES:
+            for checkpoints in ("3", "2,5,9,40"):
+                tag = f"{heuristic}-{horizon}-{checkpoints}"
+                argv = ["run", "--tx", str(jsonl), "--heuristic", heuristic, "--prices", str(prices),
+                        "--checkpoints", checkpoints, "--out", str(tmp_path / f"cli-{tag}.csv"),
+                        "--snapshot", str(tmp_path / f"cli-{tag}.snap.csv")]
+                assert main(argv + (["--horizon", horizon] if horizon else [])) == 0
+                config = engine.RunConfig(heuristic, horizon=horizon, checkpoints=[2, 5, 9, 40]
+                                          if "," in checkpoints else int(checkpoints))
+                with open(prices, encoding="utf-8") as fh:
+                    report, store = engine.run(config, memory, price_series=load_price_csv(fh))
+                report.write(str(tmp_path / f"mem-{tag}.csv"))
+                with open(tmp_path / f"mem-{tag}.snap.csv", "w", newline="", encoding="utf-8") as fh:
+                    store.write_snapshot_csv(fh)
+                counts = report.metadata["counts"]
+                assert counts["coinbase_dropped"] == 10 and counts["merges_applied"] > 0, tag
+                for suffix in (".csv", ".meta.json", ".snap.csv"):
+                    cli_bytes = (tmp_path / f"cli-{tag}{suffix}").read_bytes()
+                    assert cli_bytes == (tmp_path / f"mem-{tag}{suffix}").read_bytes(), tag + suffix
+
+
 class TestCompare:
     def test_wide_table(self, synth_files, tmp_path, capsys):
         for name in ("cio", "deposit"):
@@ -401,6 +483,16 @@ class TestCompare:
 
 
 class TestExponentSeries:
+    @pytest.mark.parametrize("x", ["0", "-1"])
+    def test_non_positive_x_is_a_usage_error(self, tmp_path, capsys, x):
+        prices = tmp_path / "p.csv"
+        prices.write_text(CONSTANT_PRICES)
+        code = main(["exponent-series", "--prices", str(prices), "--x", x, "--blocks", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error[config]: small_amount must be positive\n"
+
     def test_constant_price_single_value(self, tmp_path, capsys):
         prices = tmp_path / "p.csv"
         prices.write_text(CONSTANT_PRICES)

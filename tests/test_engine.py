@@ -1,5 +1,6 @@
 import io
 import json
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 from random import Random
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entityforge.chain import JsonlSource, MemorySource, ScriptTable, iter_blocks
+from entityforge.clusters import ClusterSet
 from entityforge.engine import RatioReport, RunConfig, compare_runs, run
 from entityforge.errors import ConfigError, DataError
 from entityforge.heuristics import COINJOIN_DESCRIPTION, HEURISTICS, HeuristicConfig
@@ -91,7 +93,7 @@ class TestHorizons:
     def test_fixed_horizon_sees_future_reuse(self, tmp_path):
         source = _jsonl(tmp_path, self.TEXT)
         _, store = run(RunConfig("change", checkpoints=1), source)
-        f, p, c = (source.table.intern(s) for s in ("F", "P", "C"))
+        f, p, c = 0, 1, 2  # first-observation order; the run released the source's table
         assert store.find(f) == store.find(c) != store.find(p)
 
     def test_online_horizon_cannot_see_future(self, tmp_path):
@@ -233,13 +235,17 @@ class TestDeterminismAndConservation:
         text, _, _ = generate_text(23, GenParams(users=5, blocks=6, txs_per_block=7))
         source = _jsonl(tmp_path, text)
         _, store = run(RunConfig("cio", checkpoints=100), source)
-        assert store.num_scripts == len(source.table)
-        distinct = set()
-        for line in text.strip().split("\n"):
-            raw = json.loads(line)
-            for side in ("inputs", "outputs"):
-                distinct.update(e["script"] for e in raw[side])
-        assert store.num_scripts == len(distinct)
+        assert store.num_scripts == len(source.table) == _distinct_scripts(text)
+
+
+def _distinct_scripts(text):
+    """The number of distinct script texts in a JSONL stream."""
+    distinct = set()
+    for line in text.strip().split("\n"):
+        raw = json.loads(line)
+        for side in ("inputs", "outputs"):
+            distinct.update(e["script"] for e in raw[side])
+    return len(distinct)
 
 
 class TestOracle:
@@ -269,7 +275,8 @@ class TestOracle:
         )
         prices = _prices() if heuristic in ("round", "combined") else None
         _, store = run(config, source, price_series=prices)
-        expected = closure_labels(len(source.table), proposed_groups)
+        # A fixed-horizon run releases the source's script table.
+        expected = closure_labels(_distinct_scripts(text), proposed_groups)
         assert store.labels() == expected
 
 
@@ -341,6 +348,47 @@ class TestErrorsAndMetadata:
         from_file, _ = run(config, _jsonl(tmp_path, text))
         from_memory, _ = run(config, _memory_source(text.splitlines()))
         assert from_memory.metadata["counts"]["blocks"] == from_file.metadata["counts"]["blocks"] == 8
+
+
+class TestSinglePass:
+    """A JSONL stream is decoded once, whatever the horizon."""
+
+    @pytest.mark.parametrize("heuristic, horizon", [
+        ("change", None), ("reuse-change", None), ("combined", None), ("shadow", "fixed"),
+        ("shadow", None), ("cio", None),
+    ])
+    def test_run_decodes_the_stream_once(self, tmp_path, monkeypatch, heuristic, horizon):
+        calls = []
+        blocks = JsonlSource.blocks
+        monkeypatch.setattr(JsonlSource, "blocks", lambda self: calls.append(self) or blocks(self))
+        source = _jsonl(tmp_path, _firing_stream(1))
+        report, _ = run(RunConfig(heuristic, horizon=horizon, checkpoints=3), source,
+                        price_series=_prices())
+        assert calls == [source]
+        assert report.metadata["counts"]["transactions"] == 100
+
+    def test_no_script_table_outlives_packing(self, tmp_path, monkeypatch):
+        """The pass's table is whole when the pass ends, and dead before clustering starts."""
+        tables, sizes, dead = [], [], []
+        blocks, register = JsonlSource.blocks, ClusterSet.register
+
+        def decode(self):
+            tables.append(weakref.ref(self.table))
+            yield from blocks(self)
+            sizes.append(len(self.table))
+
+        def checked_register(self, upto):
+            dead.append(tables[0]() is None)
+            return register(self, upto)
+
+        monkeypatch.setattr(JsonlSource, "blocks", decode)
+        monkeypatch.setattr(ClusterSet, "register", checked_register)
+        text = _firing_stream(2)
+        source = _jsonl(tmp_path, text)
+        _, store = run(RunConfig("combined", checkpoints=3), source, price_series=_prices())
+        assert len(tables) == 1 and sizes == [store.num_scripts] == [_distinct_scripts(text)]
+        assert dead and all(dead)
+        assert len(source.table) == 0
 
 
 class TestDenseIds:
