@@ -16,10 +16,10 @@ never interned.
 from __future__ import annotations
 
 import gzip
+import io
 import json
+import marshal
 import zlib
-from array import array
-from itertools import accumulate, chain, pairwise
 from typing import IO, Iterable, Iterator, NamedTuple
 
 from .errors import IngestError, ValidationError
@@ -63,8 +63,8 @@ class ScriptTable:
         return sid
 
 
-# The largest input total, as Bitcoin Core's int64 `CAmount` and the packed value
-# column hold it; with outputs at most inputs and no negatives, it bounds every value.
+# The largest input total, as Bitcoin Core's int64 `CAmount` holds it; with outputs
+# at most inputs and no negatives, it bounds every value.
 MAX_VALUE = 2**63 - 1
 
 
@@ -100,10 +100,9 @@ def validate_transaction(tx: Transaction) -> Transaction:
     return tx
 
 
-def open_text_stream(path: str, mode: str) -> IO:
-    if str(path).endswith(".gz"):
-        return gzip.open(path, mode + "t", encoding="utf-8")
-    return open(path, mode, encoding="utf-8")
+def open_stream(path: str) -> IO[bytes]:
+    """A stream file's bytes, gunzipped if its name ends in `.gz`."""
+    return (gzip.open if path.endswith(".gz") else open)(path, "rb")
 
 
 class StreamStats:
@@ -248,7 +247,7 @@ class JsonlSource:
     def blocks(self) -> Iterator[Block]:
         self.stats = StreamStats()
         try:
-            with open_text_stream(self.path, "r") as fh:
+            with io.TextIOWrapper(open_stream(self.path), encoding="utf-8") as fh:
                 yield from iter_blocks(fh, self.table, self.stats)
         except UnicodeDecodeError as exc:
             raise IngestError(f"{self.path}: cannot read the stream: {self._not_utf8(exc)}") from None
@@ -280,7 +279,7 @@ class JsonlSource:
     def _byte_lines(self) -> Iterator[bytes]:
         pending = b""
         try:
-            with (gzip.open if self.path.endswith(".gz") else open)(self.path, "rb") as fh:
+            with open_stream(self.path) as fh:
                 while chunk := fh.read1(1 << 16):  # one read: keeps the bytes before any damage
                     *lines, pending = (pending + chunk).splitlines(keepends=True)
                     yield from lines
@@ -302,34 +301,17 @@ class MemorySource:
 
 
 class PackedStream:
-    """A decoded stream in flat `array` columns, replayed as equal blocks. Per block:
-    its index (unbounded, so an int), its transaction count and its txids joined. Per
-    transaction: its txid's length, input count and output count. Per entry, inputs
-    first: a script id and a value, which `MAX_VALUE` bounds. No script text is kept."""
+    """A decoded stream as one `marshal` string per block, replayed as equal blocks. Each
+    transaction is held as a plain tuple, since `marshal` refuses NamedTuples. No script
+    text is kept, and the strings never leave the process: `marshal` is unsafe on outside data."""
 
     def __init__(self) -> None:
-        self._blocks: list[tuple[int, int, str]] = []
-        self._txid_lengths, self._sizes = array("I"), array("I")
-        self._scripts, self._values = array("q"), array("q")
+        self._blocks: list[tuple[int, bytes]] = []
 
     def add(self, block: Block) -> None:
-        flat = chain.from_iterable
-        txids, in_scripts, in_values, out_scripts, out_values = zip(*block.transactions)
-        self._blocks.append((block.index, len(txids), "".join(txids)))
-        self._txid_lengths.extend(map(len, txids))
-        sides = tuple(flat(zip(in_scripts, out_scripts)))
-        self._sizes.extend(map(len, sides))
-        self._scripts.extend(flat(sides))
-        self._values.extend(flat(flat(zip(in_values, out_values))))
+        self._blocks.append((block.index, marshal.dumps(list(map(tuple, block.transactions)))))
 
     def blocks(self) -> Iterator[Block]:
-        new, tx, entry = tuple.__new__, 0, 0  # tx and entry: the block's first of each
-        for index, count, text in self._blocks:
-            cuts = accumulate(self._txid_lengths[tx:tx + count], initial=0)
-            txids = [text[a:b] for a, b in pairwise(cuts)]
-            cuts = list(accumulate(self._sizes[2 * tx:2 * (tx + count)], initial=0))
-            tx, start, entry = tx + count, entry, entry + cuts[-1]
-            ids, values = tuple(self._scripts[start:entry]), tuple(self._values[start:entry])
-            ids, values = ([col[a:b] for a, b in pairwise(cuts)] for col in (ids, values))
-            rows = zip(txids, ids[0::2], values[0::2], ids[1::2], values[1::2])
-            yield Block(index, [new(Transaction, row) for row in rows])
+        new = tuple.__new__
+        for index, data in self._blocks:
+            yield Block(index, [new(Transaction, row) for row in marshal.loads(data)])

@@ -115,13 +115,13 @@ def _load_prices(path: str):
 
 
 # Each run setting's default, and the JSON types a --config file may give it
-# (never a bool); x must also parse as a decimal.
+# (never a bool); x must also parse as a decimal, and null means the default.
 _RUN_SETTINGS = {
-    "a": (25, (int,)),
-    "x": (Decimal(1), (int, float, str)),
-    "j": (1, (int,)),
+    "a": (HeuristicConfig.min_deposit_inputs, (int,)),
+    "x": (HeuristicConfig.small_amount, (int, float, str)),
+    "j": (HeuristicConfig.round_offset, (int,)),
     "horizon": (None, (str, type(None))),
-    "checkpoints": (None, (str, int, type(None))),
+    "checkpoints": (engine.RunConfig.checkpoints, (str, int, type(None))),
     "prices": (None, (str, type(None))),
 }
 
@@ -144,9 +144,7 @@ def _effective_run_settings(args: argparse.Namespace) -> dict:
                 raw["x"] = _decimal(str(raw["x"]))
             except argparse.ArgumentTypeError as exc:
                 raise ConfigError(f"config key x: {exc}") from None
-        if "checkpoints" in raw and raw["checkpoints"] is not None:
-            raw["checkpoints"] = str(raw["checkpoints"])
-        settings.update(raw)
+        settings.update((key, value) for key, value in raw.items() if value is not None)
     for key in _RUN_SETTINGS:
         value = getattr(args, key)
         if value is not None:
@@ -170,7 +168,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             round_offset=settings["j"],
         ),
         horizon=settings["horizon"],
-        checkpoints=_parse_checkpoints(checkpoints) if checkpoints else 100_000,
+        checkpoints=_parse_checkpoints(checkpoints) if isinstance(checkpoints, str) else checkpoints,
     )
     source = JsonlSource(args.tx)
     prices = _load_prices(settings["prices"]) if needs_prices else None
@@ -270,13 +268,17 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--heuristic", required=True, choices=sorted(HEURISTICS))
     run_p.add_argument("--prices", help="price CSV (required for round/combined)")
     run_p.add_argument("--config", help="JSON file with defaults for the flags below")
-    run_p.add_argument("--a", type=int, help="deposit sweep input threshold (default 25)")
-    run_p.add_argument("--x", type=_decimal, help="small dollar amount (default 1)")
-    run_p.add_argument("--j", type=int, help="sub-precision offset for change (default 1)")
+    run_p.add_argument("--a", type=int, help="deposit sweep input threshold "
+                       f"(default {HeuristicConfig.min_deposit_inputs})")
+    run_p.add_argument("--x", type=_decimal,
+                       help=f"small dollar amount (default {HeuristicConfig.small_amount})")
+    run_p.add_argument("--j", type=int, help="sub-precision offset for change "
+                       f"(default {HeuristicConfig.round_offset})")
     run_p.add_argument("--horizon", choices=["online", "fixed"], default=None)
     run_p.add_argument(
         "--checkpoints",
-        help="single integer = every N blocks (default 100000); comma list = explicit indices",
+        help=f"single integer = every N blocks (default {engine.RunConfig.checkpoints}); "
+        "comma list = explicit indices",
     )
     run_p.add_argument("--out", help="report CSV path (stdout if omitted)")
     run_p.add_argument("--snapshot", help="final partition path (.bin = binary, else CSV)")
@@ -301,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     exp_p = sub.add_parser("exponent-series", help="per-block rounding exponent CSV")
     exp_p.add_argument("--prices", required=True)
-    exp_p.add_argument("--x", type=_decimal, default=Decimal(1))
+    exp_p.add_argument("--x", type=_decimal, default=HeuristicConfig.small_amount)
     exp_p.add_argument("--blocks", required=True, help="e.g. 100,200 or 0:700000:1000")
     exp_p.add_argument("--out")
     exp_p.set_defaults(func=cmd_exponent_series)

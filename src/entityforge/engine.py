@@ -9,8 +9,8 @@ immediately. At each checkpoint block index k the report records |S_k|,
 the largest id so far. A source whose ids skip or go negative is an error.
 
 Heuristics whose reuse horizon is fixed count every occurrence first. A JSONL
-source is decoded once, packed into flat columns as it is counted, and the
-clustering pass replays those.
+source is decoded once, packed one `marshal` string per block as it is counted,
+and the clustering pass replays those.
 """
 
 from __future__ import annotations

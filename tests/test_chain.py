@@ -268,6 +268,12 @@ _EDGE_STREAM = [
     for txid, block, v in [("\n", 0, MAX_VALUE), ("\x00", 0, 0), ("\U0001f600\n", 3, 1)]
 ]
 
+# Escaped lone surrogates decode to str that UTF-8 cannot encode; written raw, they could not be.
+_SURROGATE_STREAM = [
+    json.dumps({"txid": "\ud800", "block": 1, "inputs": [{"script": "a\udfff", "value": 2}],
+                "outputs": [{"script": "\udc00\ud800", "value": 1}]}, ensure_ascii=True) + "\n"
+]
+
 
 @pytest.fixture(scope="module")
 def stream_path(tmp_path_factory):
@@ -277,6 +283,7 @@ def stream_path(tmp_path_factory):
 @settings(max_examples=300, deadline=None)
 @given(lines=_decodable_stream())
 @example(lines=_EDGE_STREAM)
+@example(lines=_SURROGATE_STREAM)
 def test_packed_replay_equals_decoded_blocks(stream_path, lines):
     """Packing passes each decoded block through, and every replay repeats them all."""
     stream_path.write_text("".join(lines), encoding="utf-8")

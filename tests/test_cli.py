@@ -296,6 +296,15 @@ class TestMalformedInputs:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error[config]: ")
 
+    @pytest.mark.parametrize("checkpoints", ["", ","])
+    @pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
+    def test_empty_checkpoints_exit_two(self, stream, tmp_path, capsys, checkpoints, by_config):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"checkpoints": checkpoints}))
+        given = ["--config", str(config)] if by_config else ["--checkpoints", checkpoints]
+        assert main(["run", "--tx", stream, "--heuristic", "cio", *given]) == 2
+        assert capsys.readouterr().err == "error[config]: --checkpoints needs at least one integer\n"
+
     def test_non_finite_x_flag_exits_two(self, stream):
         proc = _cli("run", "--tx", stream, "--heuristic", "cio", "--x", "nan")
         assert proc.returncode == 2
@@ -406,9 +415,9 @@ class TestMalformedInputs:
 
 
 class TestPackedReplay:
-    """A fixed-horizon `run` replays its one decode from packed columns; an
-    engine run over a `MemorySource` of the same stream never packs. Their
-    outputs are byte-identical."""
+    """A fixed-horizon `run` replays its one decode from per-block `marshal`
+    strings; an engine run over a `MemorySource` of the same stream never packs.
+    Their outputs are byte-identical."""
 
     CASES = [(name, None) for name, spec in HEURISTICS.items() if spec.horizon in ("fixed", "full")]
     CASES += [("shadow", "fixed"), ("one-time-change", "fixed")]
