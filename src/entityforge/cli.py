@@ -21,7 +21,7 @@ from typing import Iterable
 from . import engine
 from .chain import JsonlSource
 from .clusters import load_snapshot
-from .errors import ConfigError, EntityForgeError, GenerationError, read_json_object
+from .errors import ConfigError, EntityForgeError, GenerationError, output_files, read_json_object
 from .heuristics import HEURISTICS, HeuristicConfig
 from .pricing import exponent_series, load_price_csv
 from .synth import GenParams, generate_files, read_truth, score
@@ -172,22 +172,27 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     source = JsonlSource(args.tx)
     prices = _load_prices(settings["prices"]) if needs_prices else None
+    binary = (args.snapshot or "").endswith(".bin")
 
-    log.info("running heuristic %s over %s", heuristic, args.tx)
-    report, store = engine.run(config, source, price_series=prices)
+    # Every output is open before the replay, so an unwritable path costs no work.
+    with output_files() as open_output:
+        if args.out:
+            report_sinks = open_output(args.out), open_output(engine.sidecar_path(args.out))
+        if args.snapshot:
+            snapshot_sink = open_output(args.snapshot, "wb" if binary else "w")
 
-    if args.out:
-        report.write(args.out)
-        log.info("report written to %s", args.out)
-    else:
-        report.write_csv(sys.stdout)
-    if args.snapshot:
-        if args.snapshot.endswith(".bin"):
-            with open(args.snapshot, "wb") as fh:
-                store.write_snapshot_binary(fh)
+        log.info("running heuristic %s over %s", heuristic, args.tx)
+        report, store = engine.run(config, source, price_series=prices)
+
+        if args.out:
+            report.write(*report_sinks)
         else:
-            with open(args.snapshot, "w", newline="", encoding="utf-8") as fh:
-                store.write_snapshot_csv(fh)
+            report.write_csv(sys.stdout)
+        if args.snapshot:
+            (store.write_snapshot_binary if binary else store.write_snapshot_csv)(snapshot_sink)
+    if args.out:
+        log.info("report written to %s", args.out)
+    if args.snapshot:
         log.info("snapshot written to %s", args.snapshot)
     return 0
 

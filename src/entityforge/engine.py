@@ -93,14 +93,11 @@ class RatioReport:
                 ]
             )
 
-    def write(self, csv_path: str) -> None:
-        """Write the report CSV plus its `<stem>.meta.json` sidecar."""
-        path = Path(csv_path)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            self.write_csv(fh)
-        with open(_sidecar(path), "w", encoding="utf-8") as fh:
-            json.dump(self.metadata, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    def write(self, csv_sink: IO, meta_sink: IO) -> None:
+        """Write the report CSV, and its metadata as the `<stem>.meta.json` sidecar holds it."""
+        self.write_csv(csv_sink)
+        json.dump(self.metadata, meta_sink, indent=2, sort_keys=True)
+        meta_sink.write("\n")
 
     @classmethod
     def read(cls, csv_path: str) -> "RatioReport":
@@ -117,14 +114,16 @@ class RatioReport:
                 rows.append(
                     ReportRow(block, scripts, clusters, Fraction(clusters, scripts), merges, txs)
                 )
-        sidecar = _sidecar(path)
+        sidecar = sidecar_path(path)
         metadata = {}
         if sidecar.exists():
             metadata = read_json_object(sidecar, "report sidecar", DataError)
         return cls(rows, metadata)
 
 
-def _sidecar(path: Path) -> Path:
+def sidecar_path(csv_path) -> Path:
+    """`<stem>.meta.json` beside a report CSV."""
+    path = Path(csv_path)
     return path.with_suffix(".meta.json") if path.suffix else Path(str(path) + ".meta.json")
 
 

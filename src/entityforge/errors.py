@@ -1,4 +1,4 @@
-"""Package error types, and the CSV and JSON reading that uses them.
+"""Package error types, the CSV and JSON reading that uses them, and output files.
 
 Every data-level failure carries a short category string so the CLI can
 report `error[<category>]: message` and exit with a stable code.
@@ -6,7 +6,9 @@ report `error[<category>]: message` and exit with a stable code.
 
 import csv
 import json
-from typing import IO, Iterator
+import os
+from contextlib import contextmanager, suppress
+from typing import IO, Callable, Iterator
 
 
 class EntityForgeError(Exception):
@@ -91,3 +93,47 @@ def read_json_object(path, what: str, error: type[EntityForgeError]) -> dict:
     if not isinstance(value, dict):
         raise error(f"{what} {path}: expected a JSON object")
     return value
+
+
+@contextmanager
+def output_files() -> Iterator[Callable[..., IO]]:
+    """Yield `open_output(path, mode="w")`, which opens a temporary file beside `path`.
+
+    When the block ends without an exception, each temporary file replaces its
+    target; otherwise each is deleted. A failed command therefore leaves no
+    partial output and every existing file as it was. Text is UTF-8 with no
+    newline translation. A target that exists but is not a regular file (a
+    directory, a pipe, a device) is opened as itself, so a directory fails at once.
+    """
+    files: list[tuple[IO, str | None, str]] = []
+
+    def open_output(path: str, mode: str = "w") -> IO:
+        text = {} if "b" in mode else {"newline": "", "encoding": "utf-8"}
+        if os.path.exists(path) and not os.path.isfile(path):
+            fh = open(path, mode, **text)
+            files.append((fh, None, path))
+            return fh
+        target = os.path.realpath(path)  # through a symlink, as open() writes
+        temp = f"{target}.{os.getpid()}.tmp"
+        try:
+            fh = open(temp, mode.replace("w", "x"), **text)
+        except OSError as exc:
+            exc.filename = path  # name the output, not its temporary file
+            raise
+        files.append((fh, temp, target))
+        return fh
+
+    try:
+        yield open_output
+        for fh, _, _ in files:
+            fh.close()
+        for _, temp, target in files:
+            if temp is not None:
+                os.replace(temp, target)
+    finally:
+        for fh, temp, _ in files:
+            with suppress(OSError):
+                fh.close()
+            if temp is not None:
+                with suppress(FileNotFoundError):  # already moved into place
+                    os.remove(temp)

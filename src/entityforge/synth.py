@@ -16,12 +16,13 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass
+from itertools import chain, compress, count
+from operator import itemgetter
 from random import Random
 from typing import IO
 
-from .chain import ScriptTable
 from .clusters import ClusterSet
-from .errors import DataError, GenerationError, csv_rows, parse_int
+from .errors import DataError, GenerationError, csv_rows, output_files, parse_int
 
 _PROB_FIELDS = (
     "fresh_change_prob",
@@ -89,17 +90,42 @@ class GenParams:
         return cls(**raw)
 
 
+_value = itemgetter(1)
+# One input or output of a wire line. Synth makes every text on the line itself,
+# as `a<n>` or `t<n>`, so none needs JSON escaping.
+_entry = '{"script":"%s","value":%d}'.__mod__
+
+
 class _Wallet:
-    __slots__ = ("uid", "utxos", "addresses", "pending_deposits")
+    """A user's addresses and UTXOs; `total` is the sum of the UTXO values."""
+
+    __slots__ = ("uid", "utxos", "total", "addresses", "pending_deposits")
 
     def __init__(self, uid: int):
         self.uid = uid
         self.utxos: list[tuple[str, int]] = []
+        self.total = 0
         self.addresses: list[str] = []
         self.pending_deposits: list[tuple[str, int]] = []
 
-    def balance(self) -> int:
-        return sum(v for _, v in self.utxos)
+    def add(self, script: str, value: int) -> tuple[str, int]:
+        utxo = (script, value)
+        self.utxos.append(utxo)
+        self.total += value
+        return utxo
+
+    def take(self, idx: int) -> tuple[str, int]:
+        utxo = self.utxos.pop(idx)
+        self.total -= utxo[1]
+        return utxo
+
+    def put_back(self, utxos: list[tuple[str, int]]) -> None:
+        self.utxos.extend(utxos)
+        self.total += sum(map(_value, utxos))
+
+    def first_fit(self, floor: int) -> int | None:
+        """Index of the first UTXO worth at least `floor`; the scan runs in C."""
+        return next(compress(count(), map(floor.__le__, map(_value, self.utxos))), None)
 
 
 class StreamGenerator:
@@ -109,8 +135,8 @@ class StreamGenerator:
         self.rng = Random(seed)
         self.params = params
         self.seed = seed
-        self.table = ScriptTable()
         self.truth: dict[int, int] = {}
+        # The owner of each script the written stream has not shown yet.
         self._owners: dict[str, int] = {}
         self._script_n = 0
         self._tx_n = 0
@@ -131,7 +157,7 @@ class StreamGenerator:
             share = max(1, params.initial_balance // params.endowment_utxos)
             for _ in range(params.endowment_utxos):
                 script = self._fresh_address(wallet)
-                wallet.utxos.append((script, share + self._non_round(101, 997)))
+                wallet.add(script, share + self._non_round(101, 997))
 
     # -- script bookkeeping --
 
@@ -170,23 +196,19 @@ class StreamGenerator:
 
     # -- tx emission --
 
-    def _emit(self, inputs, outputs) -> dict:
+    def _emit(self, inputs, outputs) -> tuple:
         self._tx_n += 1
         self.counts["transactions"] += 1
-        return {
-            "txid": f"t{self._tx_n}",
-            "inputs": [{"script": s, "value": v} for s, v in inputs],
-            "outputs": [{"script": s, "value": v} for s, v in outputs],
-        }
+        return f"t{self._tx_n}", inputs, outputs
 
     def _pick_payer(self, floor: int) -> _Wallet | None:
         wallets = self.wallets
         for _ in range(20):  # random probing keeps this O(1) per tx
             wallet = wallets[self.rng.randrange(len(wallets))]
-            if wallet.balance() >= floor:
+            if wallet.total >= floor:
                 return wallet
         for wallet in wallets:
-            if wallet.balance() >= floor:
+            if wallet.total >= floor:
                 return wallet
         return None
 
@@ -208,19 +230,16 @@ class StreamGenerator:
             script = self._fresh_address(payee)
             payee.pending_deposits.append((script, value))
             return script, value
-        script = self._receive_address(payee)
-        payee.utxos.append((script, value))
-        return script, value
+        return payee.add(self._receive_address(payee), value)
 
     def _change_out(self, payer: _Wallet, value: int) -> tuple[str, int]:
         if payer.addresses and self.rng.random() >= self.params.fresh_change_prob:
             script = self.rng.choice(payer.addresses)
         else:
             script = self._fresh_address(payer)
-        payer.utxos.append((script, value))
-        return script, value
+        return payer.add(script, value)
 
-    def _payment_tx(self) -> dict | None:
+    def _payment_tx(self) -> tuple | None:
         p = self._payment_value()
         fee = self._fee()
         payer = self._pick_payer(floor=1000)
@@ -228,33 +247,31 @@ class StreamGenerator:
             raise GenerationError("no user has funds left to make a payment")
         payee = self._pick_payee(payer)
         second_payee = None
-        if self.rng.random() < self.params.multi_pay_rate:
-            candidates = [w for w in self.wallets if w is not payer and w is not payee]
-            if candidates:
-                second_payee = self.rng.choice(candidates)
+        if self.rng.random() < self.params.multi_pay_rate and len(self.wallets) > 2:
+            # One draw, as `rng.choice` over the wallets other than payer and payee
+            # (never the same wallet) in uid order, stepping over their two uids.
+            uid = self.rng.randrange(len(self.wallets) - 2)
+            for skipped in sorted((payer.uid, payee.uid)):
+                if uid >= skipped:
+                    uid += 1
+            second_payee = self.wallets[uid]
 
-        single = None
-        need = p + fee + 1
-        for idx, (_, value) in enumerate(payer.utxos):
-            if value >= need:
-                single = idx
-                break
+        single = payer.first_fit(p + fee + 1)
         if single is not None:
-            script, value = payer.utxos.pop(single)
-            inputs = [(script, value)]
-            v_in = value
+            inputs = [payer.take(single)]
+            v_in = inputs[0][1]
         else:
             # Wasteful selection: target change > payment so that, with every
             # input below p + fee, the minimal-input condition can never hold.
             inputs = []
             v_in = 0
             while payer.utxos and v_in < 2 * p + fee + 1:
-                inputs.append(payer.utxos.pop(self.rng.randrange(len(payer.utxos))))
+                inputs.append(payer.take(self.rng.randrange(len(payer.utxos))))
                 v_in += inputs[-1][1]
             if v_in < 2 * p + fee + 1:
                 p = (v_in - fee - 1) // 2
                 if p < 10:
-                    payer.utxos.extend(inputs)  # put funds back; tx infeasible
+                    payer.put_back(inputs)  # tx infeasible
                     return None
 
         outputs = [self._pay_out(payee, p)]
@@ -276,7 +293,7 @@ class StreamGenerator:
         self.counts["payments"] += 1
         return self._emit(inputs, outputs)
 
-    def _consolidation_tx(self) -> dict | None:
+    def _consolidation_tx(self) -> tuple | None:
         """Forced merge of inputs: the selected input set is minimal."""
         candidates: list[int] = []
         payer = None
@@ -294,25 +311,22 @@ class StreamGenerator:
             return None
         k = min(len(candidates), self.rng.randrange(2, 5))
         picked = sorted(self.rng.sample(candidates, k), reverse=True)
-        inputs = [payer.utxos.pop(i) for i in picked]
+        inputs = [payer.take(i) for i in picked]
         total = sum(v for _, v in inputs)
         least = min(v for _, v in inputs)
         fee = self._non_round(51, max(53, min(999, least // 4)))
         if total - least + 1 >= total - fee:
-            payer.utxos.extend(inputs)
+            payer.put_back(inputs)
             return None
         p = self.rng.randrange(total - least + 1, total - fee)
         change = total - p - fee
         payee = self._pick_payee(payer)
-        outputs = [self._pay_out(payee, p)]
-        script = self._fresh_address(payer)
-        payer.utxos.append((script, change))
-        outputs.append((script, change))
+        outputs = [self._pay_out(payee, p), payer.add(self._fresh_address(payer), change)]
         self.rng.shuffle(outputs)
         self.counts["consolidations"] += 1
         return self._emit(inputs, outputs)
 
-    def _coinjoin_tx(self) -> dict | None:
+    def _coinjoin_tx(self) -> tuple | None:
         """Equal-output mix across >= 2 users; breaks common-input ownership."""
         denom = self.rng.randrange(1, 10) * 10**self.params.round_exponent
         participants = []
@@ -323,10 +337,9 @@ class StreamGenerator:
                 continue
             seen.add(pos)
             wallet = self.wallets[pos]
-            for idx, (_, value) in enumerate(wallet.utxos):
-                if value >= denom + 1000:
-                    participants.append((wallet, idx))
-                    break
+            idx = wallet.first_fit(denom + 1000)
+            if idx is not None:
+                participants.append((wallet, idx))
             if len(participants) == 3:
                 break
         if len(participants) < 2:
@@ -334,11 +347,9 @@ class StreamGenerator:
         inputs = []
         outputs = []
         for wallet, idx in participants:
-            script, value = wallet.utxos.pop(idx)
+            script, value = wallet.take(idx)
             inputs.append((script, value))
-            mixed = self._fresh_address(wallet)
-            wallet.utxos.append((mixed, denom))
-            outputs.append((mixed, denom))
+            outputs.append(wallet.add(self._fresh_address(wallet), denom))
             change = value - denom - self._fee()
             if change > 0:
                 outputs.append(self._change_out(wallet, change))
@@ -346,7 +357,7 @@ class StreamGenerator:
         self.counts["coinjoins"] += 1
         return self._emit(inputs, outputs)
 
-    def _sweep_tx(self) -> dict | None:
+    def _sweep_tx(self) -> tuple | None:
         service = self.service
         a = self.params.deposit_min_inputs
         if service is None or len(service.pending_deposits) < a:
@@ -360,11 +371,10 @@ class StreamGenerator:
             service.pending_deposits[:0] = inputs  # keep them for a later sweep
             return None
         hot = self._fresh_address(service)
-        service.utxos.append((hot, value))
         self.counts["sweeps"] += 1
-        return self._emit(inputs, [(hot, value)])
+        return self._emit(inputs, [service.add(hot, value)])
 
-    def _next_tx(self) -> dict | None:
+    def _next_tx(self) -> tuple | None:
         if self.service is not None and self.rng.random() < self.params.deposit_sweep_rate:
             tx = self._sweep_tx()
             if tx is not None:
@@ -382,6 +392,7 @@ class StreamGenerator:
 
     def write(self, sink: IO) -> dict:
         """Generate the whole stream into `sink`; returns run metadata."""
+        owners, truth = self._owners, self.truth
         for block in range(self.params.blocks):
             txs = []
             misses = 0
@@ -396,56 +407,40 @@ class StreamGenerator:
                     raise GenerationError(
                         "cannot construct a feasible transaction; users are out of funds"
                     )
-            for tx in txs:
-                tx["block"] = block
-                self._register_truth(tx)
+            for txid, inputs, outputs in txs:
+                # Script ids follow ingestion's first-observation order: inputs, then outputs.
+                for script, _ in chain(inputs, outputs):
+                    uid = owners.pop(script, None)
+                    if uid is not None:
+                        truth[len(truth)] = uid
                 sink.write(
-                    json.dumps(
-                        {
-                            "txid": tx["txid"],
-                            "block": tx["block"],
-                            "inputs": tx["inputs"],
-                            "outputs": tx["outputs"],
-                        },
-                        separators=(",", ":"),
-                    )
-                    + "\n"
+                    f'{{"txid":"{txid}","block":{block},"inputs":[{",".join(map(_entry, inputs))}],'
+                    f'"outputs":[{",".join(map(_entry, outputs))}]}}\n'
                 )
         return {
             "seed": self.seed,
             "params": asdict(self.params),
-            "counts": dict(self.counts, scripts=len(self.table)),
+            "counts": dict(self.counts, scripts=len(truth)),
         }
 
-    def _register_truth(self, tx: dict) -> None:
-        # Interning order here matches ingestion: inputs, then outputs.
-        for side in ("inputs", "outputs"):
-            for entry in tx[side]:
-                sid = self.table.intern(entry["script"])
-                if sid not in self.truth:
-                    self.truth[sid] = self._owners[entry["script"]]
 
-
-def generate(seed: int, params: GenParams, sink: IO) -> tuple[ScriptTable, dict[int, int], dict]:
-    """Write a synthetic stream to `sink`; returns (table, truth, metadata)."""
+def generate(seed: int, params: GenParams, sink: IO) -> tuple[dict[int, int], dict]:
+    """Write a synthetic stream to `sink`; returns (truth, metadata)."""
     gen = StreamGenerator(seed, params)
     meta = gen.write(sink)
-    return gen.table, gen.truth, meta
+    return gen.truth, meta
 
 
 def generate_files(prefix: str, seed: int, params: GenParams) -> dict:
-    """Write `<prefix>.jsonl`, `<prefix>.truth.csv`, `<prefix>.meta.json`."""
-    jsonl = f"{prefix}.jsonl"
-    with open(jsonl, "w", encoding="utf-8") as fh:
-        _, truth, meta = generate(seed, params, fh)
-    truth_path = f"{prefix}.truth.csv"
-    with open(truth_path, "w", newline="", encoding="utf-8") as fh:
-        write_truth(fh, truth)
-    meta_path = f"{prefix}.meta.json"
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return {"jsonl": jsonl, "truth": truth_path, "meta": meta_path}
+    """Write `<prefix>.jsonl`, `<prefix>.truth.csv`, `<prefix>.meta.json`; all or none."""
+    paths = {"jsonl": f"{prefix}.jsonl", "truth": f"{prefix}.truth.csv", "meta": f"{prefix}.meta.json"}
+    with output_files() as open_output:
+        jsonl, truth_sink, meta_sink = (open_output(path) for path in paths.values())
+        truth, meta = generate(seed, params, jsonl)
+        write_truth(truth_sink, truth)
+        json.dump(meta, meta_sink, indent=2, sort_keys=True)
+        meta_sink.write("\n")
+    return paths
 
 
 def write_truth(sink: IO, truth: dict[int, int]) -> None:

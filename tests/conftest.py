@@ -43,7 +43,7 @@ def block(index, *txs):
 def generate_text(seed, params):
     """A synthetic stream in memory: (JSONL text, truth, metadata)."""
     buf = io.StringIO()
-    _, truth, meta = generate(seed, params, buf)
+    truth, meta = generate(seed, params, buf)
     return buf.getvalue(), truth, meta
 
 

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 from entityforge import engine
-from entityforge.chain import MemorySource, ScriptTable, StreamStats, iter_blocks
+from entityforge.chain import JsonlSource, MemorySource, ScriptTable, StreamStats, iter_blocks
 from entityforge.cli import main
+from entityforge.errors import output_files
 from entityforge.heuristics import HEURISTICS
 from entityforge.pricing import load_price_csv
 from entityforge.synth import GenParams, generate_files
@@ -414,6 +415,55 @@ class TestMalformedInputs:
         assert proc.stderr.startswith("error[io]: ")
 
 
+class TestNoPartialOutput:
+    """Every output is open before the replay, and a failed command leaves no new
+    file and every existing one as it was."""
+
+    @pytest.fixture
+    def decodes(self, monkeypatch):
+        calls = []
+        blocks = JsonlSource.blocks
+        monkeypatch.setattr(JsonlSource, "blocks", lambda self: calls.append(self) or blocks(self))
+        return calls
+
+    @pytest.mark.parametrize("flag", ["--out", "--snapshot"])
+    def test_unwritable_output_fails_before_the_decode(self, synth_files, tmp_path, capsys,
+                                                       decodes, flag):
+        outputs = {"--out": str(tmp_path / "ok.csv"), "--snapshot": str(tmp_path / "ok.bin")}
+        outputs[flag] = str(tmp_path / "missing" / "x.bin")
+        before = sorted(tmp_path.iterdir())
+        argv = ["run", "--tx", synth_files["jsonl"], "--heuristic", "cio", "--checkpoints", "5"]
+        assert main(argv + [item for pair in outputs.items() for item in pair]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error[io]: ") and f"'{outputs[flag]}'" in err
+        assert decodes == []
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_mid_stream_data_error_keeps_the_existing_outputs(self, synth_files, tmp_path, capsys):
+        jsonl = Path(synth_files["jsonl"])
+        lines = jsonl.read_text().splitlines(keepends=True)
+        jsonl.write_text("".join(lines[:40] + [lines[0].replace('"t1"', '"late"')] + lines[40:]))
+        out, snap = tmp_path / "r.csv", tmp_path / "snap.csv"
+        for path in (out, tmp_path / "r.meta.json", snap):
+            path.write_text(f"earlier {path.name}\n")
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        code = main(["run", "--tx", str(jsonl), "--heuristic", "cio", "--checkpoints", "5",
+                     "--out", str(out), "--snapshot", str(snap)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error[ingest]: line 41: transaction late: block 0")
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_failed_synth_leaves_no_file(self, tmp_path, capsys):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(
+            {"users": 3, "blocks": 50, "txs_per_block": 50, "initial_balance": 20000}))
+        code = main(["synth", "--seed", "1", "--params", str(params),
+                     "--out-prefix", str(tmp_path / "x")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error[generation]: ")
+        assert list(tmp_path.iterdir()) == [params]
+
+
 class TestPackedReplay:
     """A fixed-horizon `run` replays its one decode from per-block `marshal`
     strings; an engine run over a `MemorySource` of the same stream never packs.
@@ -461,7 +511,9 @@ class TestPackedReplay:
                                           if "," in checkpoints else int(checkpoints))
                 with open(prices, encoding="utf-8") as fh:
                     report, store = engine.run(config, memory, price_series=load_price_csv(fh))
-                report.write(str(tmp_path / f"mem-{tag}.csv"))
+                with output_files() as open_output:
+                    report.write(open_output(str(tmp_path / f"mem-{tag}.csv")),
+                                 open_output(str(tmp_path / f"mem-{tag}.meta.json")))
                 with open(tmp_path / f"mem-{tag}.snap.csv", "w", newline="", encoding="utf-8") as fh:
                     store.write_snapshot_csv(fh)
                 counts = report.metadata["counts"]

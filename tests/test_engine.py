@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from entityforge.chain import JsonlSource, MemorySource, ScriptTable, iter_blocks
 from entityforge.clusters import ClusterSet
-from entityforge.engine import RatioReport, RunConfig, compare_runs, run
-from entityforge.errors import ConfigError, DataError
+from entityforge.engine import RatioReport, RunConfig, compare_runs, run, sidecar_path
+from entityforge.errors import ConfigError, DataError, output_files
 from entityforge.heuristics import COINJOIN_DESCRIPTION, HEURISTICS, HeuristicConfig
 from entityforge.pricing import load_price_csv
 from entityforge.synth import GenParams
@@ -306,7 +306,8 @@ class TestCompare:
     def test_report_read_write_round_trip(self, tmp_path):
         report = self._report("cio", tmp_path, "a.jsonl")
         out = tmp_path / "r.csv"
-        report.write(str(out))
+        with output_files() as open_output:
+            report.write(open_output(str(out)), open_output(str(sidecar_path(out))))
         assert (tmp_path / "r.meta.json").exists()
         back = RatioReport.read(str(out))
         assert [r.block_index for r in back.rows] == [r.block_index for r in report.rows]

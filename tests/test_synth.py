@@ -1,13 +1,18 @@
+import hashlib
 import io
+import json
+from contextlib import suppress
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from entityforge.chain import ScriptTable, iter_blocks
 from entityforge.clusters import ClusterSet
 from entityforge.engine import RunConfig, run
 from entityforge.errors import DataError, GenerationError
-from entityforge.synth import GenParams, generate_files, read_truth, score
+from entityforge.synth import GenParams, StreamGenerator, generate_files, read_truth, score
 
 from conftest import generate_text
 from oracles import refines
@@ -46,6 +51,58 @@ class TestDeterminism:
         p2 = generate_files(str(tmp_path / "two"), 3, params)
         for key in ("jsonl", "truth", "meta"):
             assert Path(p1[key]).read_bytes() == Path(p2[key]).read_bytes()
+
+    def test_million_tx_shape_pinned_at_20_blocks(self, tmp_path):
+        """Acceptance criterion 10's parameters and seed, cut to 20 blocks."""
+        params = GenParams(
+            users=2000, blocks=20, txs_per_block=1000, initial_balance=1_000_000_000,
+            fresh_change_prob=0.98, address_reuse_prob=0.02, coinjoin_rate=0.2,
+            consolidation_rate=0.05, multi_pay_rate=0.2, deposit_sweep_rate=0.05,
+            deposit_min_inputs=25, service_payee_prob=0.2,
+        )
+        paths = generate_files(str(tmp_path / "c10"), 1_000_000, params)
+        digests = {key: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+                   for key, path in paths.items()}
+        assert digests == {
+            "jsonl": "6e04378741f7b61ae59f5ccac1a81a389d86a4b1f4842368ec6fdfc09aff78f9",
+            "truth": "e0e05e8b3b5c4aecbeac37b24d88a91ba5e57fe6ed86dcc651b5a45d696d56a1",
+            "meta": "2e1dc16e73cd01f9e150b18cbb3da1f3263815132e20ae2ab13aeb8b085cf940",
+        }
+
+
+_SMALL_PARAMS = st.builds(
+    GenParams,
+    users=st.integers(2, 6),
+    blocks=st.integers(1, 5),
+    txs_per_block=st.integers(1, 8),
+    initial_balance=st.sampled_from([0, 500, 2000, 20_000, 50_000_000]),
+    endowment_utxos=st.integers(1, 4),
+    address_reuse_prob=st.sampled_from([0.0, 0.3, 1.0]),
+    consolidation_rate=st.sampled_from([0.0, 0.3]),
+    coinjoin_rate=st.sampled_from([0.0, 0.3]),
+    multi_pay_rate=st.sampled_from([0.0, 0.5, 1.0]),
+    deposit_sweep_rate=st.sampled_from([0.0, 0.5]),
+    deposit_min_inputs=st.integers(2, 4),
+    round_exponent=st.integers(2, 4),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), params=_SMALL_PARAMS)
+# A payer left with about one fee: its inputs are put back twice, as infeasible.
+@example(seed=108, params=GenParams(users=2, blocks=3, txs_per_block=5, initial_balance=500,
+                                    endowment_utxos=1, round_exponent=2))
+def test_generator_invariants(seed, params):
+    """Each line is canonical compact JSON, and each wallet's running total is
+    the sum of its UTXOs, also after a generation that runs out of funds."""
+    gen = StreamGenerator(seed, params)
+    sink = io.StringIO()
+    with suppress(GenerationError):
+        gen.write(sink)
+    for line in sink.getvalue().splitlines():
+        assert line == json.dumps(json.loads(line), separators=(",", ":"))
+    for wallet in gen.wallets:
+        assert wallet.total == sum(value for _, value in wallet.utxos)
 
 
 class TestStreamValidity:
