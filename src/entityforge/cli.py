@@ -14,9 +14,10 @@ import json
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from decimal import Decimal, InvalidOperation
 from itertools import chain
-from typing import Iterable
+from typing import IO, Iterator
 
 from . import engine
 from .chain import JsonlSource
@@ -99,14 +100,14 @@ def _decimal(text: str) -> Decimal:
     return value
 
 
-def _emit(lines: Iterable[str], out: str | None) -> int:
-    """Write a command's result to `out`, or to stdout when it is omitted."""
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.writelines(lines)
-    else:
-        sys.stdout.writelines(lines)
-    return 0
+@contextmanager
+def _result_sink(out: str | None) -> Iterator[IO]:
+    """The file a command writes its result to: `out`, all or nothing, or stdout."""
+    if not out:
+        yield sys.stdout
+        return
+    with output_files() as open_output:
+        yield open_output(out)
 
 
 def _load_prices(path: str):
@@ -200,7 +201,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     reports = [engine.RatioReport.read(path) for path in args.reports]
     table = engine.compare_runs(reports)
-    return _emit((",".join(row) + "\n" for row in table), args.out)
+    with _result_sink(args.out) as sink:
+        sink.writelines(",".join(row) + "\n" for row in table)
+    return 0
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -215,10 +218,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    partition = load_snapshot(args.snapshot)
-    truth = read_truth(args.truth)
-    metrics = score(partition, truth)
-    return _emit([json.dumps(metrics, indent=2, sort_keys=True) + "\n"], args.out)
+    # The output is open before the inputs are read, so an unwritable path costs no work.
+    with _result_sink(args.out) as sink:
+        partition = load_snapshot(args.snapshot)
+        truth = read_truth(args.truth)
+        metrics = score(partition, truth)
+        sink.write(json.dumps(metrics, indent=2, sort_keys=True) + "\n")
+    return 0
 
 
 def cmd_exponent_series(args: argparse.Namespace) -> int:
@@ -236,7 +242,8 @@ def cmd_exponent_series(args: argparse.Namespace) -> int:
             written += 1
             yield f"{block},{i}\n"
 
-    _emit(lines(), args.out)
+    with _result_sink(args.out) as sink:
+        sink.writelines(lines())
     omitted = sum(map(len, blocks)) - written
     if omitted:
         print(f"warning: {omitted} block(s) precede the price data; omitted", file=sys.stderr)

@@ -8,7 +8,12 @@ import csv
 import json
 import os
 from contextlib import contextmanager, suppress
+from itertools import islice
 from typing import IO, Callable, Iterator
+
+# Rows a bulk CSV read converts at a time: enough to keep the per-chunk work
+# small beside the conversion, few enough that the chunk's row lists stay small.
+CSV_CHUNK_ROWS = 4096
 
 
 class EntityForgeError(Exception):
@@ -81,6 +86,35 @@ def parse_int(text: str, where: str) -> int:
         return int(text)
     except ValueError:
         raise DataError(f"{where}: expected an integer, got {text!r}") from None
+
+
+def int_columns(path: str, header: list[str]) -> tuple[list[int], list[int]] | None:
+    """The two integer columns of the CSV file at `path`, below `header`.
+
+    Rows are read and converted a chunk at a time, with blank lines skipped as
+    `csv_rows` skips them, so no list of all rows is held. Returns None if the
+    header differs, a row has other than two fields, a field is not an
+    integer, or the text cannot be read: the caller then walks the file with
+    `csv_rows` and `parse_int`, which name the line.
+    """
+    firsts: list[int] = []
+    seconds: list[int] = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            if next(reader, None) != header:
+                return None
+            for chunk in iter(lambda: list(islice(reader, CSV_CHUNK_ROWS)), []):
+                rows = list(filter(None, chunk))
+                if set(map(len, rows)) - {2}:  # a row without exactly two fields
+                    return None
+                if rows:
+                    ids, values = zip(*rows)
+                    firsts += map(int, ids)
+                    seconds += map(int, values)
+        except (csv.Error, UnicodeDecodeError, ValueError):
+            return None
+    return firsts, seconds
 
 
 def read_json_object(path, what: str, error: type[EntityForgeError]) -> dict:

@@ -15,14 +15,15 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import chain, compress, count
-from operator import itemgetter
+from operator import itemgetter, mul
 from random import Random
 from typing import IO
 
 from .clusters import ClusterSet
-from .errors import DataError, GenerationError, csv_rows, output_files, parse_int
+from .errors import DataError, GenerationError, csv_rows, int_columns, output_files, parse_int
 
 _PROB_FIELDS = (
     "fresh_change_prob",
@@ -90,6 +91,7 @@ class GenParams:
         return cls(**raw)
 
 
+_TRUTH_HEADER = ["script_id", "user_id"]
 _value = itemgetter(1)
 # One input or output of a wire line. Synth makes every text on the line itself,
 # as `a<n>` or `t<n>`, so none needs JSON escaping.
@@ -315,9 +317,6 @@ class StreamGenerator:
         total = sum(v for _, v in inputs)
         least = min(v for _, v in inputs)
         fee = self._non_round(51, max(53, min(999, least // 4)))
-        if total - least + 1 >= total - fee:
-            payer.put_back(inputs)
-            return None
         p = self.rng.randrange(total - least + 1, total - fee)
         change = total - p - fee
         payee = self._pick_payee(payer)
@@ -445,15 +444,15 @@ def generate_files(prefix: str, seed: int, params: GenParams) -> dict:
 
 def write_truth(sink: IO, truth: dict[int, int]) -> None:
     writer = csv.writer(sink)
-    writer.writerow(["script_id", "user_id"])
-    for sid in sorted(truth):
-        writer.writerow([sid, truth[sid]])
+    writer.writerow(_TRUTH_HEADER)
+    writer.writerows(sorted(truth.items()))
 
 
-def read_truth(path: str) -> dict[int, int]:
+def _walk_truth(path: str) -> dict[int, int]:
+    """The truth, read row by row to name the first fault's line."""
     truth = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        for where, (sid, uid) in csv_rows(fh, ["script_id", "user_id"], f"ground truth {path}"):
+        for where, (sid, uid) in csv_rows(fh, _TRUTH_HEADER, f"ground truth {path}"):
             sid = parse_int(sid, where)
             if sid in truth:
                 raise DataError(f"{where}: script id {sid} repeats")
@@ -461,8 +460,24 @@ def read_truth(path: str) -> dict[int, int]:
     return truth
 
 
-def _pairs(n: int) -> int:
-    return n * (n - 1) // 2
+def read_truth(path: str) -> dict[int, int]:
+    """Script id -> user id from a `script_id,user_id` CSV; an id may appear once.
+
+    The file is read in bulk; only a faulty file is walked again row by row, to
+    name the line of its first fault.
+    """
+    columns = int_columns(path, _TRUTH_HEADER)
+    if columns is not None:
+        truth = dict(zip(*columns))
+        if len(truth) == len(columns[0]):
+            return truth
+    return _walk_truth(path)
+
+
+def _pairs(counts: Counter, total: int) -> int:
+    """Unordered pairs within each group of `counts`, whose sizes sum to `total`."""
+    sizes = counts.values()
+    return (sum(map(mul, sizes, sizes)) - total) // 2
 
 
 def score(partition: ClusterSet, truth: dict[int, int]) -> dict:
@@ -471,29 +486,22 @@ def score(partition: ClusterSet, truth: dict[int, int]) -> dict:
     Precision over zero same-cluster pairs is 1.0 by convention (the atomic
     baseline makes no claims); likewise recall when no user owns two scripts.
     Scripts present in the partition but absent from the truth are ignored;
-    truth scripts missing from the partition are an error.
+    truth scripts missing from the partition are an error. Each truth script
+    is mapped to its cluster's label, and the pairs are counted per cluster,
+    per user and per (cluster, user).
     """
-    cluster_of: dict[int, int] = {}
-    for sid in truth:
-        if not 0 <= sid < partition.num_scripts:
-            raise DataError(f"truth script {sid} is not in the partition")
-        cluster_of[sid] = partition.find(sid)
-
-    by_cluster: dict[int, int] = {}
-    by_user: dict[int, int] = {}
-    by_both: dict[tuple[int, int], int] = {}
-    users_in_cluster: dict[int, set[int]] = {}
-    for sid, uid in truth.items():
-        c = cluster_of[sid]
-        by_cluster[c] = by_cluster.get(c, 0) + 1
-        by_user[uid] = by_user.get(uid, 0) + 1
-        by_both[(c, uid)] = by_both.get((c, uid), 0) + 1
-        users_in_cluster.setdefault(c, set()).add(uid)
-
-    same_cluster = sum(_pairs(n) for n in by_cluster.values())
-    same_user = sum(_pairs(n) for n in by_user.values())
-    agreeing = sum(_pairs(n) for n in by_both.values())
-    collapsed = sum(1 for users in users_in_cluster.values() if len(users) >= 2)
+    labels = partition.labels()
+    if truth and not 0 <= min(truth) <= max(truth) < len(labels):
+        sid = next(sid for sid in truth if not 0 <= sid < len(labels))
+        raise DataError(f"truth script {sid} is not in the partition")
+    clusters = list(map(labels.__getitem__, truth))
+    by_both = Counter(zip(clusters, truth.values()))
+    total = len(truth)
+    same_cluster = _pairs(Counter(clusters), total)
+    same_user = _pairs(Counter(truth.values()), total)
+    agreeing = _pairs(by_both, total)
+    users_per_cluster = Counter(map(itemgetter(0), by_both))
+    collapsed = sum(map((1).__lt__, users_per_cluster.values()))
 
     return {
         "pairwise_precision": agreeing / same_cluster if same_cluster else 1.0,

@@ -10,7 +10,8 @@ probes, a helper per side, `ScriptTable.intern` per TXO and a full
 the package's column layout for comparison. The reference rounding
 exponent is the package's earlier one, over exact rationals. The
 checkpoint walk and the `--blocks` parser are the package's earlier ones,
-which built their state in a class and a flat list.
+which built their state in a class and a flat list. The reference score
+enumerates every pair of truth scripts.
 """
 
 from __future__ import annotations
@@ -26,12 +27,13 @@ from entityforge.chain import Block, ScriptTable, StreamStats
 from entityforge.errors import ConfigError, DataError, IngestError, ValidationError
 
 
-def closure_labels(num_scripts: int, groups) -> dict[int, int]:
+def closure_labels(num_scripts: int, groups) -> list[int]:
     """Partition {0..n-1} as the transitive closure of the merge groups.
 
     Naive pairwise propagation: every script starts as its own label; sweep
     all groups relabeling members to the group's minimum label until nothing
-    changes. Quadratic, fine for oracle-scale streams.
+    changes. Quadratic, fine for oracle-scale streams. Returns each script's
+    label, the min id of its class, as a list indexed by script id.
     """
     labels = {sid: sid for sid in range(num_scripts)}
     groups = [list(g) for g in groups if g]
@@ -56,7 +58,7 @@ def closure_labels(num_scripts: int, groups) -> dict[int, int]:
     classes: dict[int, list[int]] = {}
     for sid, lab in labels.items():
         classes.setdefault(lab, []).append(sid)
-    out = {}
+    out = [0] * num_scripts
     for members in classes.values():
         target = min(members)
         for sid in members:
@@ -64,20 +66,16 @@ def closure_labels(num_scripts: int, groups) -> dict[int, int]:
     return out
 
 
-def refines(fine: dict[int, int], coarse: dict[int, int]) -> bool:
+def refines(fine: list[int], coarse: list[int]) -> bool:
     """True iff every class of the `fine` labeling lies within one of `coarse`.
 
-    Both map the same scripts to labels, as `ClusterSet.labels()` does; the
-    check compares labels only and never touches a disjoint-set.
+    Both list a label per script id, as `ClusterSet.labels()` does; the check
+    compares labels only and never touches a disjoint-set.
     """
-    if fine.keys() != coarse.keys():
+    if len(fine) != len(coarse):
         raise ValueError("refinement needs the same scripts on both sides")
     image: dict[int, int] = {}  # fine label -> the coarse label of its first script
-    return all(image.setdefault(label, coarse[sid]) == coarse[sid] for sid, label in fine.items())
-
-
-def store_labels(store) -> dict[int, int]:
-    return store.labels()
+    return all(image.setdefault(label, other) == other for label, other in zip(fine, coarse))
 
 
 def recount_usage(blocks, upto=None) -> dict[int, int]:
@@ -358,3 +356,30 @@ def reference_iter_blocks(
 
     if current_index is not None:
         yield flush()
+
+
+def reference_score(labels: list[int], truth: dict[int, int]) -> dict:
+    """`score`'s metrics by enumerating every pair of truth scripts, O(n²).
+
+    `labels` gives each script's cluster label. A pair is in one cluster when
+    its labels are equal, owned by one user when its truth users are.
+    """
+    sids = list(truth)
+    same_cluster = same_user = agreeing = 0
+    for i, a in enumerate(sids):
+        for b in sids[i + 1:]:
+            clustered = labels[a] == labels[b]
+            owned = truth[a] == truth[b]
+            same_cluster += clustered
+            same_user += owned
+            agreeing += clustered and owned
+    users: dict[int, set[int]] = {}
+    for sid in sids:
+        users.setdefault(labels[sid], set()).add(truth[sid])
+    return {
+        "pairwise_precision": agreeing / same_cluster if same_cluster else 1.0,
+        "pairwise_recall": agreeing / same_user if same_user else 1.0,
+        "cluster_collapse": sum(len(owners) > 1 for owners in users.values()),
+        "pairs": {"same_cluster": same_cluster, "same_user": same_user, "agreeing": agreeing},
+        "scripts": len(sids),
+    }

@@ -282,7 +282,8 @@ def test_criterion_08_ground_truth():
 
     qualifying = _qualifying_change_pairs(source)
     assert qualifying, "stream produced no qualifying change transactions"
-    hits = sum(1 for p_in, p_change in qualifying if store.find(p_in) == store.find(p_change))
+    labels = store.labels()
+    hits = sum(1 for p_in, p_change in qualifying if labels[p_in] == labels[p_change])
     assert hits == len(qualifying)  # recall 1.0 over qualifying pairs
 
 

@@ -9,10 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from entityforge import engine
+from entityforge import cli, engine
 from entityforge.chain import JsonlSource, MemorySource, ScriptTable, StreamStats, iter_blocks
 from entityforge.cli import main
-from entityforge.errors import output_files
+from entityforge.errors import DataError, output_files
 from entityforge.heuristics import HEURISTICS
 from entityforge.pricing import load_price_csv
 from entityforge.synth import GenParams, generate_files
@@ -185,6 +185,18 @@ class TestSynthAndScore:
         assert metrics["pairwise_precision"] == 1.0  # no coinjoins in this stream
         assert 0.0 <= metrics["pairwise_recall"] <= 1.0
         assert metrics["cluster_collapse"] == 0
+
+    def test_score_same_for_csv_and_binary_snapshot(self, synth_files, tmp_path, capsys):
+        printed = []
+        for name in ("snap.csv", "snap.bin"):
+            snap = str(tmp_path / name)
+            assert main(["run", "--tx", synth_files["jsonl"], "--heuristic", "combined",
+                         "--prices", SAMPLE_PRICES, "--snapshot", snap,
+                         "--out", str(tmp_path / "r.csv")]) == 0
+            assert main(["score", "--snapshot", snap, "--truth", synth_files["truth"]]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert json.loads(printed[0])["pairs"]["same_cluster"] > 0
 
 
 class TestMalformedInputs:
@@ -462,6 +474,52 @@ class TestNoPartialOutput:
         assert code == 3
         assert capsys.readouterr().err.startswith("error[generation]: ")
         assert list(tmp_path.iterdir()) == [params]
+
+    def test_score_opens_its_output_before_the_inputs(self, synth_files, tmp_path, capsys,
+                                                      monkeypatch):
+        loads = []
+        monkeypatch.setattr(cli, "load_snapshot", loads.append)
+        out = tmp_path / "missing" / "score.json"
+        code = main(["score", "--snapshot", str(tmp_path / "snap.csv"),
+                     "--truth", synth_files["truth"], "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error[io]: ") and f"'{out}'" in err
+        assert loads == []
+
+    @pytest.mark.parametrize("command", ["score", "compare", "exponent-series"])
+    def test_failed_command_keeps_the_existing_output(self, synth_files, tmp_path, capsys, command):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("not,a,header\n")
+        out = tmp_path / "result.txt"
+        out.write_text("earlier result\n")
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        argv = {
+            "score": ["score", "--snapshot", str(bad), "--truth", synth_files["truth"]],
+            "compare": ["compare", str(bad)],
+            "exponent-series": ["exponent-series", "--prices", str(bad), "--blocks", "1"],
+        }[command]
+        assert main(argv + ["--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error[data]: bad ")
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_exponent_series_failing_mid_stream_keeps_the_existing_output(
+            self, tmp_path, capsys, monkeypatch):
+        def series(*args):
+            yield 0, 4
+            raise DataError("late failure")
+
+        monkeypatch.setattr(cli, "exponent_series", series)
+        prices = tmp_path / "p.csv"
+        prices.write_text(CONSTANT_PRICES)
+        out = tmp_path / "series.csv"
+        out.write_text("earlier series\n")
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        code = main(["exponent-series", "--prices", str(prices), "--blocks", "0:9",
+                     "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == "error[data]: late failure\n"
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 class TestPackedReplay:

@@ -3,11 +3,15 @@ import re
 import struct
 from fractions import Fraction
 from random import Random
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from entityforge import errors
 from entityforge.clusters import ClusterSet, load_snapshot
-from entityforge.errors import DataError
+from entityforge.errors import CSV_CHUNK_ROWS, DataError
 
 from oracles import closure_labels, refines
 
@@ -40,7 +44,7 @@ class TestMerge:
         store.register(3)
         store.merge_scripts({0, 1})
         assert store.num_clusters == 2
-        assert store.find(0) == store.find(1) != store.find(2)
+        assert store.labels() == [0, 0, 2]
 
     def test_transitive_through_shared_cluster(self):
         store = ClusterSet()
@@ -48,7 +52,7 @@ class TestMerge:
         store.merge_scripts({0, 1})
         store.merge_scripts({1, 2})
         assert store.num_clusters == 1
-        assert store.find(0) == store.find(2)
+        assert store.labels() == [0, 0, 0]
 
     def test_singleton_merge_is_noop(self):
         store = ClusterSet()
@@ -70,7 +74,7 @@ class TestMerge:
                 store.merge_scripts([2, 1, outside])
             # the merges made before the bad id stay counted; the forest stays valid
             assert store.num_clusters == 1
-            assert store.labels() == {0: 0, 1: 0, 2: 0}
+            assert store.labels() == [0, 0, 0]
 
     def test_decrement_equals_touched_minus_one(self):
         store = ClusterSet()
@@ -97,15 +101,7 @@ class TestQueries:
     def test_same_cluster_reflexive(self):
         store = ClusterSet()
         store.register(5)
-        assert store.find(4) == 4
         assert store.labels()[4] == 4
-
-    def test_unregistered_query_errors(self):
-        store = ClusterSet()
-        store.register(1)
-        for sid in (9, 1, -1):
-            with pytest.raises(DataError):
-                store.find(sid)
 
     def test_ratio_atomic_is_one(self):
         store = ClusterSet()
@@ -272,7 +268,7 @@ class TestSnapshots:
     def test_csv_rows_in_any_order_load(self, tmp_path):
         path = tmp_path / "ok.csv"
         path.write_text("script_id,cluster_id\n2,0\n0,0\n1,1\n")
-        assert load_snapshot(str(path)).labels() == {0: 0, 1: 1, 2: 0}
+        assert load_snapshot(str(path)).labels() == [0, 1, 0]
 
     @pytest.mark.parametrize(
         "body",
@@ -294,4 +290,141 @@ class TestSnapshots:
         path = tmp_path / "ok.bin"
         path.write_bytes(b"ECLS1" + struct.pack("<Q2Q", 2, 1, 1))
         loaded = load_snapshot(str(path))
-        assert loaded.labels() == {0: 0, 1: 0}
+        assert loaded.labels() == [0, 0]
+
+
+# Snapshots past the first bulk chunk: each chunk of CSV_CHUNK_ROWS rows is
+# converted at once, and only a faulty file is walked again row by row. A
+# fault anywhere must be named by the line the row walk names.
+_SCRIPTS = 2 * CSV_CHUNK_ROWS + 500  # two full chunks and a partial third
+
+
+def _chunked_snapshot(path, replace=None, blank_before=None):
+    """Rows `sid,label` for every script, clusters of three; `replace` maps a
+    row index to its text, and a blank line may come before one row."""
+    rows = [f"{sid},{sid - sid % 3}" for sid in range(_SCRIPTS)]
+    for row, text in (replace or {}).items():
+        rows[row] = text
+    if blank_before is not None:
+        rows[blank_before] = "\n" + rows[blank_before]
+    path.write_text("script_id,cluster_id\n" + "\n".join(rows) + "\n")
+    return path
+
+
+class TestSnapshotFaultsPastTheFirstChunk:
+    N = _SCRIPTS
+
+    @pytest.mark.parametrize("row", [CSV_CHUNK_ROWS + 1000, _SCRIPTS - 1])
+    @pytest.mark.parametrize("blank", [False, True])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x,{row}", "expected an integer, got 'x'"),
+            ("{row},1.5", "expected an integer, got '1.5'"),
+            ("{row},{row},0", "expected 2 columns, got 3"),
+            ("{row}", "expected 2 columns, got 1"),
+            ("5,3", "script id 5 repeats"),
+            ("{N},{row}", "script id {N} is not below the {N} ids"),
+            ("{row},{N}", "cluster id {N} is not below the {N} ids"),
+            ("-1,0", "id -1 is negative"),
+            ("{row},-4", "id -4 is negative"),
+        ],
+    )
+    def test_fault_named_by_its_line(self, tmp_path, row, blank, text, message):
+        path = _chunked_snapshot(
+            tmp_path / "snap.csv", {row: text.format(row=row, N=self.N)},
+            blank_before=CSV_CHUNK_ROWS + 10 if blank else None,
+        )
+        line = row + 2 + blank
+        with pytest.raises(DataError) as err:
+            load_snapshot(str(path))
+        assert str(err.value) == f"snapshot {path} line {line}: {message.format(N=self.N)}"
+
+    def test_row_fault_named_before_a_label_beyond_the_count(self, tmp_path):
+        # The walk names a bad row anywhere before it checks the labels against
+        # the row count, which is known only at the end.
+        path = _chunked_snapshot(tmp_path / "snap.csv", {10: f"10,{self.N}", self.N - 1: "x,0"})
+        with pytest.raises(DataError, match=re.escape(f"line {self.N + 1}: expected an integer")):
+            load_snapshot(str(path))
+
+    def test_first_fault_of_a_chunk_named(self, tmp_path):
+        row = CSV_CHUNK_ROWS + 7
+        path = _chunked_snapshot(tmp_path / "snap.csv", {row: "5,3", row + 100: "x,0"})
+        with pytest.raises(DataError, match=re.escape(f"line {row + 2}: script id 5 repeats")):
+            load_snapshot(str(path))
+
+    def test_blank_lines_skipped_across_chunks(self, tmp_path):
+        path = _chunked_snapshot(tmp_path / "snap.csv", blank_before=CSV_CHUNK_ROWS - 1)
+        labels = load_snapshot(str(path)).labels()
+        assert labels == [sid - sid % 3 for sid in range(self.N)]
+
+    def test_csv_rows_in_any_order_load_across_chunks(self, tmp_path):
+        rng = Random(17)
+        store = ClusterSet()
+        store.register(self.N)
+        for _ in range(self.N // 2):
+            store.merge_scripts(rng.sample(range(self.N), 2))
+        rows = [f"{sid},{label}\n" for sid, label in enumerate(store.labels())]
+        rng.shuffle(rows)
+        path = tmp_path / "snap.csv"
+        path.write_text("script_id,cluster_id\n" + "".join(rows))
+        assert load_snapshot(str(path)).labels() == store.labels()
+
+
+_merge_groups = st.integers(1, 40).flatmap(
+    lambda n: st.tuples(
+        st.just(n), st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=4), max_size=30)
+    )
+)
+
+
+@pytest.fixture(scope="module")
+def snapshot_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("snapshots")
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_merge_groups, chunk=st.integers(1, 5))
+def test_merge_sequences_round_trip(snapshot_dir, case, chunk):
+    """A random merge sequence comes back from CSV and `.bin` with its labels."""
+    n, groups = case
+    store = ClusterSet()
+    store.register(n)
+    for group in groups:
+        store.merge_scripts(group)
+    csv_path, bin_path = snapshot_dir / "snap.csv", snapshot_dir / "snap.bin"
+    with open(csv_path, "w", newline="") as fh:
+        store.write_snapshot_csv(fh)
+    with open(bin_path, "wb") as fh:
+        store.write_snapshot_binary(fh)
+    with mock.patch.object(errors, "CSV_CHUNK_ROWS", chunk):
+        for path in (csv_path, bin_path):
+            loaded = load_snapshot(str(path))
+            assert loaded.labels() == store.labels() == closure_labels(n, groups)
+            assert loaded.num_clusters == store.num_clusters
+
+
+_label_files = st.integers(1, 30).flatmap(
+    lambda n: st.tuples(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), st.randoms())
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_label_files, chunk=st.integers(1, 5))
+@example(case=([1, 0], Random(0)), chunk=1)  # a cycle: 0 labelled 1 and 1 labelled 0
+@example(case=([1, 2, 0, 3], Random(0)), chunk=2)
+def test_non_canonical_label_files_load_to_their_closure(snapshot_dir, case, chunk):
+    """Any labels below n, in rows of any order, join each script with its label."""
+    labels, rng = case
+    n = len(labels)
+    expected = closure_labels(n, list(enumerate(labels)))
+    rows = [f"{sid},{label}\n" for sid, label in enumerate(labels)]
+    rng.shuffle(rows)
+    csv_path, bin_path = snapshot_dir / "labels.csv", snapshot_dir / "labels.bin"
+    csv_path.write_text("script_id,cluster_id\n" + "".join(rows))
+    bin_path.write_bytes(b"ECLS1" + struct.pack(f"<{n + 1}Q", n, *labels))
+    with mock.patch.object(errors, "CSV_CHUNK_ROWS", chunk):
+        for path in (csv_path, bin_path):
+            loaded = load_snapshot(str(path))
+            assert loaded.labels() == expected
+            assert loaded.num_clusters == len(set(expected))

@@ -94,13 +94,15 @@ class TestHorizons:
         source = _jsonl(tmp_path, self.TEXT)
         _, store = run(RunConfig("change", checkpoints=1), source)
         f, p, c = 0, 1, 2  # first-observation order; the run released the source's table
-        assert store.find(f) == store.find(c) != store.find(p)
+        labels = store.labels()
+        assert labels[f] == labels[c] != labels[p]
 
     def test_online_horizon_cannot_see_future(self, tmp_path):
         source = _jsonl(tmp_path, self.TEXT)
         _, store = run(RunConfig("change", horizon="online", checkpoints=1), source)
         f, c = source.table.intern("F"), source.table.intern("C")
-        assert store.find(f) != store.find(c)
+        labels = store.labels()
+        assert labels[f] != labels[c]
 
     def test_online_records_transaction_before_evaluating(self, tmp_path):
         # B already appeared earlier in the same block, so it counts as
@@ -114,9 +116,10 @@ class TestHorizons:
         source = _jsonl(tmp_path, text)
         _, store = run(RunConfig("change", horizon="online", checkpoints=1), source)
         a, d, e = (source.table.intern(s) for s in "ADE")
-        assert store.find(d) == store.find(e)
+        labels = store.labels()
+        assert labels[d] == labels[e]
         assert store.num_clusters == store.num_scripts - 1  # only that one merge
-        assert store.find(a) != store.find(d)
+        assert labels[a] != labels[d]
 
     def test_fixed_horizon_block_recorded_in_metadata(self, tmp_path):
         source = _jsonl(tmp_path, self.TEXT)
@@ -431,7 +434,7 @@ def _partition_texts(store, table, rename=None):
     """The partition as a set of clusters of script texts, optionally renamed."""
     texts = _texts(table)
     clusters: dict[int, set[str]] = {}
-    for sid, label in store.labels().items():
+    for sid, label in enumerate(store.labels()):
         text = texts[sid]
         clusters.setdefault(label, set()).add(rename[text] if rename else text)
     return {frozenset(c) for c in clusters.values()}

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from entityforge.chain import ScriptTable, iter_blocks
 from entityforge.clusters import ClusterSet
 from entityforge.engine import RunConfig, run
-from entityforge.errors import DataError, GenerationError
+from entityforge.errors import CSV_CHUNK_ROWS, DataError, GenerationError
 from entityforge.synth import GenParams, StreamGenerator, generate_files, read_truth, score
 
 from conftest import generate_text
-from oracles import refines
+from oracles import closure_labels, reference_score, refines
 
 
 def _parse(text):
@@ -265,12 +265,13 @@ class TestBehaviorKnobs:
             _source(text, tmp_path),
         )
         sweeps = 0
+        labels = store.labels()
         for b in blocks:
             for t in b.transactions:
                 in_scripts = set(t.in_scripts)
                 if len(set(t.out_scripts)) == 1 and len(in_scripts) >= 5:
                     sweeps += 1
-                    assert len({store.find(s) for s in in_scripts}) == 1
+                    assert len({labels[s] for s in in_scripts}) == 1
                     # sweep inputs all belong to the service user
                     assert len({truth[s] for s in in_scripts}) == 1
         assert sweeps == meta["counts"]["sweeps"]
@@ -335,3 +336,76 @@ class TestScore:
         path.write_text("script_id,user_id\n0,0\n" + rows)
         with pytest.raises(DataError, match="line 3"):
             read_truth(str(path))
+
+
+# A truth file past the first bulk chunk: a fault anywhere must be named by the
+# line the row walk names.
+_TRUTH_ROWS = 2 * CSV_CHUNK_ROWS + 500
+
+
+def _chunked_truth(path, replace=None, blank_before=None):
+    rows = [f"{sid},{sid % 7}" for sid in range(_TRUTH_ROWS)]
+    for row, text in (replace or {}).items():
+        rows[row] = text
+    if blank_before is not None:
+        rows[blank_before] = "\n" + rows[blank_before]
+    path.write_text("script_id,user_id\n" + "\n".join(rows) + "\n")
+    return path
+
+
+class TestTruthPastTheFirstChunk:
+    @pytest.mark.parametrize("row", [CSV_CHUNK_ROWS + 1000, _TRUTH_ROWS - 1])
+    @pytest.mark.parametrize("blank", [False, True])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x,1", "expected an integer, got 'x'"),
+            ("{row},y", "expected an integer, got 'y'"),
+            ("{row},1,2", "expected 2 columns, got 3"),
+            ("{row}", "expected 2 columns, got 1"),
+            ("5,1", "script id 5 repeats"),
+            ("5,y", "script id 5 repeats"),  # the id is checked before the user
+        ],
+    )
+    def test_fault_named_by_its_line(self, tmp_path, row, blank, text, message):
+        path = _chunked_truth(tmp_path / "truth.csv", {row: text.format(row=row)},
+                              blank_before=CSV_CHUNK_ROWS + 10 if blank else None)
+        with pytest.raises(DataError) as err:
+            read_truth(str(path))
+        assert str(err.value) == f"ground truth {path} line {row + 2 + blank}: {message}"
+
+    def test_blank_lines_skipped_across_chunks(self, tmp_path):
+        path = _chunked_truth(tmp_path / "truth.csv", blank_before=CSV_CHUNK_ROWS - 1)
+        assert read_truth(str(path)) == {sid: sid % 7 for sid in range(_TRUTH_ROWS)}
+
+    @pytest.mark.parametrize("sid", [-1, _TRUTH_ROWS])
+    def test_id_outside_the_partition_named_by_score(self, tmp_path, sid):
+        row = CSV_CHUNK_ROWS + 1000
+        path = _chunked_truth(tmp_path / "truth.csv", {row: f"{sid},3"})
+        truth = read_truth(str(path))
+        assert truth[sid] == 3 and row not in truth
+        store = ClusterSet()
+        store.register(_TRUTH_ROWS)
+        with pytest.raises(DataError, match=f"^truth script {sid} is not in the partition$"):
+            score(store, truth)
+
+
+_scored = st.integers(1, 30).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=4), max_size=20),
+        st.dictionaries(st.integers(0, n - 1), st.integers(-2, 4), max_size=n),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_scored)
+def test_score_matches_pair_enumeration(case):
+    """Every metric equals the brute-force count over all truth-script pairs."""
+    n, groups, truth = case
+    store = ClusterSet()
+    store.register(n)
+    for group in groups:
+        store.merge_scripts(group)
+    assert score(store, truth) == reference_score(closure_labels(n, groups), truth)
