@@ -4,7 +4,6 @@ from .chain import (
     Block,
     JsonlSource,
     MemorySource,
-    ScriptTable,
     Transaction,
     validate_transaction,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "RatioReport",
     "ReuseIndex",
     "RunConfig",
-    "ScriptTable",
     "Transaction",
     "compare_runs",
     "exponent_series",

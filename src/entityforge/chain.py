@@ -41,28 +41,6 @@ class Block(NamedTuple):
     transactions: list[Transaction]
 
 
-class ScriptTable:
-    """Script-text -> dense-id interning table.
-
-    Ids are assigned in first-observation order with no gaps, so array-backed
-    structures can index directly by script id.
-    """
-
-    def __init__(self) -> None:
-        self._ids: dict[str, int] = {}
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def intern(self, text: str) -> int:
-        if not text:
-            raise IngestError("empty script text", category="ingest")
-        sid = self._ids.get(text)
-        if sid is None:
-            sid = self._ids[text] = len(self._ids)
-        return sid
-
-
 # The largest input total, as Bitcoin Core's int64 `CAmount` holds it; with outputs
 # at most inputs and no negatives, it bounds every value.
 MAX_VALUE = 2**63 - 1
@@ -123,10 +101,10 @@ _raw_decode = json.JSONDecoder().raw_decode
 
 def iter_blocks(
     source: IO | Iterable[str],
-    table: ScriptTable,
+    table: dict[str, int],
     stats: StreamStats | None = None,
 ) -> Iterator[Block]:
-    """Yield validated blocks from a JSONL line source, interning scripts.
+    """Yield validated blocks from a JSONL line source, interning scripts in `table`.
 
     Transactions must be sorted by block index; consecutive lines with the
     same index form one block. Coinbase transactions (empty inputs) are
@@ -134,16 +112,16 @@ def iter_blocks(
 
     The per-line work is one loop, since decoding is the largest layer of a
     run. On decoded JSON, `type(x) is int` is `isinstance(x, int)`
-    without bools. Scripts are interned inline, as `ScriptTable.intern`
-    would. Each side fills an id list and a value list; only a transaction
-    whose value columns' `sum` and `min` show it invalid or past `MAX_VALUE`
-    goes through `validate_transaction`, which raises its error.
+    without bools. A script text new to `table` takes the next id,
+    `len(table)`, so ids are dense in first-observation order. Each side
+    fills an id list and a value list; only a transaction whose value
+    columns' `sum` and `min` show it invalid or past `MAX_VALUE` goes
+    through `validate_transaction`, which raises its error.
     """
     stats = stats if stats is not None else StreamStats()
     current_index: int | None = None
     current_txs: list[Transaction] = []
-    ids = table._ids
-    get_id, new = ids.get, tuple.__new__
+    get_id, new = table.get, tuple.__new__
 
     def flush() -> Block:
         stats.blocks += 1
@@ -210,7 +188,7 @@ def iter_blocks(
                     )
                 sid = get_id(script)
                 if sid is None:
-                    sid = ids[script] = len(ids)
+                    sid = table[script] = len(table)
                 sids.append(sid)
                 values.append(value)
             columns += (tuple(sids), tuple(values))
@@ -236,12 +214,13 @@ def iter_blocks(
 class JsonlSource:
     """Re-iterable block source backed by a JSONL (optionally .gz) file.
 
-    Owns the interning table so that repeated passes see identical script ids.
+    Owns the interning table, script text to id, so that repeated passes see
+    identical script ids.
     """
 
     def __init__(self, path: str):
         self.path = str(path)
-        self.table = ScriptTable()
+        self.table: dict[str, int] = {}
         self.stats = StreamStats()
 
     def blocks(self) -> Iterator[Block]:
@@ -262,7 +241,7 @@ class JsonlSource:
             packed.add(block)
             yield block
         packed.stats = self.stats
-        self.table = ScriptTable()
+        self.table = {}
 
     def _not_utf8(self, exc: UnicodeDecodeError) -> str:
         """The first line that is not UTF-8, and the bad byte's offset in it.
@@ -291,7 +270,7 @@ class JsonlSource:
 class MemorySource:
     """Re-iterable block source over already-interned in-memory blocks."""
 
-    def __init__(self, blocks: list[Block], table: ScriptTable):
+    def __init__(self, blocks: list[Block], table: dict[str, int]):
         self._blocks = blocks
         self.table = table
         self.stats = StreamStats()

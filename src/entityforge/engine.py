@@ -5,7 +5,7 @@ stream order: grow the store to the scripts seen, update the online reuse
 index if one is in play, evaluate the heuristic, apply its merge groups
 immediately. At each checkpoint block index k the report records |S_k|,
 |C_k| and their ratio. Script ids are dense in stream order, as
-`ScriptTable` assigns them, so |S_k| is the high-water id: one more than
+the decoder assigns them, so |S_k| is the high-water id: one more than
 the largest id so far. A source whose ids skip or go negative is an error.
 
 Heuristics whose reuse horizon is fixed count every occurrence first. A JSONL

@@ -7,6 +7,7 @@ report `error[<category>]: message` and exit with a stable code.
 import csv
 import json
 import os
+import re
 from contextlib import contextmanager, suppress
 from itertools import islice
 from typing import IO, Callable, Iterator
@@ -14,6 +15,11 @@ from typing import IO, Callable, Iterator
 # Rows a bulk CSV read converts at a time: enough to keep the per-chunk work
 # small beside the conversion, few enough that the chunk's row lists stay small.
 CSV_CHUNK_ROWS = 4096
+
+# An integer field is an optional `-` and then ASCII digits. `int()` alone also
+# takes `+`, spaces, `_` and non-ASCII digits; on text with none of those it
+# takes exactly this form, so one search of all the fields joined checks them.
+_not_int_char = re.compile(r"[^0-9-]").search
 
 
 class EntityForgeError(Exception):
@@ -81,11 +87,11 @@ def csv_rows(source: IO, header: list[str], what: str) -> Iterator[tuple[str, li
 
 
 def parse_int(text: str, where: str) -> int:
-    """`int(text)`, or a DataError that names where the text came from."""
-    try:
-        return int(text)
-    except ValueError:
-        raise DataError(f"{where}: expected an integer, got {text!r}") from None
+    """`text` as an integer, or a DataError that names where the text came from."""
+    if not _not_int_char(text):
+        with suppress(ValueError):  # empty, or a `-` out of place
+            return int(text)
+    raise DataError(f"{where}: expected an integer, got {text!r}")
 
 
 def int_columns(path: str, header: list[str]) -> tuple[list[int], list[int]] | None:
@@ -110,6 +116,8 @@ def int_columns(path: str, header: list[str]) -> tuple[list[int], list[int]] | N
                     return None
                 if rows:
                     ids, values = zip(*rows)
+                    if _not_int_char("".join(ids + values)):
+                        return None
                     firsts += map(int, ids)
                     seconds += map(int, values)
         except (csv.Error, UnicodeDecodeError, ValueError):

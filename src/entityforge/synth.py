@@ -141,7 +141,6 @@ class StreamGenerator:
         # The owner of each script the written stream has not shown yet.
         self._owners: dict[str, int] = {}
         self._script_n = 0
-        self._tx_n = 0
         self.counts = {
             "payments": 0,
             "consolidations": 0,
@@ -199,9 +198,8 @@ class StreamGenerator:
     # -- tx emission --
 
     def _emit(self, inputs, outputs) -> tuple:
-        self._tx_n += 1
         self.counts["transactions"] += 1
-        return f"t{self._tx_n}", inputs, outputs
+        return f"t{self.counts['transactions']}", inputs, outputs
 
     def _pick_payer(self, floor: int) -> _Wallet | None:
         wallets = self.wallets

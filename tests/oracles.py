@@ -4,7 +4,7 @@ Nothing here may share code with the package's own data structures: the
 closure oracle is a fixpoint relabeling, not a disjoint-set, and the reuse
 recount uses plain dicts over a second pass of the stream. The reference
 JSONL decoder is the package's earlier, plainer one: a walk with isinstance
-probes, a helper per side, `ScriptTable.intern` per TXO and a full
+probes, a helper per side, a table lookup per TXO and a full
 `validate_transaction` per transaction. It builds its own record types, one
 `Txo` per entry as the package once did; `as_columns` maps its blocks to
 the package's column layout for comparison. The reference rounding
@@ -23,7 +23,7 @@ from types import SimpleNamespace
 from typing import IO, Iterable, Iterator, NamedTuple
 
 from entityforge import chain
-from entityforge.chain import Block, ScriptTable, StreamStats
+from entityforge.chain import Block, StreamStats
 from entityforge.errors import ConfigError, DataError, IngestError, ValidationError
 
 
@@ -266,7 +266,7 @@ def _reference_validate_transaction(tx: Transaction) -> Transaction:
     return tx
 
 
-def _reference_decode_side(raw: dict, key: str, table: ScriptTable, txid: str, lineno: int) -> tuple[Txo, ...]:
+def _reference_decode_side(raw: dict, key: str, table: dict[str, int], txid: str, lineno: int) -> tuple[Txo, ...]:
     side = raw.get(key)
     if not isinstance(side, list):
         raise IngestError(f"line {lineno}: transaction {txid}: '{key}' must be a list")
@@ -285,13 +285,13 @@ def _reference_decode_side(raw: dict, key: str, table: ScriptTable, txid: str, l
             raise IngestError(
                 f"line {lineno}: transaction {txid}: value must be an integer, got {value!r}"
             )
-        txos.append(Txo(table.intern(script), value))
+        txos.append(Txo(table.setdefault(script, len(table)), value))
     return tuple(txos)
 
 
 def reference_iter_blocks(
     source: IO | Iterable[str],
-    table: ScriptTable,
+    table: dict[str, int],
     stats: StreamStats | None = None,
 ) -> Iterator[Block]:
     """Yield validated blocks from a JSONL line source, interning scripts.

@@ -20,7 +20,7 @@ from random import Random
 
 import pytest
 
-from entityforge.chain import MemorySource, ScriptTable, iter_blocks
+from entityforge.chain import MemorySource, iter_blocks
 from entityforge.engine import RunConfig, run
 from entityforge.heuristics import HEURISTICS, HeuristicConfig
 from entityforge.pricing import load_price_csv, rounding_exponent
@@ -53,7 +53,7 @@ def criterion(num, label):
 
 
 def _parse(text):
-    table = ScriptTable()
+    table = {}
     blocks = list(iter_blocks(io.StringIO(text), table))
     return MemorySource(blocks, table)
 

@@ -11,7 +11,6 @@ from entityforge.chain import (
     JsonlSource,
     MemorySource,
     PackedStream,
-    ScriptTable,
     StreamStats,
     iter_blocks,
     validate_transaction,
@@ -21,32 +20,6 @@ from entityforge.errors import IngestError, ValidationError
 from conftest import tx
 from oracles import as_columns, reference_iter_blocks
 from test_loaders import jsonl_line
-
-
-class TestScriptTable:
-    def test_first_allocation_is_zero(self):
-        table = ScriptTable()
-        assert table.intern("pA") == 0
-
-    def test_ids_follow_observation_order(self):
-        table = ScriptTable()
-        assert table.intern("pB") == 0
-        assert table.intern("pA") == 1
-
-    def test_interning_is_idempotent(self):
-        table = ScriptTable()
-        assert table.intern("pA") == table.intern("pA") == 0
-        assert len(table) == 1
-
-    def test_ids_are_dense(self):
-        table = ScriptTable()
-        seen = [table.intern(f"s{i}") for i in "abcdefg"]
-        assert seen == list(range(7))
-        assert list(table._ids) == [f"s{i}" for i in "abcdefg"]  # id order
-
-    def test_empty_text_rejected(self):
-        with pytest.raises(IngestError):
-            ScriptTable().intern("")
 
 
 class TestValidate:
@@ -88,11 +61,20 @@ def _line(txid, block, inputs, outputs):
 
 class TestIngestion:
     def test_blocks_grouped_and_in_order(self, small_stream_text):
-        table = ScriptTable()
+        table = {}
         blocks = list(iter_blocks(io.StringIO(small_stream_text), table))
         assert [b.index for b in blocks] == [1, 2, 4]
         assert [len(b.transactions) for b in blocks] == [1, 1, 1]
         assert len(table) == 7
+
+    def test_ids_are_dense_in_first_observation_order(self):
+        text = "\n".join([_line("t1", 1, [("pB", 2)], [("pA", 1), ("pB", 1)]),
+                          _line("t2", 1, [("pC", 2)], [("pA", 1)])])
+        table = {}
+        blocks = list(iter_blocks(io.StringIO(text), table))
+        assert table == {"pB": 0, "pA": 1, "pC": 2}
+        assert [(t.in_scripts, t.out_scripts) for t in blocks[0].transactions] == [
+            ((0,), (1, 0)), ((2,), (1,))]
 
     def test_unsorted_stream_rejected(self):
         text = "\n".join(
@@ -102,7 +84,7 @@ class TestIngestion:
             ]
         )
         with pytest.raises(IngestError) as err:
-            list(iter_blocks(io.StringIO(text), ScriptTable()))
+            list(iter_blocks(io.StringIO(text), {}))
         assert "sorted" in str(err.value)
 
     def test_coinbase_dropped_without_interning(self):
@@ -112,18 +94,18 @@ class TestIngestion:
                 _line("t1", 1, [("a", 2)], [("b", 1)]),
             ]
         )
-        table = ScriptTable()
+        table = {}
         stats = StreamStats()
         blocks = list(iter_blocks(io.StringIO(text), table, stats))
         assert stats.coinbase_dropped == 1
         assert stats.transactions == 1
-        assert "miner" not in table._ids
+        assert "miner" not in table
         assert len(blocks) == 1 and len(blocks[0].transactions) == 1
 
     def test_empty_script_error_names_transaction(self):
         text = _line("t9", 1, [("", 2)], [("b", 1)])
         with pytest.raises(IngestError) as err:
-            list(iter_blocks(io.StringIO(text), ScriptTable()))
+            list(iter_blocks(io.StringIO(text), {}))
         assert "t9" in str(err.value)
 
     def test_non_integer_value_rejected(self):
@@ -131,16 +113,16 @@ class TestIngestion:
             {"txid": "t1", "block": 1, "inputs": [{"script": "a", "value": 1.5}], "outputs": [{"script": "b", "value": 1}]}
         )
         with pytest.raises(IngestError):
-            list(iter_blocks(io.StringIO(text), ScriptTable()))
+            list(iter_blocks(io.StringIO(text), {}))
 
     def test_inflation_rejected_at_ingest(self):
         text = _line("t1", 1, [("a", 2)], [("b", 5)])
         with pytest.raises(ValidationError):
-            list(iter_blocks(io.StringIO(text), ScriptTable()))
+            list(iter_blocks(io.StringIO(text), {}))
 
     def test_bad_json_reports_line(self):
         with pytest.raises(IngestError) as err:
-            list(iter_blocks(io.StringIO("{nope}\n"), ScriptTable()))
+            list(iter_blocks(io.StringIO("{nope}\n"), {}))
         assert "line 1" in str(err.value)
 
     @pytest.mark.parametrize(
@@ -148,7 +130,7 @@ class TestIngestion:
     )
     def test_undecodable_json_reports_line(self, line):
         with pytest.raises(IngestError, match="line 2"):
-            list(iter_blocks(io.StringIO("\n" + line + "\n"), ScriptTable()))
+            list(iter_blocks(io.StringIO("\n" + line + "\n"), {}))
 
 
 class TestSources:
@@ -171,8 +153,8 @@ class TestSources:
     def test_memory_source(self):
         from entityforge.chain import Block
 
-        table = ScriptTable()
-        a, b = table.intern("a"), table.intern("b")
+        table = {"a": 0, "b": 1}
+        a, b = table.values()
         source = MemorySource([Block(1, [tx([(a, 2)], [(b, 1)])])], table)
         assert [blk.index for blk in source.blocks()] == [1]
 
@@ -215,7 +197,7 @@ EDGE_LINES = [
 
 def _decode_outcome(decode, lines, to_columns=list):
     """Blocks yielded, table, stats and the error, if any, of one decode."""
-    table, stats, blocks = ScriptTable(), StreamStats(), []
+    table, stats, blocks = {}, StreamStats(), []
     error = None
     try:
         for block in decode(lines, table, stats):
@@ -223,7 +205,7 @@ def _decode_outcome(decode, lines, to_columns=list):
     except Exception as exc:
         error = (type(exc), getattr(exc, "category", None), str(exc))
     # repr shows the record types and tells True from 1
-    return repr(to_columns(blocks)), list(table._ids.items()), vars(stats), error
+    return repr(to_columns(blocks)), list(table.items()), vars(stats), error
 
 
 @settings(max_examples=1000, deadline=None)

@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 from entityforge import cli, engine
-from entityforge.chain import JsonlSource, MemorySource, ScriptTable, StreamStats, iter_blocks
+from entityforge.chain import JsonlSource, MemorySource, StreamStats, iter_blocks
 from entityforge.cli import main
-from entityforge.errors import DataError, output_files
+from entityforge.errors import CSV_CHUNK_ROWS, DataError, output_files
 from entityforge.heuristics import HEURISTICS
 from entityforge.pricing import load_price_csv
 from entityforge.synth import GenParams, generate_files
@@ -296,6 +296,37 @@ class TestMalformedInputs:
         (tmp_path / "r.meta.json").write_text('{"heuristic": ')
         self.assert_data_error(_cli("compare", str(report)), "r.meta.json")
 
+    @pytest.mark.parametrize("text", ["1_0", " 7", "+2", "\u0663"],
+                             ids=["underscore", "space", "plus", "arabic-indic-digit"])
+    @pytest.mark.parametrize("place", ["truth", "snapshot", "snapshot-past-first-chunk",
+                                       "report", "price-block"])
+    def test_integer_is_minus_then_ascii_digits(self, tmp_path, capsys, text, place):
+        """`int()` reads these texts as 10, 7, 2 and 3; every integer field refuses them."""
+        n = CSV_CHUNK_ROWS + 20 if place == "snapshot-past-first-chunk" else 3
+        row = n - 5 if n > 3 else 1
+        snapshot_rows = [f"{sid},{sid}" for sid in range(n)]
+        truth_rows = [f"{sid},0" for sid in range(n)]
+        path = tmp_path / "in.csv"
+        if place == "truth":
+            truth_rows[row] = f"{row},{text}"
+        elif place.startswith("snapshot"):
+            snapshot_rows[row] = f"{row},{text}"
+        if place == "report":
+            path.write_text(REPORT_HEADER + f"5,{text},2,0.666667,1,1\n", encoding="utf-8")
+            argv, where = ["compare", str(path)], f"report {path} line 2"
+        elif place == "price-block":
+            path.write_text(f"block_index,usd_per_btc\n0,100\n{text},100\n", encoding="utf-8")
+            argv, where = (["exponent-series", "--prices", str(path), "--blocks", "1"],
+                           f"price file {path} line 3")
+        else:
+            snapshot, truth = tmp_path / "snap.csv", tmp_path / "truth.csv"
+            snapshot.write_text("\n".join(["script_id,cluster_id", *snapshot_rows, ""]), encoding="utf-8")
+            truth.write_text("\n".join(["script_id,user_id", *truth_rows, ""]), encoding="utf-8")
+            argv = ["score", "--snapshot", str(snapshot), "--truth", str(truth)]
+            where = (f"ground truth {truth}" if place == "truth" else f"snapshot {snapshot}") + f" line {row + 2}"
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error[data]: {where}: expected an integer, got {text!r}\n"
+
     @pytest.mark.parametrize(
         "text",
         ['{"a": ', "5", '{"x": "abc"}', '{"x": "NaN"}', '{"x": true}', '{"j": "1"}',
@@ -553,7 +584,7 @@ class TestPackedReplay:
         jsonl = self._stream(tmp_path, seed)
         prices = tmp_path / "p.csv"
         prices.write_text(CONSTANT_PRICES)
-        table, stats = ScriptTable(), StreamStats()
+        table, stats = {}, StreamStats()
         with open(jsonl, encoding="utf-8") as fh:
             memory = MemorySource(list(iter_blocks(fh, table, stats)), table)
         memory.stats = stats

@@ -428,3 +428,64 @@ def test_non_canonical_label_files_load_to_their_closure(snapshot_dir, case, chu
             loaded = load_snapshot(str(path))
             assert loaded.labels() == expected
             assert loaded.num_clusters == len(set(expected))
+
+
+def _roots(store):
+    return {r for r, p in enumerate(store._parent) if p == r}
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_merge_groups)
+def test_every_root_is_its_clusters_least_id_after_each_merge(case):
+    """Each cluster's root is its least id, so the roots are the labels' values."""
+    n, groups = case
+    store = ClusterSet()
+    store.register(n)
+    for done in range(len(groups) + 1):
+        if done:
+            store.merge_scripts(groups[done - 1])
+        assert _roots(store) == set(closure_labels(n, groups[:done]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_label_files)
+@example(case=([1, 1], Random(0)))  # a label above its row, labelled with itself
+@example(case=([1, 0], Random(0)))  # a cycle
+@example(case=([2, 0, 1], Random(0)))
+def test_every_root_is_its_clusters_least_id_after_a_load(snapshot_dir, case):
+    labels, _ = case
+    n = len(labels)
+    path = snapshot_dir / "roots.bin"
+    path.write_bytes(b"ECLS1" + struct.pack(f"<{n + 1}Q", n, *labels))
+    assert _roots(load_snapshot(str(path))) == set(closure_labels(n, list(enumerate(labels))))
+
+
+class TestLabelsList:
+    @pytest.mark.parametrize("groups", [[], [(2, 1)], [(3, 2), (1, 0), (0, 3)]])
+    def test_changing_the_labels_leaves_the_store(self, groups):
+        store = ClusterSet()
+        store.register(4)
+        for group in groups:
+            store.merge_scripts(group)
+        labels = store.labels()
+        expected = list(labels)
+        labels[:] = [9] * 4
+        assert store.labels() == expected
+        assert store.labels() is not store.labels()
+
+    def test_descending_chain_labels_every_script_zero(self, tmp_path):
+        # Linking the larger root under the smaller makes this one chain,
+        # the deepest tree the merges can build.
+        n = 50_000
+        store = ClusterSet()
+        store.register(n)
+        for k in range(n - 1, 0, -1):
+            assert store.merge_scripts((k - 1, k)) == 1
+        assert store._parent[1:] == list(range(n - 1))
+        assert store.labels() == [0] * n and store.num_clusters == 1
+        path = tmp_path / "chain.bin"
+        with open(path, "wb") as fh:
+            store.write_snapshot_binary(fh)
+        assert load_snapshot(str(path)).labels() == [0] * n
+        assert store.merge_scripts((n - 1, 0)) == 0  # a find from the leaf
+        assert store.labels() == [0] * n

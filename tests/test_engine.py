@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entityforge.chain import JsonlSource, MemorySource, ScriptTable, iter_blocks
+from entityforge.chain import JsonlSource, MemorySource, iter_blocks
 from entityforge.clusters import ClusterSet
 from entityforge.engine import RatioReport, RunConfig, compare_runs, run, sidecar_path
 from entityforge.errors import ConfigError, DataError, output_files
@@ -30,7 +30,7 @@ def _jsonl(tmp_path, text, name="stream.jsonl"):
 
 
 def _memory_source(lines):
-    table = ScriptTable()
+    table = {}
     return MemorySource(list(iter_blocks(lines, table)), table)
 
 
@@ -100,7 +100,7 @@ class TestHorizons:
     def test_online_horizon_cannot_see_future(self, tmp_path):
         source = _jsonl(tmp_path, self.TEXT)
         _, store = run(RunConfig("change", horizon="online", checkpoints=1), source)
-        f, c = source.table.intern("F"), source.table.intern("C")
+        f, c = source.table["F"], source.table["C"]
         labels = store.labels()
         assert labels[f] != labels[c]
 
@@ -115,7 +115,7 @@ class TestHorizons:
         )
         source = _jsonl(tmp_path, text)
         _, store = run(RunConfig("change", horizon="online", checkpoints=1), source)
-        a, d, e = (source.table.intern(s) for s in "ADE")
+        a, d, e = map(source.table.__getitem__, "ADE")
         labels = store.labels()
         assert labels[d] == labels[e]
         assert store.num_clusters == store.num_scripts - 1  # only that one merge
@@ -200,7 +200,7 @@ class TestCheckpoints:
 def _one_tx_per_block(indices):
     """Each block spends a fresh script into a fresh script: ids stay dense."""
     blocks = [block(index, tx([(2 * n, 5)], [(2 * n + 1, 4)])) for n, index in enumerate(indices)]
-    return MemorySource(blocks, ScriptTable())
+    return MemorySource(blocks, {})
 
 
 block_indices = st.lists(st.integers(0, 60), unique=True, max_size=8).map(sorted)
@@ -331,8 +331,8 @@ class TestErrorsAndMetadata:
 
     @pytest.mark.parametrize("heuristic", ["cio", "change", "shadow"])  # no, fixed, online reuse
     def test_unsorted_memory_stream_rejected(self, heuristic):
-        table = ScriptTable()
-        a, b, c, d = (table.intern(s) for s in "abcd")
+        table = {"a": 0, "b": 1, "c": 2, "d": 3}
+        a, b, c, d = table.values()
         blocks = [block(5, tx([(a, 2)], [(b, 1)])), block(3, tx([(c, 2)], [(d, 1)]))]
         with pytest.raises(DataError, match="^block 3 after block 5: stream must be sorted$"):
             run(RunConfig(heuristic, checkpoints=100), MemorySource(blocks, table))
@@ -376,7 +376,11 @@ class TestSinglePass:
         tables, sizes, dead = [], [], []
         blocks, register = JsonlSource.blocks, ClusterSet.register
 
+        class Table(dict):  # a plain dict takes no weak reference
+            pass
+
         def decode(self):
+            self.table = Table(self.table)
             tables.append(weakref.ref(self.table))
             yield from blocks(self)
             sizes.append(len(self.table))
@@ -412,22 +416,22 @@ class TestDenseIds:
     @pytest.mark.parametrize("heuristic, horizon", [("cio", None), ("change", "online"), ("change", "fixed")])
     def test_ids_that_skip_rejected(self, case, heuristic, horizon):
         txid, sid, blocks = self.STREAMS[case]
-        source = MemorySource(blocks, ScriptTable())
+        source = MemorySource(blocks, {})
         with pytest.raises(DataError, match=f"transaction {txid}\\b.*script id {sid} is"):
             run(RunConfig(heuristic, horizon=horizon, checkpoints=100), source)
 
     def test_engine_error_names_transaction_and_block(self):
         _, _, blocks = self.STREAMS["later-gap"]
         with pytest.raises(DataError) as err:
-            run(RunConfig("cio", checkpoints=100), MemorySource(blocks, ScriptTable()))
+            run(RunConfig("cio", checkpoints=100), MemorySource(blocks, {}))
         assert str(err.value) == (
             "transaction t3 in block 2: script id 4 is neither seen nor the next id 3"
         )
 
 
 def _texts(table):
-    """Script texts in id order; the table's dict keeps first-observation order."""
-    return list(table._ids)
+    """Script texts in id order; the table keeps first-observation order."""
+    return list(table)
 
 
 def _partition_texts(store, table, rename=None):

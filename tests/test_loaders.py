@@ -6,6 +6,7 @@ EntityForgeError, which the CLI turns into exit 2 or 3 and one
 traceback.
 """
 
+import csv
 import io
 import json
 import re
@@ -15,11 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entityforge.chain import ScriptTable, iter_blocks
+from entityforge.chain import iter_blocks
 from entityforge.cli import _parse_blocks
 from entityforge.clusters import load_snapshot
 from entityforge.engine import REPORT_HEADER, RatioReport, compare_runs
-from entityforge.errors import ConfigError, EntityForgeError
+from entityforge.errors import ConfigError, DataError, EntityForgeError, int_columns, parse_int
 from entityforge.pricing import load_price_csv
 from entityforge.synth import read_truth
 
@@ -87,7 +88,7 @@ def scratch(tmp_path_factory):
 @LOADER_SETTINGS
 @given(lines=st.lists(jsonl_line, min_size=1, max_size=3))
 def test_jsonl_lines(lines):
-    returns_or_raises_categorized(lambda: list(iter_blocks(lines, ScriptTable())))
+    returns_or_raises_categorized(lambda: list(iter_blocks(lines, {})))
 
 
 @LOADER_SETTINGS
@@ -129,6 +130,29 @@ def test_truth_csv(scratch, data):
 def test_csv_snapshot(scratch, data):
     scratch.write_bytes(data)
     returns_or_raises_categorized(lambda: load_snapshot(str(scratch)))
+
+
+@LOADER_SETTINGS
+@given(text=cell | st.from_regex(r"-?[0-9]+", fullmatch=True), other=cell)
+def test_integer_fields_are_minus_then_ascii_digits(scratch, text, other):
+    """Row by row and a chunk at a time, a field is an integer only if it is
+    an optional `-` and then ASCII digits."""
+    def strict(field):
+        return int(field) if re.fullmatch(r"-?[0-9]+", field) else None
+
+    value = strict(text)
+    try:
+        parsed = parse_int(text, "here")
+    except DataError as exc:
+        assert value is None and str(exc) == f"here: expected an integer, got {text!r}"
+    else:
+        assert parsed == value
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows([["a", "b"], [text, "0"], ["0", other]])
+    scratch.write_text(buf.getvalue(), encoding="utf-8", newline="")
+    columns = int_columns(str(scratch), ["a", "b"])
+    both = (value, strict(other))
+    assert columns == (None if None in both else ([value, 0], [0, both[1]]))
 
 
 def _binary_snapshot(count, labels, tail):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from entityforge.chain import ScriptTable, iter_blocks
+from entityforge.chain import iter_blocks
 from entityforge.clusters import ClusterSet
 from entityforge.engine import RunConfig, run
 from entityforge.errors import CSV_CHUNK_ROWS, DataError, GenerationError
@@ -19,7 +19,7 @@ from oracles import closure_labels, reference_score, refines
 
 
 def _parse(text):
-    table = ScriptTable()
+    table = {}
     blocks = list(iter_blocks(io.StringIO(text), table))
     return blocks, table
 
