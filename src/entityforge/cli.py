@@ -15,14 +15,22 @@ import logging
 import os
 import sys
 from contextlib import contextmanager
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from itertools import chain
 from typing import IO, Iterator
 
 from . import engine
 from .chain import JsonlSource
 from .clusters import load_snapshot
-from .errors import ConfigError, EntityForgeError, GenerationError, output_files, read_json_object
+from .errors import (
+    ConfigError,
+    EntityForgeError,
+    GenerationError,
+    is_int_text,
+    output_files,
+    parse_decimal,
+    read_json_object,
+)
 from .heuristics import HEURISTICS, HeuristicConfig
 from .pricing import exponent_series, load_price_csv
 from .synth import GenParams, generate_files, read_truth, score
@@ -55,10 +63,9 @@ def _setup_logging() -> None:
 def _parse_checkpoints(text: str) -> int | list[int]:
     """A single integer means an interval; a comma list means explicit points."""
     parts = [p for p in text.split(",") if p]
-    try:
-        values = [int(p) for p in parts]
-    except ValueError:
+    if not all(map(is_int_text, parts)):
         raise ConfigError(f"bad --checkpoints value: {text!r}")
+    values = [int(p) for p in parts]
     if not values:
         raise ConfigError("--checkpoints needs at least one integer")
     if len(values) == 1 and "," not in text:
@@ -72,10 +79,10 @@ def _parse_blocks(text: str) -> list[range]:
     for item in text.split(","):
         if not item:
             continue
-        try:
-            values = [int(piece) for piece in item.split(":")]
-        except ValueError:
-            raise ConfigError(f"bad --blocks item: {item!r}") from None
+        pieces = item.split(":")
+        if not all(map(is_int_text, pieces)):
+            raise ConfigError(f"bad --blocks item: {item!r}")
+        values = [int(piece) for piece in pieces]
         if len(values) == 1:
             blocks.append(range(values[0], values[0] + 1))
             continue
@@ -90,12 +97,16 @@ def _parse_blocks(text: str) -> list[range]:
     return blocks
 
 
+def _int(text: str) -> int:
+    """An integer flag: an optional `-`, then ASCII digits, as in every CSV integer field."""
+    if not is_int_text(text):
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _decimal(text: str) -> Decimal:
-    try:
-        value = Decimal(text)
-    except InvalidOperation:
-        value = None
-    if value is None or not value.is_finite():
+    value = parse_decimal(text)
+    if value is None:
         raise argparse.ArgumentTypeError(f"not a decimal number: {text!r}")
     return value
 
@@ -280,11 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--heuristic", required=True, choices=sorted(HEURISTICS))
     run_p.add_argument("--prices", help="price CSV (required for round/combined)")
     run_p.add_argument("--config", help="JSON file with defaults for the flags below")
-    run_p.add_argument("--a", type=int, help="deposit sweep input threshold "
+    run_p.add_argument("--a", type=_int, help="deposit sweep input threshold "
                        f"(default {HeuristicConfig.min_deposit_inputs})")
     run_p.add_argument("--x", type=_decimal,
                        help=f"small dollar amount (default {HeuristicConfig.small_amount})")
-    run_p.add_argument("--j", type=int, help="sub-precision offset for change "
+    run_p.add_argument("--j", type=_int, help="sub-precision offset for change "
                        f"(default {HeuristicConfig.round_offset})")
     run_p.add_argument("--horizon", choices=["online", "fixed"], default=None)
     run_p.add_argument(
@@ -302,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.set_defaults(func=cmd_compare)
 
     synth_p = sub.add_parser("synth", help="generate a synthetic stream with ground truth")
-    synth_p.add_argument("--seed", type=int, required=True)
+    synth_p.add_argument("--seed", type=_int, required=True)
     synth_p.add_argument("--params", help="generation parameters JSON file")
     synth_p.add_argument("--out-prefix", required=True)
     synth_p.set_defaults(func=cmd_synth)

@@ -8,7 +8,9 @@ import csv
 import json
 import os
 import re
+import stat
 from contextlib import contextmanager, suppress
+from decimal import Decimal, InvalidOperation
 from itertools import islice
 from typing import IO, Callable, Iterator
 
@@ -16,10 +18,16 @@ from typing import IO, Callable, Iterator
 # small beside the conversion, few enough that the chunk's row lists stay small.
 CSV_CHUNK_ROWS = 4096
 
-# An integer field is an optional `-` and then ASCII digits. `int()` alone also
-# takes `+`, spaces, `_` and non-ASCII digits; on text with none of those it
+# An integer field or flag is an optional `-` and then ASCII digits. `int()` alone
+# also takes `+`, spaces, `_` and non-ASCII digits; on text with none of those it
 # takes exactly this form, so one search of all the fields joined checks them.
 _not_int_char = re.compile(r"[^0-9-]").search
+is_int_text = re.compile(r"-?[0-9]+").fullmatch
+
+# A decimal is an optional `-`, ASCII digits with at most one `.`, and an optional
+# exponent: `e` or `E`, then ASCII digits, signed as `Decimal` writes it (`1E+5`).
+# `Decimal()` alone also takes `+`, spaces, `_`, non-ASCII digits, `Infinity` and `NaN`.
+_decimal_text = re.compile(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?").fullmatch
 
 
 class EntityForgeError(Exception):
@@ -88,10 +96,17 @@ def csv_rows(source: IO, header: list[str], what: str) -> Iterator[tuple[str, li
 
 def parse_int(text: str, where: str) -> int:
     """`text` as an integer, or a DataError that names where the text came from."""
-    if not _not_int_char(text):
-        with suppress(ValueError):  # empty, or a `-` out of place
-            return int(text)
+    if is_int_text(text):
+        return int(text)
     raise DataError(f"{where}: expected an integer, got {text!r}")
+
+
+def parse_decimal(text: str) -> Decimal | None:
+    """`text` as a Decimal, or None if it is not in the decimal form."""
+    if _decimal_text(text):
+        with suppress(InvalidOperation):  # an exponent past what Decimal holds
+            return Decimal(text)
+    return None
 
 
 def int_columns(path: str, header: list[str]) -> tuple[list[int], list[int]] | None:
@@ -143,9 +158,10 @@ def output_files() -> Iterator[Callable[..., IO]]:
 
     When the block ends without an exception, each temporary file replaces its
     target; otherwise each is deleted. A failed command therefore leaves no
-    partial output and every existing file as it was. Text is UTF-8 with no
-    newline translation. A target that exists but is not a regular file (a
-    directory, a pipe, a device) is opened as itself, so a directory fails at once.
+    partial output and every existing file as it was, and a replaced file keeps
+    its permission bits. Text is UTF-8 with no newline translation. A target
+    that exists but is not a regular file (a directory, a pipe, a device) is
+    opened as itself, so a directory fails at once.
     """
     files: list[tuple[IO, str | None, str]] = []
 
@@ -171,6 +187,8 @@ def output_files() -> Iterator[Callable[..., IO]]:
             fh.close()
         for _, temp, target in files:
             if temp is not None:
+                with suppress(FileNotFoundError):  # a new target has no mode to keep
+                    os.chmod(temp, stat.S_IMODE(os.stat(target).st_mode))
                 os.replace(temp, target)
     finally:
         for fh, temp, _ in files:

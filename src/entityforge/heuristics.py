@@ -7,6 +7,13 @@ returns the script groups to consolidate, ``()`` when it does not fire. A
 registered heuristic is a named tuple of rules whose groups are concatenated
 in order. Nothing here mutates state; the engine applies the groups to the
 cluster store in stream order.
+
+The engine counts a transaction before its rules read the index: an online
+run records it first, and a fixed run counts the whole stream. So every
+script of the transaction has a count of at least one, and a count below two
+("fresh", "unreused") means the index has seen the script on one side of
+this transaction and nowhere else. A rule reads `ctx.reuse.count` once per
+script and compares it with two; `count == 1` is therefore `count < 2`.
 """
 
 from __future__ import annotations
@@ -35,13 +42,11 @@ COINJOIN_DESCRIPTION = (
 
 def is_coinjoin(tx: Transaction) -> bool:
     """The CoinJoin filter of `cio-cj` and `combined`: true when COINJOIN_DESCRIPTION holds."""
-    if len(set(tx.in_scripts)) < 2 or len(set(tx.out_scripts)) < 2:
+    if len(set(tx.in_scripts)) < 2:
         return False
-    by_value: dict[int, set[int]] = {}
+    first_script: dict[int, int] = {}  # each output value's first script
     for sid, value in zip(tx.out_scripts, tx.out_values):
-        scripts = by_value.setdefault(value, set())
-        scripts.add(sid)
-        if len(scripts) >= 2:
+        if first_script.setdefault(value, sid) != sid:
             return True
     return False
 
@@ -93,29 +98,13 @@ def _two_distinct_outputs(tx: Transaction) -> tuple[int, int] | None:
 
 
 def change_address(tx: Transaction, ctx: EvalContext) -> Groups:
-    """Single-input, two-output payments where exactly one output is fresh.
+    """`shadow_address` on a single-input payment whose input script is unreused.
 
-    Fires when the input script is unreused, exactly one output script is
-    unreused (the change), and the other output script is reused (the
-    payment); merges the input script with the change script.
+    Merges the input script with the change: the one fresh output of two.
     """
-    if len(tx.in_scripts) != 1:
+    if len(tx.in_scripts) != 1 or ctx.reuse.count(tx.in_scripts[0]) >= 2:
         return ()
-    p_in = tx.in_scripts[0]
-    outs = _two_distinct_outputs(tx)
-    if outs is None:
-        return ()
-    idx = ctx.reuse
-    if idx.reused(p_in):
-        return ()
-    fresh = [s for s in outs if not idx.reused(s)]
-    if len(fresh) != 1:
-        return ()
-    p_change = fresh[0]
-    p_pay = outs[0] if outs[1] == p_change else outs[1]
-    if not idx.reused(p_pay):
-        return ()
-    return (frozenset((p_in, p_change)),)
+    return shadow_address(tx, ctx)
 
 
 def round_output_value(tx: Transaction, ctx: EvalContext) -> Groups:
@@ -135,17 +124,17 @@ def round_output_value(tx: Transaction, ctx: EvalContext) -> Groups:
     outs = _two_distinct_outputs(tx)
     if outs is None:
         return ()
-    idx = ctx.reuse
+    count = ctx.reuse.count
     p_in = tx.in_scripts[0]
-    if idx.reused(p_in):
+    if count(p_in) >= 2:
         return ()
     (a, b), (v_a, v_b) = outs, tx.out_values
     # Both values are below 2^bound <= 10^bound, so for e >= bound a value is a multiple
     # of 10^e, as of 10^bound, only when it is 0: a vast exponent costs no vast power.
     bound = max(v_a, v_b).bit_length()
     pay_modulus = 10 ** min(exponent, bound)
-    pays_a = not idx.reused(a) and v_a % pay_modulus == 0
-    if pays_a == (not idx.reused(b) and v_b % pay_modulus == 0):
+    pays_a = count(a) < 2 and v_a % pay_modulus == 0
+    if pays_a == (count(b) < 2 and v_b % pay_modulus == 0):
         return ()  # no payment candidate, or two
     change, v_change = (b, v_b) if pays_a else (a, v_a)
     if v_change % 10 ** min(exponent - offset, bound) == 0:
@@ -172,10 +161,8 @@ def force_merge_of_inputs(tx: Transaction, ctx: EvalContext) -> Groups:
     if v_a == v_b:
         return ()  # no strict higher-value payment output
     v_pay, change = (v_a, outs[1]) if v_a > v_b else (v_b, outs[0])
-    idx = ctx.reuse
-    if any(idx.reused(s) for s in in_scripts):
-        return ()
-    if idx.reused(change):
+    count = ctx.reuse.count
+    if count(change) >= 2 or any(count(s) >= 2 for s in in_scripts):
         return ()
     if sum(tx.in_values) - min(tx.in_values) >= v_pay:
         return ()  # some input was unnecessary
@@ -200,21 +187,20 @@ def shadow_address(tx: Transaction, ctx: EvalContext) -> Groups:
     outs = _two_distinct_outputs(tx)
     if outs is None:
         return ()
-    idx = ctx.reuse
-    fresh = [s for s in outs if idx.count(s) < 2]
-    if len(fresh) != 1:
-        return ()
-    p_pay = outs[0] if outs[1] == fresh[0] else outs[1]
-    if idx.count(p_pay) < 2:
-        return ()
-    return (frozenset((*tx.in_scripts, fresh[0])),)
+    a, b = outs
+    count = ctx.reuse.count
+    a_fresh = count(a) < 2
+    if a_fresh == (count(b) < 2):
+        return ()  # both outputs fresh, or neither
+    return (frozenset((*tx.in_scripts, a if a_fresh else b)),)
 
 
 def one_time_change(tx: Transaction, ctx: EvalContext) -> Groups:
     """No-self-change txs with exactly one never-seen output script.
 
     Output count is unconstrained. Merges all input scripts with the single
-    fresh output script.
+    fresh output script. Over the fixed index of the whole dataset, as
+    `reuse-change` runs it, a fresh script is one that never occurs again.
     """
     in_scripts = frozenset(tx.in_scripts)
     out_scripts = set(tx.out_scripts)
@@ -225,24 +211,6 @@ def one_time_change(tx: Transaction, ctx: EvalContext) -> Groups:
     if len(fresh) != 1:
         return ()
     return (in_scripts | {fresh[0]},)
-
-
-def reuse_based_change(tx: Transaction, ctx: EvalContext) -> Groups:
-    """Like one_time_change, but the candidate must stay single-use forever.
-
-    Requires a fixed-horizon index over the whole dataset: the candidate
-    output script's total occurrence count must be exactly one (never used
-    before this transaction, never used after).
-    """
-    in_scripts = frozenset(tx.in_scripts)
-    out_scripts = set(tx.out_scripts)
-    if not in_scripts.isdisjoint(out_scripts):
-        return ()
-    idx = ctx.reuse
-    single_use = [s for s in out_scripts if idx.count(s) == 1]
-    if len(single_use) != 1:
-        return ()
-    return (in_scripts | {single_use[0]},)
 
 
 Rule = Callable[[Transaction, EvalContext], Groups]
@@ -293,7 +261,7 @@ HEURISTICS: dict[str, HeuristicSpec] = {
         _heuristic("deposit", (service_deposit,)),
         _heuristic("shadow", (shadow_address,), "online"),
         _heuristic("one-time-change", (one_time_change,), "online"),
-        _heuristic("reuse-change", (reuse_based_change,), "full"),
+        _heuristic("reuse-change", (one_time_change,), "full"),
         _heuristic(
             "combined",
             (coinjoin_resistant_common_input, change_address, round_output_value,

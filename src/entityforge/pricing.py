@@ -11,10 +11,10 @@ amount of any magnitude gives its exponent without rounding or overflow.
 from __future__ import annotations
 
 import bisect
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from typing import IO, Iterable, Iterator, NamedTuple
 
-from .errors import DataError, csv_rows, parse_int
+from .errors import DataError, csv_rows, parse_decimal, parse_int
 
 SATOSHI_PER_BTC = 10**8
 
@@ -70,12 +70,8 @@ def load_price_csv(source: IO) -> PriceSeries:
     points = []
     what = f"price file {getattr(source, 'name', '<stream>')}"
     for where, (block, price) in csv_rows(source, ["block_index", "usd_per_btc"], what):
-        block_index = parse_int(block, where)
-        try:
-            value = Decimal(price)
-        except InvalidOperation:
-            value = None
-        if value is None or not value.is_finite():
+        block_index, value = parse_int(block, where), parse_decimal(price)
+        if value is None:
             raise DataError(f"{where}: bad price {price!r}")
         point = PricePoint(block_index, value)
         _check_point(points[-1].block_index if points else None, point, f"{where}: ")

@@ -30,9 +30,6 @@ class ReuseIndex:
             return self._counts[sid]
         return 0
 
-    def reused(self, sid: int) -> bool:
-        return self.count(sid) >= 2
-
     def record(self, tx: Transaction) -> None:
         """Count this transaction's scripts, one per side of appearance."""
         counts = self._counts

@@ -8,7 +8,9 @@ probes, a helper per side, a table lookup per TXO and a full
 `validate_transaction` per transaction. It builds its own record types, one
 `Txo` per entry as the package once did; `as_columns` maps its blocks to
 the package's column layout for comparison. The reference rounding
-exponent is the package's earlier one, over exact rationals. The
+exponent is the package's earlier one, over exact rationals. The reference
+CoinJoin filter and the change, shadow and reuse-change rules are the
+package's earlier ones, which each stated their own reuse tests. The
 checkpoint walk and the `--blocks` parser are the package's earlier ones,
 which built their state in a class and a flat list. The reference score
 enumerates every pair of truth scripts.
@@ -110,6 +112,88 @@ def reference_rounding_exponent(satoshi_price: Decimal, x: Decimal) -> int:
     return i
 
 
+def _reused(idx, sid: int) -> bool:
+    return idx.count(sid) >= 2
+
+
+def _two_distinct_outputs(tx):
+    if len(tx.out_scripts) != 2:
+        return None
+    a, b = tx.out_scripts
+    return None if a == b else (a, b)
+
+
+def reference_is_coinjoin(tx) -> bool:
+    """>= 2 distinct input scripts, >= 2 distinct output scripts, and two
+    distinct output scripts of one value: the package's earlier two-set form."""
+    if len(set(tx.in_scripts)) < 2 or len(set(tx.out_scripts)) < 2:
+        return False
+    by_value: dict[int, set[int]] = {}
+    for sid, value in zip(tx.out_scripts, tx.out_values):
+        scripts = by_value.setdefault(value, set())
+        scripts.add(sid)
+        if len(scripts) >= 2:
+            return True
+    return False
+
+
+def reference_coinjoin_resistant_common_input(tx, ctx):
+    scripts = frozenset(tx.in_scripts)
+    return (scripts,) if len(scripts) >= 2 and not reference_is_coinjoin(tx) else ()
+
+
+def reference_change_address(tx, ctx):
+    """One unreused input, two distinct outputs, exactly one unreused (the
+    change) and the other reused (the payment), tested on its own."""
+    if len(tx.in_scripts) != 1:
+        return ()
+    p_in = tx.in_scripts[0]
+    outs = _two_distinct_outputs(tx)
+    if outs is None:
+        return ()
+    idx = ctx.reuse
+    if _reused(idx, p_in):
+        return ()
+    fresh = [s for s in outs if not _reused(idx, s)]
+    if len(fresh) != 1:
+        return ()
+    p_change = fresh[0]
+    p_pay = outs[0] if outs[1] == p_change else outs[1]
+    if not _reused(idx, p_pay):
+        return ()
+    return (frozenset((p_in, p_change)),)
+
+
+def reference_shadow_address(tx, ctx):
+    """Two distinct outputs, exactly one with a count below two, and the
+    other's count re-tested as at least two."""
+    outs = _two_distinct_outputs(tx)
+    if outs is None:
+        return ()
+    idx = ctx.reuse
+    fresh = [s for s in outs if idx.count(s) < 2]
+    if len(fresh) != 1:
+        return ()
+    p_pay = outs[0] if outs[1] == fresh[0] else outs[1]
+    if idx.count(p_pay) < 2:
+        return ()
+    return (frozenset((*tx.in_scripts, fresh[0])),)
+
+
+def reference_reuse_based_change(tx, ctx):
+    """Inputs and outputs disjoint, and exactly one output script whose count
+    over the whole dataset is exactly one."""
+    in_scripts = frozenset(tx.in_scripts)
+    out_scripts = set(tx.out_scripts)
+    if not in_scripts.isdisjoint(out_scripts):
+        return ()
+    idx = ctx.reuse
+    single_use = [s for s in out_scripts if idx.count(s) == 1]
+    if len(single_use) != 1:
+        return ()
+    return (in_scripts | {single_use[0]},)
+
+
 class _Checkpoints:
     """Emits checkpoint indices as the stream advances past them."""
 
@@ -178,10 +262,11 @@ def reference_parse_blocks(text: str) -> list[int]:
     for item in text.split(","):
         if not item:
             continue
-        try:
-            values = [int(piece) for piece in item.split(":")]
-        except ValueError:
-            raise ConfigError(f"bad --blocks item: {item!r}") from None
+        pieces = item.split(":")
+        unsigned = [piece[1:] if piece.startswith("-") else piece for piece in pieces]
+        if not all(part.isascii() and part.isdigit() for part in unsigned):
+            raise ConfigError(f"bad --blocks item: {item!r}")  # not `-`, then ASCII digits
+        values = [int(piece) for piece in pieces]
         if len(values) == 1:
             blocks.extend(values)
             continue

@@ -2,6 +2,7 @@ import gc
 import gzip
 import json
 import os
+import stat
 import struct
 import subprocess
 import sys
@@ -39,6 +40,14 @@ def _cli(*argv, **env):
         text=True,
         env=dict(os.environ, **env),
     )
+
+
+def _exit_code(argv):
+    """`main`'s exit code, also where argparse refuses the command line."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 @pytest.fixture
@@ -146,6 +155,25 @@ class TestRun:
         assert load_snapshot(str(snap)).num_scripts == 3
 
 
+class TestReuseChange:
+    def test_is_one_time_change_at_the_fixed_horizon(self, synth_files, tmp_path, capsys):
+        """Reports and snapshots match; the sidecars differ only in the heuristic's name."""
+        runs = {}
+        for name, horizon in (("reuse-change", []), ("one-time-change", ["--horizon", "fixed"])):
+            out = tmp_path / f"{name}.csv"
+            snapshots = [tmp_path / f"{name}.{ext}" for ext in ("bin", "snap.csv")]
+            for snapshot in snapshots:
+                assert main(["run", "--tx", synth_files["jsonl"], "--heuristic", name, *horizon,
+                             "--checkpoints", "3", "--out", str(out),
+                             "--snapshot", str(snapshot)]) == 0
+            meta = json.loads((tmp_path / f"{name}.meta.json").read_text())
+            assert meta.pop("heuristic") == name
+            runs[name] = out.read_text(), [path.read_bytes() for path in snapshots], meta
+        assert capsys.readouterr().err == ""
+        assert runs["reuse-change"] == runs["one-time-change"]
+        assert runs["reuse-change"][2]["counts"]["merges_applied"] > 0
+
+
 class TestSynthAndScore:
     def test_synth_writes_three_files(self, tmp_path, capsys):
         params = tmp_path / "params.json"
@@ -224,6 +252,12 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("row, error", [
         ("1,x", "bad price 'x'"),
         ("1,inf", "bad price 'inf'"),
+        ("1, 1_0000", "bad price ' 1_0000'"),
+        ("1,+5", "bad price '+5'"),
+        ("1,\u0663", "bad price '\u0663'"),
+        ("1,1.2.3", "bad price '1.2.3'"),
+        ("1,1e", "bad price '1e'"),
+        ("1,1e99999999999999999999", "bad price '1e99999999999999999999'"),
         ("0,20000", "price series block indices must strictly increase (saw 0 after 0)"),
         ("\n\n-1,20000", "price series block indices must strictly increase (saw -1 after 0)"),
         ("1,0", "non-positive price at block 1"),
@@ -348,6 +382,52 @@ class TestMalformedInputs:
         given = ["--config", str(config)] if by_config else ["--checkpoints", checkpoints]
         assert main(["run", "--tx", stream, "--heuristic", "cio", *given]) == 2
         assert capsys.readouterr().err == "error[config]: --checkpoints needs at least one integer\n"
+
+    @pytest.mark.parametrize("text", ["1_0", " 1_0", "+5", "\u0663", ".", "1e", "1e+", "0x1",
+                                      "Infinity", "1e99999999999999999999"])
+    @pytest.mark.parametrize("place", ["run", "exponent-series", "config"])
+    def test_x_is_a_plain_decimal(self, stream, tmp_path, capsys, text, place):
+        """`Decimal()` reads the first four as 10, 10, 5 and 3; `--x` and config `x` refuse them."""
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"x": text}))
+        argv = {
+            "run": ["run", "--tx", stream, "--heuristic", "cio", "--x", text],
+            "exponent-series": ["exponent-series", "--prices", SAMPLE_PRICES, "--blocks", "1",
+                                "--x", text],
+            "config": ["run", "--tx", stream, "--heuristic", "cio", "--config", str(config)],
+        }[place]
+        assert _exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and f"not a decimal number: {text!r}" in err
+
+    @pytest.mark.parametrize("text", ["1e5000", "1E+3", "2.5e-999999999", ".5", "5."])
+    def test_decimal_forms_that_load(self, tmp_path, capsys, text):
+        prices = tmp_path / "prices.csv"
+        prices.write_text(f"block_index,usd_per_btc\n0,10000\n1,{text}\n")
+        assert main(["exponent-series", "--prices", str(prices), "--blocks", "1", "--x", text]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("text", ["1_0", " +5", "\u0663"])
+    @pytest.mark.parametrize("flag", ["--checkpoints", "--blocks", "--a", "--j", "--seed",
+                                      "config checkpoints"])
+    def test_integer_flag_is_minus_then_ascii_digits(self, stream, tmp_path, capsys, text, flag):
+        """`int()` reads these texts as 10, 5 and 3; every integer flag refuses them."""
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"checkpoints": text}))
+        run = ["run", "--tx", stream, "--heuristic", "cio"]
+        argv = {
+            "--checkpoints": run + ["--checkpoints", text],
+            "--blocks": ["exponent-series", "--prices", SAMPLE_PRICES, "--blocks", text],
+            "--a": run + ["--a", text],
+            "--j": run + ["--j", text],
+            "--seed": ["synth", "--seed", text, "--out-prefix", str(tmp_path / "x")],
+            "config checkpoints": run + ["--config", str(config)],
+        }[flag]
+        before = sorted(tmp_path.iterdir())
+        assert _exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and repr(text) in err
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_non_finite_x_flag_exits_two(self, stream):
         proc = _cli("run", "--tx", stream, "--heuristic", "cio", "--x", "nan")
@@ -495,6 +575,18 @@ class TestNoPartialOutput:
         assert code == 3
         assert capsys.readouterr().err.startswith("error[ingest]: line 41: transaction late: block 0")
         assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_replaced_output_keeps_its_mode(self, stream, tmp_path, capsys):
+        out, snap = tmp_path / "r.csv", tmp_path / "snap.csv"
+        modes = {out: 0o600, tmp_path / "r.meta.json": 0o640, snap: 0o604}
+        for path, mode in modes.items():
+            path.write_text("earlier\n")
+            path.chmod(mode)
+        assert main(["run", "--tx", stream, "--heuristic", "cio", "--checkpoints", "100",
+                     "--out", str(out), "--snapshot", str(snap)]) == 0
+        assert capsys.readouterr().err == ""
+        assert {path: stat.S_IMODE(path.stat().st_mode) for path in modes} == modes
+        assert out.read_text().splitlines()[1] == "100,3,2,0.666667,1,1"
 
     def test_failed_synth_leaves_no_file(self, tmp_path, capsys):
         params = tmp_path / "params.json"

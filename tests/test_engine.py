@@ -13,7 +13,7 @@ from entityforge.chain import JsonlSource, MemorySource, iter_blocks
 from entityforge.clusters import ClusterSet
 from entityforge.engine import RatioReport, RunConfig, compare_runs, run, sidecar_path
 from entityforge.errors import ConfigError, DataError, output_files
-from entityforge.heuristics import COINJOIN_DESCRIPTION, HEURISTICS, HeuristicConfig
+from entityforge.heuristics import COINJOIN_DESCRIPTION, HEURISTICS, HeuristicConfig, _heuristic
 from entityforge.pricing import load_price_csv
 from entityforge.synth import GenParams
 
@@ -397,6 +397,30 @@ class TestSinglePass:
         assert len(tables) == 1 and sizes == [store.num_scripts] == [_distinct_scripts(text)]
         assert dead and all(dead)
         assert len(source.table) == 0
+
+
+class TestCountedBeforeRead:
+    """The engine counts a transaction before its rules read the index, so
+    every script of the transaction has a count of at least one."""
+
+    @pytest.mark.parametrize("horizon", ["online", "fixed"])
+    @pytest.mark.parametrize("from_file", [False, True], ids=["memory", "jsonl"])
+    def test_every_script_of_the_transaction_is_counted(self, tmp_path, monkeypatch,
+                                                         horizon, from_file):
+        probed = []
+
+        def probe(tx, ctx):
+            for sid in (*tx.in_scripts, *tx.out_scripts):
+                assert ctx.reuse.count(sid) >= 1, (tx.txid, sid)
+            probed.append(tx.txid)
+            return ()
+
+        monkeypatch.setitem(HEURISTICS, "probe", _heuristic("probe", (probe,), "online"))
+        text = _firing_stream(3)
+        source = _jsonl(tmp_path, text) if from_file else _memory_source(text.splitlines())
+        report, _ = run(RunConfig("probe", horizon=horizon, checkpoints=3), source)
+        assert report.metadata["horizon"] == horizon
+        assert len(probed) == report.metadata["counts"]["transactions"] == 100
 
 
 class TestDenseIds:

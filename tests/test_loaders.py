@@ -11,6 +11,7 @@ import io
 import json
 import re
 import struct
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,14 @@ from entityforge.chain import iter_blocks
 from entityforge.cli import _parse_blocks
 from entityforge.clusters import load_snapshot
 from entityforge.engine import REPORT_HEADER, RatioReport, compare_runs
-from entityforge.errors import ConfigError, DataError, EntityForgeError, int_columns, parse_int
+from entityforge.errors import (
+    ConfigError,
+    DataError,
+    EntityForgeError,
+    int_columns,
+    parse_decimal,
+    parse_int,
+)
 from entityforge.pricing import load_price_csv
 from entityforge.synth import read_truth
 
@@ -153,6 +161,29 @@ def test_integer_fields_are_minus_then_ascii_digits(scratch, text, other):
     columns = int_columns(str(scratch), ["a", "b"])
     both = (value, strict(other))
     assert columns == (None if None in both else ([value, 0], [0, both[1]]))
+
+
+def _strict_decimal(text):
+    """The decimal form, checked a part at a time: an optional `-`, ASCII digits
+    with at most one `.`, then optionally `e` or `E` and ASCII digits with one sign."""
+    def digits(part):
+        return part != "" and all(c in "0123456789" for c in part)
+
+    mantissa, mark, exponent = text.replace("E", "e").partition("e")
+    mantissa = mantissa[1:] if mantissa.startswith("-") else mantissa
+    exponent = exponent[1:] if exponent[:1] in ("+", "-") else exponent
+    return digits(mantissa.replace(".", "", 1)) and (not mark or digits(exponent))
+
+
+@LOADER_SETTINGS
+@given(text=cell | st.text(alphabet="0123456789-+.eE_ ", max_size=8)
+       | st.from_regex(r"-?[0-9]{0,3}\.?[0-9]{0,3}([eE][-+]?[0-9]{1,3})?", fullmatch=True))
+def test_decimal_fields_are_minus_digits_point_and_exponent(text):
+    value = parse_decimal(text)
+    if _strict_decimal(text):
+        assert value == Decimal(text) and str(value) == str(Decimal(text))
+    else:
+        assert value is None
 
 
 def _binary_snapshot(count, labels, tail):

@@ -6,7 +6,7 @@ from entityforge.chain import Block
 from entityforge.errors import DataError
 from entityforge.reuse import ReuseIndex
 
-from conftest import block, counts, tx
+from conftest import block, tx
 from oracles import recount_usage
 
 
@@ -21,7 +21,6 @@ class TestRecord:
         idx.record(tx([(0, 5)], [(1, 2), (2, 2)]))
         idx.record(tx([(1, 2)], [(3, 1)]))
         assert idx.count(1) == 2
-        assert idx.reused(1)
 
     def test_same_side_duplicate_counts_once(self):
         idx = ReuseIndex()
@@ -33,11 +32,9 @@ class TestRecord:
         idx = ReuseIndex()
         idx.record(tx([(0, 5)], [(0, 4)]))
         assert idx.count(0) == 2
-        assert idx.reused(0)
 
     def test_unknown_script_counts_zero(self):
         assert ReuseIndex().count(99) == 0
-        assert not ReuseIndex().reused(99)
 
     def test_negative_script_rejected(self):
         # a negative id would index the counts from their end
@@ -45,12 +42,6 @@ class TestRecord:
         idx.record(tx([(0, 5)], [(1, 4)]))
         with pytest.raises(DataError, match="transaction t9: script id -1 is negative"):
             idx.record(tx([(1, 4)], [(-1, 3)], "t9"))
-
-    def test_reused_thresholds(self):
-        idx = counts({0: 0, 1: 1, 2: 2})
-        assert not idx.reused(0)
-        assert not idx.reused(1)
-        assert idx.reused(2)
 
 
 def _stream_with_script_in_blocks():
