@@ -126,64 +126,45 @@ def _load_prices(path: str):
         return load_price_csv(fh)
 
 
-# Each run setting's default, and the JSON types a --config file may give it
-# (never a bool); x must also parse as a decimal, and null means the default.
-_RUN_SETTINGS = {
-    "a": (HeuristicConfig.min_deposit_inputs, (int,)),
-    "x": (HeuristicConfig.small_amount, (int, float, str)),
-    "j": (HeuristicConfig.round_offset, (int,)),
-    "horizon": (None, (str, type(None))),
-    "checkpoints": (engine.RunConfig.checkpoints, (str, int, type(None))),
-    "prices": (None, (str, type(None))),
+# The JSON types a --config file may give each run flag (never a bool); null means the default.
+_CONFIG_TYPES = {
+    "a": (int,),
+    "x": (int, float, str),
+    "j": (int,),
+    "horizon": (str, type(None)),
+    "checkpoints": (str, int, type(None)),
+    "prices": (str, type(None)),
 }
 
 
-def _effective_run_settings(args: argparse.Namespace) -> dict:
-    """Setting precedence: explicit flags, then --config file, then defaults."""
-    settings = {key: default for key, (default, _) in _RUN_SETTINGS.items()}
-    if args.config:
-        raw = read_json_object(args.config, "config file", ConfigError)
-        unknown = set(raw) - set(_RUN_SETTINGS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in raw.items():
-            types = _RUN_SETTINGS[key][1]
-            if isinstance(value, bool) or not isinstance(value, types):
-                kinds = " or ".join("null" if t is type(None) else t.__name__ for t in types)
-                raise ConfigError(f"config key {key} must be {kinds}, got {value!r}")
-        if "x" in raw:
-            try:
-                raw["x"] = _decimal(str(raw["x"]))
-            except argparse.ArgumentTypeError as exc:
-                raise ConfigError(f"config key x: {exc}") from None
-        settings.update((key, value) for key, value in raw.items() if value is not None)
-    for key in _RUN_SETTINGS:
-        value = getattr(args, key)
-        if value is not None:
-            settings[key] = value
-    return settings
+def _config_flags(path: str) -> list[str]:
+    """The --config file's values as flag text, for the flags' own `type=` to convert."""
+    raw = read_json_object(path, "config file", ConfigError)
+    unknown = set(raw) - set(_CONFIG_TYPES)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in raw.items():
+        types = _CONFIG_TYPES[key]
+        if isinstance(value, bool) or not isinstance(value, types):
+            kinds = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+            raise ConfigError(f"config key {key} must be {kinds}, got {value!r}")
+    return [f"--{key}={value}" for key, value in raw.items() if value is not None]
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     heuristic = args.heuristic
-    settings = _effective_run_settings(args)
     needs_prices = HEURISTICS[heuristic].needs_prices
-    if needs_prices and not settings["prices"]:
+    if needs_prices and not args.prices:
         raise ConfigError(f"heuristic '{heuristic}' needs a price file; pass --prices <csv>")
 
-    checkpoints = settings["checkpoints"]
     config = engine.RunConfig(
         heuristic=heuristic,
-        params=HeuristicConfig(
-            min_deposit_inputs=settings["a"],
-            small_amount=settings["x"],
-            round_offset=settings["j"],
-        ),
-        horizon=settings["horizon"],
-        checkpoints=_parse_checkpoints(checkpoints) if isinstance(checkpoints, str) else checkpoints,
+        params=HeuristicConfig(min_deposit_inputs=args.a, small_amount=args.x, round_offset=args.j),
+        horizon=args.horizon,
+        checkpoints=args.checkpoints,
     )
     source = JsonlSource(args.tx)
-    prices = _load_prices(settings["prices"]) if needs_prices else None
+    prices = _load_prices(args.prices) if needs_prices else None
     binary = (args.snapshot or "").endswith(".bin")
 
     # Every output is open before the replay, so an unwritable path costs no work.
@@ -239,11 +220,8 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_exponent_series(args: argparse.Namespace) -> int:
-    if args.x <= 0:
-        raise ConfigError("small_amount must be positive")  # as `run` words it
-    series = _load_prices(args.prices)
-    blocks = _parse_blocks(args.blocks)
-    rows = exponent_series(series, args.x, chain.from_iterable(blocks))
+    HeuristicConfig(small_amount=args.x)  # refuses an x at or below zero, as `run` does
+    rows = exponent_series(_load_prices(args.prices), args.x, chain.from_iterable(args.blocks))
     written = 0
 
     def lines():
@@ -255,7 +233,7 @@ def cmd_exponent_series(args: argparse.Namespace) -> int:
 
     with _result_sink(args.out) as sink:
         sink.writelines(lines())
-    omitted = sum(map(len, blocks)) - written
+    omitted = sum(map(len, args.blocks)) - written
     if omitted:
         print(f"warning: {omitted} block(s) precede the price data; omitted", file=sys.stderr)
     return 0
@@ -278,8 +256,15 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose every refusal is a ConfigError, reported by `main` as one line."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="entityforge",
         description="Cluster locking scripts by replaying a transaction stream "
         "through merge heuristics and tracking the clustering ratio.",
@@ -291,16 +276,16 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--heuristic", required=True, choices=sorted(HEURISTICS))
     run_p.add_argument("--prices", help="price CSV (required for round/combined)")
     run_p.add_argument("--config", help="JSON file with defaults for the flags below")
-    run_p.add_argument("--a", type=_int, help="deposit sweep input threshold "
-                       f"(default {HeuristicConfig.min_deposit_inputs})")
-    run_p.add_argument("--x", type=_decimal,
-                       help=f"small dollar amount (default {HeuristicConfig.small_amount})")
-    run_p.add_argument("--j", type=_int, help="sub-precision offset for change "
-                       f"(default {HeuristicConfig.round_offset})")
+    run_p.add_argument("--a", type=_int, default=HeuristicConfig.min_deposit_inputs,
+                       help="deposit sweep input threshold (default %(default)s)")
+    run_p.add_argument("--x", type=_decimal, default=HeuristicConfig.small_amount,
+                       help="small dollar amount (default %(default)s)")
+    run_p.add_argument("--j", type=_int, default=HeuristicConfig.round_offset,
+                       help="sub-precision offset for change (default %(default)s)")
     run_p.add_argument("--horizon", choices=["online", "fixed"], default=None)
     run_p.add_argument(
-        "--checkpoints",
-        help=f"single integer = every N blocks (default {engine.RunConfig.checkpoints}); "
+        "--checkpoints", type=_parse_checkpoints, default=engine.RunConfig.checkpoints,
+        help="single integer = every N blocks (default %(default)s); "
         "comma list = explicit indices",
     )
     run_p.add_argument("--out", help="report CSV path (stdout if omitted)")
@@ -327,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     exp_p = sub.add_parser("exponent-series", help="per-block rounding exponent CSV")
     exp_p.add_argument("--prices", required=True)
     exp_p.add_argument("--x", type=_decimal, default=HeuristicConfig.small_amount)
-    exp_p.add_argument("--blocks", required=True, help="e.g. 100,200 or 0:700000:1000")
+    exp_p.add_argument("--blocks", type=_parse_blocks, required=True,
+                       help="e.g. 100,200 or 0:700000:1000")
     exp_p.add_argument("--out")
     exp_p.set_defaults(func=cmd_exponent_series)
 
@@ -341,12 +327,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     # A command builds only acyclic data, so the cyclic collector would scan a growing
     # heap and find no garbage; the caller's setting comes back however the command ends.
     collecting = gc.isenabled()
     gc.disable()
     try:
+        args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # The file's values go ahead of the user's flags, and argparse keeps a
+            # flag's last occurrence, so a flag given on the command line wins.
+            cut = argv.index("run") + 1
+            args = parser.parse_args(argv[:cut] + _config_flags(args.config) + argv[cut:])
         return args.func(args)
     except ConfigError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)

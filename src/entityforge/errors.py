@@ -161,7 +161,8 @@ def output_files() -> Iterator[Callable[..., IO]]:
     partial output and every existing file as it was, and a replaced file keeps
     its permission bits. Text is UTF-8 with no newline translation. A target
     that exists but is not a regular file (a directory, a pipe, a device) is
-    opened as itself, so a directory fails at once.
+    opened as itself, so a directory fails at once. A file the block already
+    opened, by any path, raises ConfigError.
     """
     files: list[tuple[IO, str | None, str]] = []
 
@@ -172,6 +173,8 @@ def output_files() -> Iterator[Callable[..., IO]]:
             files.append((fh, None, path))
             return fh
         target = os.path.realpath(path)  # through a symlink, as open() writes
+        if any(target == opened for _, _, opened in files):
+            raise ConfigError(f"two outputs name one file: {path!r}")
         temp = f"{target}.{os.getpid()}.tmp"
         try:
             fh = open(temp, mode.replace("w", "x"), **text)

@@ -1,19 +1,25 @@
+import argparse
+import contextlib
 import gc
 import gzip
+import io
 import json
 import os
 import stat
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entityforge import cli, engine
 from entityforge.chain import JsonlSource, MemorySource, StreamStats, iter_blocks
 from entityforge.cli import main
-from entityforge.errors import CSV_CHUNK_ROWS, DataError, output_files
+from entityforge.errors import CSV_CHUNK_ROWS, DataError, is_int_text, output_files
 from entityforge.heuristics import HEURISTICS
 from entityforge.pricing import load_price_csv
 from entityforge.synth import GenParams, generate_files
@@ -40,14 +46,6 @@ def _cli(*argv, **env):
         text=True,
         env=dict(os.environ, **env),
     )
-
-
-def _exit_code(argv):
-    """`main`'s exit code, also where argparse refuses the command line."""
-    try:
-        return main(argv)
-    except SystemExit as exc:
-        return exc.code
 
 
 @pytest.fixture
@@ -114,9 +112,7 @@ class TestRun:
         assert main(["run", "--tx", str(tmp_path / "none.jsonl"), "--heuristic", "cio"]) == 3
 
     def test_unknown_heuristic_exits_two(self, stream):
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--tx", stream, "--heuristic", "wat"])
-        assert exc.value.code == 2
+        assert main(["run", "--tx", stream, "--heuristic", "wat"]) == 2
 
     def test_horizon_flag_accepted(self, synth_files, capsys):
         code = main(
@@ -153,6 +149,175 @@ class TestRun:
         from entityforge.clusters import load_snapshot
 
         assert load_snapshot(str(snap)).num_scripts == 3
+
+
+@pytest.fixture(scope="module")
+def firing_stream(tmp_path_factory):
+    """A synthetic stream on which every rule fires, and a constant price file: (jsonl, prices)."""
+    where = tmp_path_factory.mktemp("firing")
+    params = GenParams(users=8, blocks=10, txs_per_block=10, endowment_utxos=20,
+                       address_reuse_prob=0.5, service_payee_prob=0.4, round_value_rate=0.5,
+                       coinjoin_rate=0.15, consolidation_rate=0.2, multi_pay_rate=0.2)
+    prices = where / "p.csv"
+    prices.write_text(CONSTANT_PRICES)
+    return generate_files(str(where / "s"), 1, params)["jsonl"], str(prices)
+
+
+def _run_outputs(argv, where):
+    """Exit code, stderr category, and the report and sidecar bytes of one in-process `run`."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([*argv, "--out", str(where / "r.csv")])
+    files = {path.name: path.read_bytes() for path in where.iterdir()
+             if path.name.startswith("r.")}
+    return code, err.getvalue().partition("]")[0], files
+
+
+_INT_TEXTS = st.sampled_from(["1_0", " 7", "+2", "", "x", "1.0"])
+_RUN_FLAG_TEXTS = st.fixed_dictionaries({}, optional={
+    "a": st.integers(-1, 30).map(str) | _INT_TEXTS,
+    "x": st.sampled_from(["1", "0.5", "20", "1e2", "0", "-1", "nan", "1_0", ""]),
+    "j": st.integers(-1, 4).map(str) | _INT_TEXTS,
+    "checkpoints": st.integers(0, 12).map(str) | st.sampled_from(["2,5,9", "5,2", "", ",", "1_0"]),
+    "horizon": st.sampled_from(["online", "fixed", "bogus"]),
+})
+
+
+class TestRunSettings:
+    """A run setting reads the same as a flag or as a --config key: the file's
+    values are flag text ahead of the command line, so a flag wins."""
+
+    @staticmethod
+    def _config(where, settings):
+        path = where / "run.json"
+        path.write_text(json.dumps(settings))
+        return ["--config", str(path)]
+
+    @staticmethod
+    def _flags(texts):
+        return [item for key, text in texts.items() for item in (f"--{key}", text)]
+
+    @settings(max_examples=80, deadline=None)
+    @given(heuristic=st.sampled_from(sorted(HEURISTICS)), texts=_RUN_FLAG_TEXTS)
+    def test_flags_and_config_give_the_same_run(self, firing_stream, heuristic, texts):
+        jsonl, prices = firing_stream
+        base = ["run", "--tx", jsonl, "--heuristic", heuristic, "--prices", prices]
+        # An integer key takes a JSON integer; any other text is a string, which it refuses.
+        values = {key: int(text) if key in ("a", "j") and is_int_text(text) else text
+                  for key, text in texts.items()}
+        with tempfile.TemporaryDirectory() as flag_dir, tempfile.TemporaryDirectory() as file_dir:
+            by_flags = _run_outputs(base + self._flags(texts), Path(flag_dir))
+            by_file = _run_outputs(base + self._config(Path(file_dir), values), Path(file_dir))
+        assert by_flags == by_file
+        assert by_flags[0] in (0, 2) and bool(by_flags[2]) == (by_flags[0] == 0)
+
+    def test_a_flag_beats_the_file(self, firing_stream, tmp_path):
+        jsonl, prices = firing_stream
+        base = ["run", "--tx", jsonl, "--heuristic", "combined", "--prices", prices]
+        flags = self._flags({"a": "3", "x": "20", "j": "2", "checkpoints": "4", "horizon": "online"})
+        config = self._config(tmp_path, {"a": 2, "x": "0.5", "j": 0, "checkpoints": "2,5",
+                                         "horizon": "fixed"})
+        runs = {}
+        for name, argv in (("flags", flags), ("file", config), ("both", config + flags)):
+            (tmp_path / name).mkdir()
+            runs[name] = _run_outputs(base + argv, tmp_path / name)
+            assert runs[name][:2] == (0, "")
+        assert runs["both"] == runs["flags"] != runs["file"]
+
+    def test_null_keeps_the_default(self, firing_stream, tmp_path):
+        jsonl, _ = firing_stream
+        base = ["run", "--tx", jsonl, "--heuristic", "one-time-change"]
+        config = self._config(tmp_path, {"horizon": None, "checkpoints": None, "prices": None})
+        runs = []
+        for name, argv in (("plain", []), ("nulls", config)):
+            (tmp_path / name).mkdir()
+            runs.append(_run_outputs(base + argv, tmp_path / name))
+        assert runs[0] == runs[1] and runs[0][0] == 0
+
+    @pytest.mark.parametrize("key, bad, good, named", [
+        ("x", "nan", "1", "--x"),
+        ("checkpoints", "1_0", "5", "--checkpoints"),
+        ("horizon", "bogus", "online", "--horizon"),
+        ("a", "25", "25", "config key a"),
+    ])
+    def test_a_bad_file_value_is_refused_under_a_flag(self, stream, tmp_path, capsys,
+                                                      key, bad, good, named):
+        config = self._config(tmp_path, {key: bad})
+        argv = ["run", "--tx", stream, "--heuristic", "cio", *config, f"--{key}", good]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]: ") and err.count("\n") == 1 and named in err
+
+
+# Each command line argparse refuses, and the flag or argument its message names.
+REFUSALS = [
+    ([], "command"),
+    (["run", "--heuristic", "cio"], "--tx"),
+    (["run", "--tx", "{stream}", "--heuristic", "cio", "--wat"], "--wat"),
+    (["run", "--tx", "{stream}", "--heuristic", "wat"], "--heuristic"),
+    (["run", "--tx", "{stream}", "--heuristic", "cio", "--horizon", "bogus"], "--horizon"),
+    (["run", "--tx", "{stream}", "--heuristic", "cio", "--a", "1_0"], "--a"),
+    (["run", "--tx", "{stream}", "--heuristic", "cio", "--x", "nan"], "--x"),
+    (["synth", "--seed", " +5", "--out-prefix", "{tmp}/x"], "--seed"),
+    (["exponent-series", "--prices", SAMPLE_PRICES], "--blocks"),
+    (["compare"], "reports"),
+]
+
+
+class TestRefusals:
+    """Every usage refusal, argparse's own included, is exit 2 and one
+    `error[config]` line; argparse's wording differs between Python versions,
+    so only the flag it names is checked."""
+
+    @pytest.mark.parametrize("argv, named", REFUSALS,
+                             ids=["no-command", "no-tx", "unknown-flag", "heuristic", "horizon",
+                                  "a", "x", "seed", "no-blocks", "no-reports"])
+    def test_refusal_is_one_config_line(self, stream, tmp_path, capsys, argv, named):
+        argv = [arg.format(stream=stream, tmp=tmp_path) for arg in argv]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error[config]: ")
+        proc = _cli(*argv)
+        assert proc.returncode == 2
+        assert proc.stdout == "" and proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("error[config]: ") and named in proc.stderr
+        assert "usage:" not in proc.stderr and "Traceback" not in proc.stderr
+        assert list(tmp_path.iterdir()) == [Path(stream)]
+
+    def test_every_typed_option_refuses_malformed_text(self, stream, tmp_path, capsys):
+        """Each option with a `type=` or `choices=`, on every command, now and when added."""
+        valid = {
+            "run": ["--tx", stream, "--heuristic", "cio"],
+            "compare": ["r.csv"],
+            "synth": ["--seed", "1", "--out-prefix", str(tmp_path / "x")],
+            "score": ["--snapshot", "s.csv", "--truth", "t.csv"],
+            "exponent-series": ["--prices", SAMPLE_PRICES, "--blocks", "1"],
+            "validate": ["--tx", stream],
+        }
+        parser = cli.build_parser()
+        (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(commands.choices) == set(valid)
+        checked = set()
+        for command, command_parser in commands.choices.items():
+            parser.parse_args([command, *valid[command]])  # the base line parses
+            for action in command_parser._actions:
+                if action.option_strings and (action.type or action.choices):
+                    flag = action.option_strings[-1]
+                    bad = "bogus" if action.choices else "1_0"
+                    assert main([command, *valid[command], flag, bad]) == 2, flag
+                    err = capsys.readouterr().err
+                    assert err.startswith("error[config]: ") and err.count("\n") == 1, flag
+                    assert flag in err
+                    checked.add(f"{command} {flag}")
+        assert checked >= {"run --heuristic", "run --a", "run --x", "run --j", "run --horizon",
+                           "run --checkpoints", "synth --seed", "exponent-series --x",
+                           "exponent-series --blocks"}
+        assert list(tmp_path.iterdir()) == [Path(stream)]
+
+    @pytest.mark.parametrize("command", ["run", "synth", "exponent-series"])
+    def test_help_exits_zero(self, command):
+        proc = _cli(command, "--help")
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.startswith(f"usage: entityforge {command} ")
 
 
 class TestReuseChange:
@@ -396,7 +561,7 @@ class TestMalformedInputs:
                                 "--x", text],
             "config": ["run", "--tx", stream, "--heuristic", "cio", "--config", str(config)],
         }[place]
-        assert _exit_code(argv) == 2
+        assert main(argv) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err and f"not a decimal number: {text!r}" in err
 
@@ -424,7 +589,7 @@ class TestMalformedInputs:
             "config checkpoints": run + ["--config", str(config)],
         }[flag]
         before = sorted(tmp_path.iterdir())
-        assert _exit_code(argv) == 2
+        assert main(argv) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err and repr(text) in err
         assert sorted(tmp_path.iterdir()) == before
@@ -587,6 +752,28 @@ class TestNoPartialOutput:
         assert capsys.readouterr().err == ""
         assert {path: stat.S_IMODE(path.stat().st_mode) for path in modes} == modes
         assert out.read_text().splitlines()[1] == "100,3,2,0.666667,1,1"
+
+    @pytest.mark.parametrize("out, snapshot", [
+        ("r.csv", "r.csv"),
+        ("r", "r.meta.json"),
+        ("x/../r.csv", "r.csv"),
+        ("r.csv", "link.csv"),
+    ], ids=["same-path", "snapshot-is-sidecar", "dot-dot", "symlink"])
+    def test_output_named_twice_exits_two(self, stream, tmp_path, capsys, out, snapshot):
+        (tmp_path / "x").mkdir()
+        (tmp_path / "link.csv").symlink_to(tmp_path / "r.csv")
+        before = sorted(tmp_path.iterdir())
+        code = main(["run", "--tx", stream, "--heuristic", "cio", "--out", str(tmp_path / out),
+                     "--snapshot", str(tmp_path / snapshot)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error[config]: two outputs name one file: {str(tmp_path / snapshot)!r}\n")
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_device_named_twice_is_opened_twice(self):
+        with output_files() as open_output:
+            for _ in range(2):
+                open_output(os.devnull).write("discarded\n")
 
     def test_failed_synth_leaves_no_file(self, tmp_path, capsys):
         params = tmp_path / "params.json"
