@@ -27,6 +27,7 @@ from .errors import (
     EntityForgeError,
     GenerationError,
     is_int_text,
+    names_regular_file,
     output_files,
     parse_decimal,
     read_json_object,
@@ -169,18 +170,18 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     # Every output is open before the replay, so an unwritable path costs no work.
     with output_files() as open_output:
+        report_sink, meta_sink = sys.stdout, None
         if args.out:
-            report_sinks = open_output(args.out), open_output(engine.sidecar_path(args.out))
+            report_sink = open_output(args.out)
+            if names_regular_file(args.out):  # a device or pipe gets no sidecar, as stdout does
+                meta_sink = open_output(engine.sidecar_path(args.out))
         if args.snapshot:
             snapshot_sink = open_output(args.snapshot, "wb" if binary else "w")
 
         log.info("running heuristic %s over %s", heuristic, args.tx)
         report, store = engine.run(config, source, price_series=prices)
 
-        if args.out:
-            report.write(*report_sinks)
-        else:
-            report.write_csv(sys.stdout)
+        report.write(report_sink, meta_sink)
         if args.snapshot:
             (store.write_snapshot_binary if binary else store.write_snapshot_csv)(snapshot_sink)
     if args.out:

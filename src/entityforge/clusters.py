@@ -43,7 +43,8 @@ class ClusterSet:
         return len(self._parent)
 
     def register(self, upto: int) -> None:
-        """Grow the store to scripts 0..upto-1, each new one a singleton."""
+        """Grow the store to scripts 0..upto-1, each new one a singleton; the engine
+        calls it once per block, and an `upto` the store already covers adds nothing."""
         start = len(self._parent)
         if upto > start:
             self._parent.extend(range(start, upto))

@@ -1,12 +1,12 @@
 """Replay a block stream, apply one heuristic, and checkpoint the ratio.
 
-The run starts from the atomic clustering and processes transactions in
-stream order: grow the store to the scripts seen, update the online reuse
-index if one is in play, evaluate the heuristic, apply its merge groups
-immediately. At each checkpoint block index k the report records |S_k|,
-|C_k| and their ratio. Script ids are dense in stream order, as
-the decoder assigns them, so |S_k| is the high-water id: one more than
-the largest id so far. A source whose ids skip or go negative is an error.
+The run starts from the atomic clustering and processes blocks in stream order:
+grow the store to the scripts the block brings, then per transaction update the
+online reuse index, if any, evaluate the heuristic and apply its merge groups
+at once. At each checkpoint block index k the report records |S_k|, |C_k| and
+their ratio. Script ids are dense in stream order, as the decoder assigns them,
+so |S_k| is the high-water id: one more than the largest id so far. A block
+whose ids skip or go negative is refused before its replay.
 
 Heuristics whose reuse horizon is fixed count every occurrence first. A JSONL
 source is decoded once, packed one `marshal` string per block as it is counted,
@@ -93,11 +93,12 @@ class RatioReport:
                 ]
             )
 
-    def write(self, csv_sink: IO, meta_sink: IO) -> None:
-        """Write the report CSV, and its metadata as the `<stem>.meta.json` sidecar holds it."""
+    def write(self, csv_sink: IO, meta_sink: IO | None) -> None:
+        """Write the report CSV and, given a sidecar sink, the metadata `<stem>.meta.json` holds."""
         self.write_csv(csv_sink)
-        json.dump(self.metadata, meta_sink, indent=2, sort_keys=True)
-        meta_sink.write("\n")
+        if meta_sink is not None:
+            json.dump(self.metadata, meta_sink, indent=2, sort_keys=True)
+            meta_sink.write("\n")
 
     @classmethod
     def read(cls, csv_path: str) -> "RatioReport":
@@ -192,8 +193,8 @@ def run(
                 exponent = rounding_exponent(p, config.params.small_amount)
         ctx.exponent = exponent
 
-        for tx in block.transactions:
-            seen = hw
+        txs = block.transactions
+        for tx in txs:
             for side in (tx.in_scripts, tx.out_scripts):
                 for sid in side:
                     if not 0 <= sid < hw:
@@ -201,17 +202,16 @@ def run(
                             raise DataError(f"transaction {tx.txid} in block {block.index}: "
                                             f"script id {sid} is neither seen nor the next id {hw}")
                         hw += 1
-            if hw > seen:
-                store.register(hw)
+        store.register(hw)
+        for tx in txs:
             if online_idx is not None:
                 online_idx.record(tx)
-            proposal = spec.evaluate(tx, ctx)
             eliminated = 0
-            for group in proposal.groups:
+            for group in spec.evaluate(tx, ctx).groups:
                 eliminated += store.merge_scripts(group)
             if eliminated:
                 merges_applied += 1
-            tx_processed += 1
+        tx_processed += len(txs)
         blocks += 1
         prev_block = block.index
 

@@ -152,6 +152,11 @@ def read_json_object(path, what: str, error: type[EntityForgeError]) -> dict:
     return value
 
 
+def names_regular_file(path) -> bool:
+    """True unless `path` exists as something other than a regular file (a device, a pipe)."""
+    return not os.path.exists(path) or os.path.isfile(path)
+
+
 @contextmanager
 def output_files() -> Iterator[Callable[..., IO]]:
     """Yield `open_output(path, mode="w")`, which opens a temporary file beside `path`.
@@ -168,7 +173,7 @@ def output_files() -> Iterator[Callable[..., IO]]:
 
     def open_output(path: str, mode: str = "w") -> IO:
         text = {} if "b" in mode else {"newline": "", "encoding": "utf-8"}
-        if os.path.exists(path) and not os.path.isfile(path):
+        if not names_regular_file(path):
             fh = open(path, mode, **text)
             files.append((fh, None, path))
             return fh

@@ -33,6 +33,8 @@ class MergeProposal(NamedTuple):
     groups: Groups
 
 
+_NO_MERGE = MergeProposal(())  # the one proposal of every transaction that fires nothing
+
 # The report sidecar names `is_coinjoin` by this text. Equal outputs are a mix's denominations.
 COINJOIN_DESCRIPTION = (
     "equal-output detector: n_in >= 2, n_out >= 2, and >= 2 distinct "
@@ -245,7 +247,7 @@ def _heuristic(name: str, rules: tuple[Rule, ...], horizon: str | None = None) -
         groups: Groups = ()
         for rule in rules:
             groups += rule(tx, ctx)
-        return MergeProposal(groups)
+        return MergeProposal(groups) if groups else _NO_MERGE
 
     return HeuristicSpec(name, evaluate, rules, horizon)
 

@@ -43,9 +43,20 @@ class ReuseIndex:
 
     @classmethod
     def build_fixed(cls, blocks: Iterable[Block]) -> "ReuseIndex":
-        """Count every transaction of the stream; block order does not change counts."""
+        """Count every transaction of the stream; block order does not change counts.
+
+        A block's ids are checked once, by min and max, and counted with no check per
+        id; a block with a negative id goes through `record`, to name its transaction.
+        """
         idx = cls()
+        counts = idx._counts
         for block in blocks:
-            for tx in block.transactions:
-                idx.record(tx)
+            ids = [sid for tx in block.transactions for side in (tx.in_scripts, tx.out_scripts)
+                   for sid in set(side)]
+            if min(ids, default=0) < 0:
+                for tx in block.transactions:
+                    idx.record(tx)
+            counts.extend([0] * (max(ids, default=-1) + 1 - len(counts)))  # [] if none is new
+            for sid in ids:
+                counts[sid] += 1
         return idx

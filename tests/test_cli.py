@@ -775,6 +775,17 @@ class TestNoPartialOutput:
             for _ in range(2):
                 open_output(os.devnull).write("discarded\n")
 
+    def test_device_out_gets_no_sidecar(self, synth_files, tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        out.symlink_to(os.devnull)
+        before = sorted(tmp_path.iterdir())
+        code = main(["run", "--tx", synth_files["jsonl"], "--heuristic", "cio",
+                     "--checkpoints", "5", "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr() == ("", "")
+        assert not (tmp_path / "report.meta.json").exists()
+        assert sorted(tmp_path.iterdir()) == before and out.is_symlink()
+
     def test_failed_synth_leaves_no_file(self, tmp_path, capsys):
         params = tmp_path / "params.json"
         params.write_text(json.dumps(

@@ -423,6 +423,12 @@ class TestCountedBeforeRead:
         assert len(probed) == report.metadata["counts"]["transactions"] == 100
 
 
+# Every heuristic under every horizon it accepts.
+HEURISTIC_HORIZONS = [(name, horizon) for name in sorted(HEURISTICS)
+                      for horizon in (None, "online", "fixed")
+                      if (name, horizon) != ("reuse-change", "online")]
+
+
 class TestDenseIds:
     """Ids are dense in stream order: each new script takes the next id."""
 
@@ -451,6 +457,44 @@ class TestDenseIds:
         assert str(err.value) == (
             "transaction t3 in block 2: script id 4 is neither seen nor the next id 3"
         )
+
+    @pytest.mark.parametrize("heuristic, horizon", HEURISTIC_HORIZONS)
+    def test_gap_after_merges_in_its_block(self, heuristic, horizon):
+        """A block's ids are checked before its transactions are replayed; the
+        error is the one a transaction-by-transaction check gives."""
+        blocks = list(_memory_source(_firing_stream(4).splitlines()).blocks())
+        config = RunConfig(heuristic, HeuristicConfig(min_deposit_inputs=4), horizon, 100)
+        merged, scripts = [], []  # after each prefix of the stream
+        for upto in range(len(blocks) + 1):
+            report, store = run(config, MemorySource(blocks[:upto], {}), _prices())
+            merged.append(report.metadata["counts"]["merges_applied"])
+            scripts.append(store.num_scripts)
+        # The last block whose transactions merge, and the high-water id after it.
+        k = max(k for k in range(len(blocks)) if merged[k + 1] > merged[k])
+        hw = scripts[k + 1]
+        bad = tx([(0, 1)], [(hw + 1, 1)], "bad")
+        blocks[k] = block(blocks[k].index, *blocks[k].transactions, bad)
+        with pytest.raises(DataError) as err:
+            run(config, MemorySource(blocks, {}), _prices())
+        assert str(err.value) == (f"transaction bad in block {blocks[k].index}: "
+                                  f"script id {hw + 1} is neither seen nor the next id {hw}")
+
+    def test_new_ids_only_in_a_blocks_last_transaction(self):
+        blocks = [
+            block(1, tx([(0, 5)], [(1, 4)], "t1")),
+            block(2, tx([(0, 3), (1, 4)], [(0, 6)], "t2"), tx([(1, 2), (2, 9)], [(3, 10)], "t3")),
+            block(3, tx([(3, 8), (4, 1)], [(5, 8)], "t4")),
+        ]
+        report, _ = run(RunConfig("cio", checkpoints=1), MemorySource(blocks, {}))
+        buf = io.StringIO()
+        report.write_csv(buf)
+        assert buf.getvalue().splitlines()[1:] == [
+            "1,2,2,1.000000,0,1", "2,4,2,0.500000,2,3", "3,6,3,0.500000,3,4"]
+        for heuristic, horizon in HEURISTIC_HORIZONS:
+            report, _ = run(RunConfig(heuristic, horizon=horizon, checkpoints=1),
+                            MemorySource(blocks, {}), _prices())
+            assert [(r.num_scripts, r.tx_processed) for r in report.rows] == [
+                (2, 1), (4, 3), (6, 4)]
 
 
 def _texts(table):

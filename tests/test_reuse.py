@@ -1,6 +1,8 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entityforge.chain import Block
 from entityforge.errors import DataError
@@ -121,3 +123,50 @@ class TestEquivalence:
                 cur = ReuseIndex.build_fixed(_upto(blocks, k)).count(sid)
                 assert cur >= prev
                 prev = cur
+
+
+# Ids repeat within a side and skip, since 0..40 is drawn from at random.
+_sides = st.lists(st.integers(0, 40), min_size=1, max_size=5)
+_transactions = st.tuples(_sides, _sides).map(
+    lambda sides: tx(*([(sid, 1) for sid in side] for side in sides)))
+_block_txs = st.lists(_transactions, max_size=4)  # empty blocks and one-transaction blocks too
+
+
+def _numbered(block_txs):
+    return [Block(index, txs) for index, txs in enumerate(block_txs)]
+
+
+def _replayed(blocks):
+    """The online index after `record` of every transaction in stream order."""
+    idx = ReuseIndex()
+    for b in blocks:
+        for t in b.transactions:
+            idx.record(t)
+    return idx
+
+
+class TestFixedBuildEqualsReplay:
+    @settings(max_examples=300, deadline=None)
+    @given(blocks=st.lists(_block_txs, max_size=6).map(_numbered))
+    def test_counts_equal_record_replayed(self, blocks):
+        assert ReuseIndex.build_fixed(blocks)._counts == _replayed(blocks)._counts
+
+    @settings(max_examples=200, deadline=None)
+    @given(head=st.lists(_block_txs, min_size=1, max_size=3),
+           later=st.lists(_transactions, min_size=2, max_size=5),
+           tail=st.lists(_block_txs, max_size=2), data=st.data())
+    def test_negative_id_refused_with_records_message(self, head, later, tail, data):
+        """Negative ids in later transactions of a later block: the first is named."""
+        faulty = sorted(data.draw(st.sets(st.integers(1, len(later) - 1), min_size=1)))
+        for i in faulty:
+            sides = list(later[i].in_scripts), list(later[i].out_scripts)
+            sides[data.draw(st.integers(0, 1))].extend(data.draw(
+                st.lists(st.integers(-5, -1), min_size=1, max_size=2)))
+            later[i] = tx(*([(sid, 1) for sid in side] for side in sides), later[i].txid)
+        blocks = _numbered([*head, later, *tail])
+        with pytest.raises(DataError) as replayed:
+            _replayed(blocks)
+        with pytest.raises(DataError) as fixed:
+            ReuseIndex.build_fixed(blocks)
+        assert str(fixed.value) == str(replayed.value)
+        assert str(fixed.value).startswith(f"transaction {later[faulty[0]].txid}: script id -")
