@@ -15,7 +15,8 @@ it holds.
 
 Snapshots are written, read and labelled as whole columns, with no Python
 call per script: the labels by pointer jumping over the parent array, a CSV
-file in chunks of rows, and the loaded partition straight from its labels.
+file in chunks of rows by `errors.int_pairs` (which walks only a faulty file,
+once, to name its line), and the loaded partition straight from its labels.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from __future__ import annotations
 import csv
 import struct
 from fractions import Fraction
-from itertools import compress, islice
+from itertools import compress
 from operator import eq, gt, ne, or_
 from typing import IO, Iterable, Sequence
 
-from .errors import DataError, csv_rows, int_columns, parse_int
+from .errors import DataError, int_pairs
 
 _SNAPSHOT_MAGIC = b"ECLS1"
 _CSV_HEADER = ["script_id", "cluster_id"]
@@ -132,38 +133,8 @@ def _partition(labels: Sequence[int]) -> ClusterSet:
     return store
 
 
-def _walk_csv_snapshot(path: str) -> list[int]:
-    """A CSV snapshot's labels, read row by row to name the first fault's line.
-
-    A snapshot's ids are exactly 0..n-1, each once, and every label is below n.
-    """
-    what = f"snapshot {path}"
-    labels: dict[int, int] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for where, (sid, lab) in csv_rows(fh, _CSV_HEADER, what):
-            sid, lab = parse_int(sid, where), parse_int(lab, where)
-            if min(sid, lab) < 0:
-                raise DataError(f"{where}: id {min(sid, lab)} is negative")
-            if sid in labels:
-                raise DataError(f"{where}: script id {sid} repeats")
-            labels[sid] = lab
-    n = len(labels)
-    for row, (sid, lab) in enumerate(labels.items()):
-        if max(sid, lab) >= n:
-            # Only a too-large id or label needs its row again: the row count is known now.
-            with open(path, newline="", encoding="utf-8") as fh:
-                where = next(islice(csv_rows(fh, _CSV_HEADER, what), row, None))[0]
-            which = f"script id {sid}" if sid >= n else f"cluster id {lab}"
-            raise DataError(f"{where}: {which} is not below the {n} ids")
-    return [labels[sid] for sid in range(n)]
-
-
 def load_snapshot(path: str) -> ClusterSet:
-    """Load a CSV or binary snapshot (sniffed by magic bytes).
-
-    A CSV snapshot is read in bulk; only a faulty file is walked again row by
-    row, to name the line of its first fault.
-    """
+    """Load a CSV or binary snapshot (sniffed by magic bytes)."""
     with open(path, "rb") as fh:
         if fh.read(len(_SNAPSHOT_MAGIC)) == _SNAPSHOT_MAGIC:
             body = fh.read()
@@ -176,12 +147,5 @@ def load_snapshot(path: str) -> ClusterSet:
                 raise DataError(f"binary snapshot {path} entry {sid}: cluster id {labels[sid]} "
                                 f"is not below the {n} ids")
             return _partition(labels)
-    columns = int_columns(path, _CSV_HEADER)
-    if columns is not None:
-        ids, labs = columns
-        n = len(ids)
-        by_id = dict(zip(ids, labs))
-        if not n or (len(by_id) == n and min(min(ids), min(labs)) >= 0
-                     and max(max(ids), max(labs)) < n):
-            return _partition(list(map(by_id.__getitem__, range(n))))
-    return _partition(_walk_csv_snapshot(path))
+    by_id = int_pairs(path, _CSV_HEADER, f"snapshot {path}", dense=True)
+    return _partition(list(map(by_id.__getitem__, range(len(by_id)))))

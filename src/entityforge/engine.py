@@ -112,6 +112,8 @@ class RatioReport:
                 )
                 if scripts < 1:
                     raise DataError(f"{where}: num_scripts must be positive, got {scripts}")
+                if not 1 <= clusters <= scripts:
+                    raise DataError(f"{where}: num_clusters must be in 1..{scripts}, got {clusters}")
                 rows.append(
                     ReportRow(block, scripts, clusters, Fraction(clusters, scripts), merges, txs)
                 )

@@ -97,7 +97,8 @@ def csv_rows(source: IO, header: list[str], what: str) -> Iterator[tuple[str, li
 def parse_int(text: str, where: str) -> int:
     """`text` as an integer, or a DataError that names where the text came from."""
     if is_int_text(text):
-        return int(text)
+        with suppress(ValueError):  # more digits than sys.get_int_max_str_digits()
+            return int(text)
     raise DataError(f"{where}: expected an integer, got {text!r}")
 
 
@@ -109,35 +110,55 @@ def parse_decimal(text: str) -> Decimal | None:
     return None
 
 
-def int_columns(path: str, header: list[str]) -> tuple[list[int], list[int]] | None:
-    """The two integer columns of the CSV file at `path`, below `header`.
+def int_pairs(path: str, header: list[str], what: str, dense: bool) -> dict[int, int]:
+    """First field -> second field of the two-integer CSV file at `path`, below `header`.
 
-    Rows are read and converted a chunk at a time, with blank lines skipped as
-    `csv_rows` skips them, so no list of all rows is held. Returns None if the
-    header differs, a row has other than two fields, a field is not an
-    integer, or the text cannot be read: the caller then walks the file with
-    `csv_rows` and `parse_int`, which name the line.
+    Each first field appears once. With `dense`, the first fields are exactly
+    0..n-1 for n rows and every second field is in 0..n-1 too. The file is read
+    and converted a chunk at a time, with blank lines skipped as `csv_rows`
+    skips them. Only a file that fails a guard is walked again, once, row by
+    row, to name its first fault's line: within a row the first field's form,
+    its repeat, the second field's form, then (with `dense`) a negative; after
+    the last row, with `dense`, a field not below the row count.
     """
-    firsts: list[int] = []
-    seconds: list[int] = []
+    pairs: dict[int, int] = {}
+    n = 0
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             if next(reader, None) != header:
-                return None
+                raise ValueError("header")
             for chunk in iter(lambda: list(islice(reader, CSV_CHUNK_ROWS)), []):
-                rows = list(filter(None, chunk))
-                if set(map(len, rows)) - {2}:  # a row without exactly two fields
-                    return None
-                if rows:
-                    ids, values = zip(*rows)
-                    if _not_int_char("".join(ids + values)):
-                        return None
-                    firsts += map(int, ids)
-                    seconds += map(int, values)
+                if rows := list(filter(None, chunk)):
+                    firsts, seconds = zip(*rows, strict=True)  # a row without two fields
+                    if _not_int_char("".join(firsts + seconds)):
+                        raise ValueError("form")
+                    pairs.update(zip(map(int, firsts), map(int, seconds)))
+                    n += len(rows)
         except (csv.Error, UnicodeDecodeError, ValueError):
-            return None
-    return firsts, seconds
+            pass  # walked below
+        else:
+            values = pairs.values()
+            if len(pairs) == n and (not dense or not n or (
+                    min(min(pairs), min(values)) >= 0 and max(max(pairs), max(values)) < n)):
+                return pairs
+    pairs, wheres = {}, []
+    with open(path, newline="", encoding="utf-8") as fh:
+        for where, (first, second) in csv_rows(fh, header, what):
+            key = parse_int(first, where)
+            if key in pairs:
+                raise DataError(f"{where}: {header[0].replace('_', ' ')} {key} repeats")
+            pairs[key] = value = parse_int(second, where)
+            if dense and min(key, value) < 0:
+                raise DataError(f"{where}: id {min(key, value)} is negative")
+            wheres.append(where)
+    if dense:
+        for where, item in zip(wheres, pairs.items()):
+            for name, value in zip(header, item):
+                if value >= len(pairs):
+                    raise DataError(f"{where}: {name.replace('_', ' ')} {value} "
+                                    f"is not below the {len(pairs)} ids")
+    return pairs
 
 
 def read_json_object(path, what: str, error: type[EntityForgeError]) -> dict:

@@ -23,7 +23,7 @@ from random import Random
 from typing import IO
 
 from .clusters import ClusterSet
-from .errors import DataError, GenerationError, csv_rows, int_columns, output_files, parse_int
+from .errors import DataError, GenerationError, int_pairs, output_files
 
 _PROB_FIELDS = (
     "fresh_change_prob",
@@ -446,30 +446,9 @@ def write_truth(sink: IO, truth: dict[int, int]) -> None:
     writer.writerows(sorted(truth.items()))
 
 
-def _walk_truth(path: str) -> dict[int, int]:
-    """The truth, read row by row to name the first fault's line."""
-    truth = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for where, (sid, uid) in csv_rows(fh, _TRUTH_HEADER, f"ground truth {path}"):
-            sid = parse_int(sid, where)
-            if sid in truth:
-                raise DataError(f"{where}: script id {sid} repeats")
-            truth[sid] = parse_int(uid, where)
-    return truth
-
-
 def read_truth(path: str) -> dict[int, int]:
-    """Script id -> user id from a `script_id,user_id` CSV; an id may appear once.
-
-    The file is read in bulk; only a faulty file is walked again row by row, to
-    name the line of its first fault.
-    """
-    columns = int_columns(path, _TRUTH_HEADER)
-    if columns is not None:
-        truth = dict(zip(*columns))
-        if len(truth) == len(columns[0]):
-            return truth
-    return _walk_truth(path)
+    """Script id -> user id from a `script_id,user_id` CSV; an id may appear once."""
+    return int_pairs(path, _TRUTH_HEADER, f"ground truth {path}", dense=False)
 
 
 def _pairs(counts: Counter, total: int) -> int:

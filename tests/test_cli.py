@@ -495,12 +495,15 @@ class TestMalformedInputs:
         (tmp_path / "r.meta.json").write_text('{"heuristic": ')
         self.assert_data_error(_cli("compare", str(report)), "r.meta.json")
 
-    @pytest.mark.parametrize("text", ["1_0", " 7", "+2", "\u0663"],
-                             ids=["underscore", "space", "plus", "arabic-indic-digit"])
+    @pytest.mark.parametrize(
+        "text", ["1_0", " 7", "+2", "\u0663", "9" * (sys.get_int_max_str_digits() + 1)],
+        ids=["underscore", "space", "plus", "arabic-indic-digit", "past-digit-limit"],
+    )
     @pytest.mark.parametrize("place", ["truth", "snapshot", "snapshot-past-first-chunk",
                                        "report", "price-block"])
     def test_integer_is_minus_then_ascii_digits(self, tmp_path, capsys, text, place):
-        """`int()` reads these texts as 10, 7, 2 and 3; every integer field refuses them."""
+        """`int()` reads the first four texts as 10, 7, 2 and 3, and raises ValueError on
+        more digits than `sys.get_int_max_str_digits()`; every integer field refuses them."""
         n = CSV_CHUNK_ROWS + 20 if place == "snapshot-past-first-chunk" else 3
         row = n - 5 if n > 3 else 1
         snapshot_rows = [f"{sid},{sid}" for sid in range(n)]
@@ -525,6 +528,14 @@ class TestMalformedInputs:
             where = (f"ground truth {truth}" if place == "truth" else f"snapshot {snapshot}") + f" line {row + 2}"
         assert main(argv) == 3
         assert capsys.readouterr().err == f"error[data]: {where}: expected an integer, got {text!r}\n"
+
+    @pytest.mark.parametrize("clusters", ["0", "-1", "4"])
+    def test_report_clusters_outside_one_to_scripts_refused(self, tmp_path, capsys, clusters):
+        report = tmp_path / "r.csv"
+        report.write_text(REPORT_HEADER + "5,3,2,0.666667,1,1\n" + f"9,3,{clusters},0.000000,1,2\n")
+        assert main(["compare", str(report)]) == 3
+        assert capsys.readouterr().err == (
+            f"error[data]: report {report} line 3: num_clusters must be in 1..3, got {clusters}\n")
 
     @pytest.mark.parametrize(
         "text",
@@ -1015,6 +1026,88 @@ class TestValidate:
             "first_block": 7,
             "last_block": 7,
         }
+
+
+_MUTATION_TOKENS = [b"1_0", b"+2", b"\xff", b"\r", b'"', b"9" * (sys.get_int_max_str_digits() + 1)]
+# An edit is (kind, position, argument): delete up to 8 bytes, cut the file short,
+# change one byte, or insert one of the tokens above.
+_edits = st.lists(st.tuples(st.sampled_from(["delete", "truncate", "byte", "insert"]),
+                            st.integers(0, 10**6), st.integers(0, 255)), min_size=1, max_size=3)
+
+
+def _mutate(data: bytes, edits) -> bytes:
+    for kind, at, arg in edits:
+        i = at % (len(data) + 1)
+        if kind == "delete":
+            data = data[:i] + data[i + 1 + arg % 8:]
+        elif kind == "truncate":
+            data = data[:i]
+        elif kind == "byte":
+            data = data[:i] + bytes([arg]) + data[i + 1:]
+        else:
+            data = data[:i] + _MUTATION_TOKENS[arg % len(_MUTATION_TOKENS)] + data[i:]
+    return data
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """One small valid file of each CSV and snapshot input kind, by name."""
+    where = tmp_path_factory.mktemp("valid")
+    files = generate_files(str(where / "synth"), 3, GenParams(users=5, blocks=6, txs_per_block=5))
+    prices = where / "prices.csv"
+    prices.write_text("block_index,usd_per_btc\n0,10000\n3,20000.5\n5,1E+4\n")
+    paths = {"stream": files["jsonl"], "truth": files["truth"], "prices": str(prices)}
+    for name in ("snapshot.csv", "snapshot.bin"):
+        paths[name] = str(where / name)
+        assert main(["run", "--tx", files["jsonl"], "--heuristic", "cio", "--checkpoints", "2",
+                     "--out", str(where / "report.csv"), "--snapshot", paths[name]]) == 0
+    paths["report"], paths["sidecar"] = str(where / "report.csv"), str(where / "report.meta.json")
+    return paths
+
+
+class TestMutatedInputs:
+    """A mutated input file ends in exit 0, 2 or 3, never an exception; a refusal
+    is exactly one `error[...]` line and leaves no new file."""
+
+    @staticmethod
+    def _commands(kind, mutated, valid, out):
+        """The commands that read the `kind` of file, with `mutated` in its place."""
+        snapshot, truth = valid["snapshot.csv"], valid["truth"]
+        if kind.startswith("snapshot"):
+            return [["score", "--snapshot", mutated, "--truth", truth, "--out", out]]
+        if kind == "truth":
+            return [["score", "--snapshot", snapshot, "--truth", mutated, "--out", out]]
+        if kind in ("report", "sidecar"):
+            return [["compare", mutated, valid["report"], "--out", out]]
+        return [["exponent-series", "--prices", mutated, "--blocks", "0:6", "--out", out],
+                ["run", "--tx", valid["stream"], "--heuristic", "round", "--prices", mutated,
+                 "--out", out]]
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["snapshot.csv", "snapshot.bin", "truth", "report", "sidecar",
+                                 "prices"]), edits=_edits)
+    def test_every_mutation_exits_by_the_contract(self, valid_inputs, kind, edits):
+        with tempfile.TemporaryDirectory() as where:
+            # A report and its sidecar go together, one of them mutated, so compare reads both.
+            together = {"report": "m.csv", "sidecar": "m.meta.json"}
+            if kind in together:
+                for part, name in together.items():
+                    Path(where, name).write_bytes(Path(valid_inputs[part]).read_bytes())
+            name = together.get(kind, "m.bin" if kind == "snapshot.bin" else "m.csv")
+            Path(where, name).write_bytes(_mutate(Path(valid_inputs[kind]).read_bytes(), edits))
+            mutated = os.path.join(where, "m.bin" if kind == "snapshot.bin" else "m.csv")
+            for argv in self._commands(kind, mutated, valid_inputs, os.path.join(where, "out.csv")):
+                before = sorted(os.listdir(where))
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                assert code in (0, 2, 3), (argv, err.getvalue())
+                if code:
+                    assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+                    assert err.getvalue().startswith("error["), err.getvalue()
+                    assert sorted(os.listdir(where)) == before
+                for output in ("out.csv", "out.meta.json"):
+                    Path(where, output).unlink(missing_ok=True)
 
 
 class TestCollectorPause:

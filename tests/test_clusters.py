@@ -270,6 +270,15 @@ class TestSnapshots:
         path.write_text("script_id,cluster_id\n2,0\n0,0\n1,1\n")
         assert load_snapshot(str(path)).labels() == [0, 1, 0]
 
+    @pytest.mark.parametrize("row", ["1,-1", "1,x"])
+    def test_a_row_with_two_faults_is_named_by_its_repeat(self, tmp_path, row):
+        # A row is checked as the truth's rows are: the id's form, its repeat,
+        # the label's form, then a negative. So a repeated id masks a bad label.
+        path = tmp_path / "bad.csv"
+        path.write_text(f"script_id,cluster_id\n0,0\n1,0\n{row}\n")
+        with pytest.raises(DataError, match=re.escape(f"snapshot {path} line 4: script id 1 repeats")):
+            load_snapshot(str(path))
+
     @pytest.mark.parametrize(
         "body",
         [

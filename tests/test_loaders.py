@@ -25,7 +25,7 @@ from entityforge.errors import (
     ConfigError,
     DataError,
     EntityForgeError,
-    int_columns,
+    int_pairs,
     parse_decimal,
     parse_int,
 )
@@ -155,12 +155,18 @@ def test_integer_fields_are_minus_then_ascii_digits(scratch, text, other):
         assert value is None and str(exc) == f"here: expected an integer, got {text!r}"
     else:
         assert parsed == value
+    second = (value or 0) + 1  # an id the first row's cannot repeat
     buf = io.StringIO(newline="")
-    csv.writer(buf).writerows([["a", "b"], [text, "0"], ["0", other]])
+    csv.writer(buf).writerows([["a", "b"], [text, "0"], [str(second), other]])
     scratch.write_text(buf.getvalue(), encoding="utf-8", newline="")
-    columns = int_columns(str(scratch), ["a", "b"])
     both = (value, strict(other))
-    assert columns == (None if None in both else ([value, 0], [0, both[1]]))
+    try:
+        pairs = int_pairs(str(scratch), ["a", "b"], "here", dense=False)
+    except DataError as exc:
+        assert None in both
+        assert str(exc).endswith(f": expected an integer, got {text if value is None else other!r}")
+    else:
+        assert pairs == {value: 0, second: both[1]}
 
 
 def _strict_decimal(text):
