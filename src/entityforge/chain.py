@@ -1,8 +1,11 @@
 """Transaction data model and block-stream ingestion.
 
 Scripts (addresses) are interned to dense integer ids at first observation;
-all downstream structures index by those ids. The wire format is JSON-Lines,
-one transaction per line, grouped and sorted by block index:
+all downstream structures index by those ids. Each block carries the number
+of scripts seen through it, so a replay never walks the ids to find it, and a
+replayable source carries the stream's fixed reuse counts, made once. The
+wire format is JSON-Lines, one transaction per line, grouped and sorted by
+block index:
 
     {"txid": "t1", "block": 7,
      "inputs":  [{"script": "pA", "value": 10}],
@@ -22,7 +25,8 @@ import marshal
 import zlib
 from typing import IO, Iterable, Iterator, NamedTuple
 
-from .errors import IngestError, ValidationError
+from .errors import DataError, IngestError, ValidationError
+from .reuse import ReuseIndex
 
 
 class Transaction(NamedTuple):
@@ -37,8 +41,12 @@ class Transaction(NamedTuple):
 
 
 class Block(NamedTuple):
+    """A block's transactions, and `scripts`: the number of scripts seen through it,
+    so ids 0..scripts-1 are exactly the scripts of this block and the ones before."""
+
     index: int
     transactions: list[Transaction]
+    scripts: int
 
 
 # The largest input total, as Bitcoin Core's int64 `CAmount` holds it; with outputs
@@ -113,7 +121,8 @@ def iter_blocks(
     The per-line work is one loop, since decoding is the largest layer of a
     run. On decoded JSON, `type(x) is int` is `isinstance(x, int)`
     without bools. A script text new to `table` takes the next id,
-    `len(table)`, so ids are dense in first-observation order. Each side
+    `len(table)`, so ids are dense in first-observation order, and a
+    block's script count is `len(table)` after its last transaction. Each side
     fills an id list and a value list; only a transaction whose value
     columns' `sum` and `min` show it invalid or past `MAX_VALUE` goes
     through `validate_transaction`, which raises its error.
@@ -121,6 +130,7 @@ def iter_blocks(
     stats = stats if stats is not None else StreamStats()
     current_index: int | None = None
     current_txs: list[Transaction] = []
+    seen = 0  # scripts through the last transaction kept
     get_id, new = table.get, tuple.__new__
 
     def flush() -> Block:
@@ -128,7 +138,7 @@ def iter_blocks(
         stats.last_block = current_index
         if stats.first_block is None:
             stats.first_block = current_index
-        return Block(current_index, current_txs)
+        return Block(current_index, current_txs, seen)
 
     for lineno, line in enumerate(source, start=1):
         line = line.strip()
@@ -205,6 +215,7 @@ def iter_blocks(
             current_index = block_index
             current_txs = []
         current_txs.append(tx)
+        seen = len(table)
         stats.transactions += 1
 
     if current_index is not None:
@@ -214,8 +225,9 @@ def iter_blocks(
 class JsonlSource:
     """Re-iterable block source backed by a JSONL (optionally .gz) file.
 
-    Owns the interning table, script text to id, so that repeated passes see
-    identical script ids.
+    Each pass interns into a fresh table, script text to id, kept as `table`
+    until the next pass. Ids follow first observation, so every pass gives the
+    same ids and block script counts.
     """
 
     def __init__(self, path: str):
@@ -224,7 +236,7 @@ class JsonlSource:
         self.stats = StreamStats()
 
     def blocks(self) -> Iterator[Block]:
-        self.stats = StreamStats()
+        self.stats, self.table = StreamStats(), {}
         try:
             with io.TextIOWrapper(open_stream(self.path), encoding="utf-8") as fh:
                 yield from iter_blocks(fh, self.table, self.stats)
@@ -234,14 +246,12 @@ class JsonlSource:
             # gzip data that is cut short or corrupt
             raise IngestError(f"{self.path}: cannot read the stream: {exc}") from None
 
-    def pack(self, packed: "PackedStream") -> Iterator[Block]:
-        """Decode the stream, adding each block to `packed` as it is yielded; then release
-        the script texts. A later pass gets the same ids: they follow first observation."""
-        for block in self.blocks():
-            packed.add(block)
-            yield block
-        packed.stats = self.stats
+    def pack(self) -> "PackedStream":
+        """Decode the stream once into a `PackedStream`, which counts its fixed reuse as the
+        blocks go by; then release the script texts."""
+        packed = PackedStream(self)
         self.table = {}
+        return packed
 
     def _not_utf8(self, exc: UnicodeDecodeError) -> str:
         """The first line that is not UTF-8, and the bad byte's offset in it.
@@ -268,29 +278,58 @@ class JsonlSource:
 
 
 class MemorySource:
-    """Re-iterable block source over already-interned in-memory blocks."""
+    """Re-iterable block source over already-interned in-memory blocks.
+
+    The blocks are checked once, when the source is made, as the decoder would
+    have made them: each block's index above the one before, and each id either
+    seen or the next, so ids are dense in stream order. Each block is then held
+    with its script count, and the stream's fixed reuse counts as `fixed`.
+    """
 
     def __init__(self, blocks: list[Block], table: dict[str, int]):
-        self._blocks = blocks
+        counted: list[Block] = []
+        hw = 0  # scripts seen so far: ids 0..hw-1
+        for block in blocks:
+            if counted and block.index <= counted[-1].index:
+                raise DataError(f"block {block.index} after block {counted[-1].index}: "
+                                "stream must be sorted")
+            for tx in block.transactions:
+                for side in (tx.in_scripts, tx.out_scripts):
+                    for sid in side:
+                        if not 0 <= sid < hw:
+                            if sid != hw:
+                                raise DataError(f"transaction {tx.txid} in block {block.index}: "
+                                                f"script id {sid} is neither seen nor the next id {hw}")
+                            hw += 1
+            counted.append(Block(block.index, block.transactions, hw))
+        self._blocks = counted
         self.table = table
         self.stats = StreamStats()
+        self.fixed = ReuseIndex.build_fixed(counted)
 
     def blocks(self) -> Iterator[Block]:
         return iter(self._blocks)
 
 
 class PackedStream:
-    """A decoded stream as one `marshal` string per block, replayed as equal blocks. Each
-    transaction is held as a plain tuple, since `marshal` refuses NamedTuples. No script
-    text is kept, and the strings never leave the process: `marshal` is unsafe on outside data."""
+    """One pass of a source as one `marshal` string per block, replayed as equal blocks,
+    with the fixed reuse counts of the pass as `fixed`. Each transaction is held as a plain
+    tuple, since `marshal` refuses NamedTuples. No script text is kept, and the strings never
+    leave the process: `marshal` is unsafe on outside data. Version 2 keeps no reference
+    table: packing is faster and the strings larger."""
 
-    def __init__(self) -> None:
-        self._blocks: list[tuple[int, bytes]] = []
+    def __init__(self, source) -> None:
+        self._blocks: list[tuple[int, int, bytes]] = []
+        self.fixed = ReuseIndex.build_fixed(map(self._add, source.blocks()))
+        self.stats = source.stats
 
-    def add(self, block: Block) -> None:
-        self._blocks.append((block.index, marshal.dumps(list(map(tuple, block.transactions)))))
+    def _add(self, block: Block) -> Block:
+        """Pack `block`, and pass it on to be counted."""
+        rows = list(map(tuple, block.transactions))
+        self._blocks.append((block.index, block.scripts, marshal.dumps(rows, 2)))
+        return block
 
     def blocks(self) -> Iterator[Block]:
         new = tuple.__new__
-        for index, data in self._blocks:
-            yield Block(index, [new(Transaction, row) for row in marshal.loads(data)])
+        for index, scripts, data in self._blocks:
+            yield Block(index, [new(Transaction, row) for row in marshal.loads(data)], scripts)

@@ -1,16 +1,17 @@
 """Replay a block stream, apply one heuristic, and checkpoint the ratio.
 
 The run starts from the atomic clustering and processes blocks in stream order:
-grow the store to the scripts the block brings, then per transaction update the
+grow the store to the block's script count, then per transaction update the
 online reuse index, if any, evaluate the heuristic and apply its merge groups
 at once. At each checkpoint block index k the report records |S_k|, |C_k| and
-their ratio. Script ids are dense in stream order, as the decoder assigns them,
-so |S_k| is the high-water id: one more than the largest id so far. A block
-whose ids skip or go negative is refused before its replay.
+their ratio. The source vouches for the stream: its blocks are sorted, its ids
+dense in stream order, and each block carries the number of scripts seen
+through it, |S_k|. The decoder makes them so, and a `MemorySource` checks and
+counts its blocks once, when it is made.
 
-Heuristics whose reuse horizon is fixed count every occurrence first. A JSONL
-source is decoded once, packed one `marshal` string per block as it is counted,
-and the clustering pass replays those.
+Heuristics whose reuse horizon is fixed read the source's fixed counts, made
+once per stream. A JSONL source is first decoded once into a `PackedStream`,
+counted as it is packed, and the clustering pass replays that.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import IO
 
-from .chain import JsonlSource, PackedStream
+from .chain import JsonlSource
 from .clusters import ClusterSet
 from .errors import ConfigError, DataError, csv_rows, parse_int, read_json_object
 from .heuristics import (
@@ -102,7 +103,10 @@ class RatioReport:
 
     @classmethod
     def read(cls, csv_path: str) -> "RatioReport":
-        """Read a report CSV and its sidecar; the ratio is recomputed exactly."""
+        """Read a report CSV and its sidecar; the ratio is recomputed exactly.
+
+        A row must be one that `write_csv` could have written: its ratio text that of
+        its counts, no negative count, and its block index above the row before."""
         path = Path(csv_path)
         rows = []
         with open(path, newline="", encoding="utf-8") as fh:
@@ -114,6 +118,14 @@ class RatioReport:
                     raise DataError(f"{where}: num_scripts must be positive, got {scripts}")
                 if not 1 <= clusters <= scripts:
                     raise DataError(f"{where}: num_clusters must be in 1..{scripts}, got {clusters}")
+                if raw[3] != (ratio := f"{clusters / scripts:.6f}"):
+                    raise DataError(f"{where}: ratio must be {ratio}, got {raw[3]!r}")
+                for name, count in (("merges_applied", merges), ("tx_processed", txs)):
+                    if count < 0:
+                        raise DataError(f"{where}: {name} must be non-negative, got {count}")
+                if rows and block <= rows[-1].block_index:
+                    raise DataError(f"{where}: block_index {block} is not above the previous "
+                                    f"row's {rows[-1].block_index}")
                 rows.append(
                     ReportRow(block, scripts, clusters, Fraction(clusters, scripts), merges, txs)
                 )
@@ -135,9 +147,9 @@ def run(
 ) -> tuple[RatioReport, ClusterSet]:
     """Cluster the stream with one heuristic; returns (report, final store).
 
-    `source` must expose `blocks()` (re-iterable for fixed-horizon runs),
-    whose script ids are dense in stream order, and the `stats` of its last
-    pass.
+    `source` must expose `blocks()`, sorted by index, with ids dense in stream
+    order and each block's script count; the `stats` of its last pass; and,
+    unless it is a `JsonlSource`, the `fixed` counts of a fixed-horizon run.
     """
     spec = HEURISTICS[config.heuristic]
 
@@ -156,11 +168,8 @@ def run(
 
     online_idx = ReuseIndex() if mode == "online" else None
     if mode == "fixed" and isinstance(source, JsonlSource):  # one decode, counted as packed
-        blocks, source = source.pack(packed := PackedStream()), packed
-    elif mode == "fixed":
-        blocks = source.blocks()
-    fixed_idx = ReuseIndex.build_fixed(blocks) if mode == "fixed" else None
-    ctx = EvalContext(config=config.params, reuse=online_idx or fixed_idx)
+        source = source.pack()
+    ctx = EvalContext(config=config.params, reuse=source.fixed if mode == "fixed" else online_idx)
 
     store = ClusterSet()
     # Checkpoints come due as the stream passes them; math.inf means none is left.
@@ -171,7 +180,6 @@ def run(
     merges_applied = 0
     tx_processed = 0
     blocks = 0
-    hw = 0  # scripts seen so far: ids 0..hw-1
     prev_block: int | None = None
 
     def record(at: int) -> None:
@@ -183,8 +191,6 @@ def run(
         )
 
     for block in source.blocks():
-        if prev_block is not None and block.index <= prev_block:
-            raise DataError(f"block {block.index} after block {prev_block}: stream must be sorted")
         while cp < block.index:
             record(cp)
             cp = next(due, math.inf)
@@ -196,15 +202,7 @@ def run(
         ctx.exponent = exponent
 
         txs = block.transactions
-        for tx in txs:
-            for side in (tx.in_scripts, tx.out_scripts):
-                for sid in side:
-                    if not 0 <= sid < hw:
-                        if sid != hw:
-                            raise DataError(f"transaction {tx.txid} in block {block.index}: "
-                                            f"script id {sid} is neither seen nor the next id {hw}")
-                        hw += 1
-        store.register(hw)
+        store.register(block.scripts)
         for tx in txs:
             if online_idx is not None:
                 online_idx.record(tx)

@@ -5,20 +5,23 @@ appearing among the inputs is one observation, appearing among the outputs
 is another, and duplicates within one side are a serialization artifact and
 count once. A script is "reused" once its count reaches two.
 
-The engine picks the horizon by which index it builds:
+The engine picks the horizon by which index it reads:
   * online  - an empty index that the engine records each transaction into
               just before evaluating heuristics on it, so counts reflect the
               transactions seen so far.
-  * fixed   - `build_fixed` counts every transaction of the dataset in a
-              first pass; the counts never change afterwards.
+  * fixed   - the source's `fixed` index, which `build_fixed` counts over
+              every transaction of the dataset once, as the source is made or
+              packed; the counts never change afterwards.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .chain import Block, Transaction
 from .errors import DataError
+
+if TYPE_CHECKING:  # chain imports this module
+    from .chain import Block, Transaction
 
 
 class ReuseIndex:

@@ -37,7 +37,8 @@ def counts(mapping):
 
 
 def block(index, *txs):
-    return Block(index, list(txs))
+    """A hand-built block. Its script count is left 0: a `MemorySource` counts its blocks."""
+    return Block(index, list(txs), 0)
 
 
 def generate_text(seed, params):

@@ -13,7 +13,8 @@ CoinJoin filter and the change, shadow and reuse-change rules are the
 package's earlier ones, which each stated their own reuse tests. The
 checkpoint walk and the `--blocks` parser are the package's earlier ones,
 which built their state in a class and a flat list. The reference score
-enumerates every pair of truth scripts.
+enumerates every pair of truth scripts. The block-count scan is the
+engine's earlier check of every id, made once per run.
 """
 
 from __future__ import annotations
@@ -304,7 +305,7 @@ def as_columns(blocks: list[Block]) -> list[Block]:
                 tuple(x.script for x in t.outputs), tuple(x.value for x in t.outputs),
             )
             for t in b.transactions
-        ])
+        ], b.scripts)
         for b in blocks
     ]
 
@@ -383,18 +384,20 @@ def reference_iter_blocks(
 
     Transactions must be sorted by block index; consecutive lines with the
     same index form one block. Coinbase transactions (empty inputs) are
-    dropped before any of their scripts are interned.
+    dropped before any of their scripts are interned. Each block carries the
+    size of the table after its last transaction.
     """
     stats = stats if stats is not None else StreamStats()
     current_index: int | None = None
     current_txs: list[Transaction] = []
+    seen = 0
 
     def flush() -> Block:
         stats.blocks += 1
         stats.last_block = current_index
         if stats.first_block is None:
             stats.first_block = current_index
-        return Block(current_index, current_txs)
+        return Block(current_index, current_txs, seen)
 
     for lineno, line in enumerate(source, start=1):
         line = line.strip()
@@ -437,10 +440,37 @@ def reference_iter_blocks(
             current_index = block_index
             current_txs = []
         current_txs.append(tx)
+        seen = len(table)
         stats.transactions += 1
 
     if current_index is not None:
         yield flush()
+
+
+def reference_block_counts(blocks: Iterable[Block]) -> list[int]:
+    """Each block's script count, or the DataError that refuses the stream.
+
+    The engine's former scan, run per block as it replayed: the block's index
+    must be above the last one's, then each id in stream order must be seen
+    (below the high-water count) or the next (equal to it, which raises it).
+    """
+    counts: list[int] = []
+    hw = 0
+    prev_block: int | None = None
+    for block in blocks:
+        if prev_block is not None and block.index <= prev_block:
+            raise DataError(f"block {block.index} after block {prev_block}: stream must be sorted")
+        for tx in block.transactions:
+            for side in (tx.in_scripts, tx.out_scripts):
+                for sid in side:
+                    if not 0 <= sid < hw:
+                        if sid != hw:
+                            raise DataError(f"transaction {tx.txid} in block {block.index}: "
+                                            f"script id {sid} is neither seen nor the next id {hw}")
+                        hw += 1
+        counts.append(hw)
+        prev_block = block.index
+    return counts
 
 
 def reference_score(labels: list[int], truth: dict[int, int]) -> dict:

@@ -10,15 +10,15 @@ from entityforge.chain import (
     MAX_VALUE,
     JsonlSource,
     MemorySource,
-    PackedStream,
     StreamStats,
     iter_blocks,
     validate_transaction,
 )
-from entityforge.errors import IngestError, ValidationError
+from entityforge.errors import DataError, IngestError, ValidationError
+from entityforge.reuse import ReuseIndex
 
-from conftest import tx
-from oracles import as_columns, reference_iter_blocks
+from conftest import block, tx
+from oracles import as_columns, reference_block_counts, reference_iter_blocks
 from test_loaders import jsonl_line
 
 
@@ -151,12 +151,10 @@ class TestSources:
         assert [b.index for b in source.blocks()] == [1, 2, 4]
 
     def test_memory_source(self):
-        from entityforge.chain import Block
-
         table = {"a": 0, "b": 1}
         a, b = table.values()
-        source = MemorySource([Block(1, [tx([(a, 2)], [(b, 1)])])], table)
-        assert [blk.index for blk in source.blocks()] == [1]
+        source = MemorySource([block(1, tx([(a, 2)], [(b, 1)]))], table)
+        assert [(blk.index, blk.scripts) for blk in source.blocks()] == [(1, 2)]
 
 
 PAY = _line("t", 1, [("a", 5)], [("b", 4)])
@@ -267,12 +265,69 @@ def stream_path(tmp_path_factory):
 @example(lines=_EDGE_STREAM)
 @example(lines=_SURROGATE_STREAM)
 def test_packed_replay_equals_decoded_blocks(stream_path, lines):
-    """Packing passes each decoded block through, and every replay repeats them all."""
+    """Every pass and every replay of the packed stream repeat the decoded blocks, with the
+    reference decoder's script counts, and the packed stream holds their fixed counts."""
     stream_path.write_text("".join(lines), encoding="utf-8")
+    counts = [b.scripts for b in reference_iter_blocks(lines, {})]
     reference = JsonlSource(str(stream_path))
-    decoded = repr(list(reference.blocks()))
-    source, packed = JsonlSource(str(stream_path)), PackedStream()
-    assert repr(list(source.pack(packed))) == decoded
+    first = list(reference.blocks())
+    assert [b.scripts for b in first] == counts
+    decoded = repr(first)
+    assert repr(list(reference.blocks())) == decoded
+    source = JsonlSource(str(stream_path))
+    packed = source.pack()
     assert repr(list(packed.blocks())) == repr(list(packed.blocks())) == decoded
     assert vars(packed.stats) == vars(reference.stats)
+    assert packed.fixed._counts == ReuseIndex.build_fixed(first)._counts
     assert len(source.table) == 0 and repr(list(source.blocks())) == decoded
+
+
+def _side(draw, hw):
+    """Ids mostly seen or next, sometimes skipping or negative; and the high-water count after."""
+    sids = []
+    for _ in range(draw(st.integers(0, 3))):
+        sid = draw(st.integers(0, hw) | st.integers(0, hw) | st.integers(-2, hw + 2))
+        hw += sid == hw
+        sids.append(sid)
+    return sids, hw
+
+
+@st.composite
+def _memory_blocks(draw):
+    """Blocks as a caller might build them: indices sorted, repeated or unsorted, ids dense or
+    not, and sides and blocks that are empty."""
+    indices = draw(st.lists(st.integers(0, 6), max_size=5))
+    if draw(st.booleans()):
+        indices = sorted(set(indices))
+    hw, blocks = 0, []
+    for index in indices:
+        txs = []
+        for _ in range(draw(st.integers(0, 3))):
+            ins, hw = _side(draw, hw)
+            outs, hw = _side(draw, hw)
+            txs.append(tx([(sid, 1) for sid in ins], [(sid, 1) for sid in outs]))
+        blocks.append(block(index, *txs))
+    return blocks
+
+
+@settings(max_examples=500, deadline=None)
+@given(blocks=_memory_blocks())
+def test_memory_source_checks_and_counts_as_the_engine_scan(blocks):
+    """A `MemorySource` refuses a stream with the former engine scan's message, or holds its
+    blocks with that scan's counts and the fixed counts of `build_fixed` and `record`."""
+    try:
+        counts = reference_block_counts(blocks)
+    except DataError as exc:
+        with pytest.raises(DataError) as err:
+            MemorySource(blocks, {})
+        assert str(err.value) == str(exc)
+        return
+    source = MemorySource(blocks, {})
+    held = list(source.blocks())
+    assert [(b.index, b.transactions) for b in held] == [(b.index, b.transactions) for b in blocks]
+    assert [b.scripts for b in held] == counts
+    replayed = ReuseIndex()
+    for b in blocks:
+        for t in b.transactions:
+            replayed.record(t)
+    assert source.fixed._counts == ReuseIndex.build_fixed(blocks)._counts == replayed._counts

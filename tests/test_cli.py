@@ -537,6 +537,21 @@ class TestMalformedInputs:
         assert capsys.readouterr().err == (
             f"error[data]: report {report} line 3: num_clusters must be in 1..3, got {clusters}\n")
 
+    @pytest.mark.parametrize("row, error", [
+        ("9,3,2,banana,1,2", "ratio must be 0.666667, got 'banana'"),
+        ("9,3,2,0.67,1,2", "ratio must be 0.666667, got '0.67'"),
+        ("9,3,2,0.500000,1,2", "ratio must be 0.666667, got '0.500000'"),
+        ("9,3,2,0.666667,-1,2", "merges_applied must be non-negative, got -1"),
+        ("9,3,2,0.666667,1,-7", "tx_processed must be non-negative, got -7"),
+        ("3,3,2,0.666667,1,2", "block_index 3 is not above the previous row's 5"),
+        ("5,3,2,0.666667,1,2", "block_index 5 is not above the previous row's 5"),
+    ])
+    def test_report_row_that_run_cannot_write_refused(self, tmp_path, capsys, row, error):
+        report = tmp_path / "r.csv"
+        report.write_text(REPORT_HEADER + "5,3,2,0.666667,1,1\n" + row + "\n")
+        assert main(["compare", str(report)]) == 3
+        assert capsys.readouterr().err == f"error[data]: report {report} line 3: {error}\n"
+
     @pytest.mark.parametrize(
         "text",
         ['{"a": ', "5", '{"x": "abc"}', '{"x": "NaN"}', '{"x": true}', '{"j": "1"}',

@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entityforge import chain
 from entityforge.chain import JsonlSource, MemorySource, iter_blocks
 from entityforge.clusters import ClusterSet
 from entityforge.engine import RatioReport, RunConfig, compare_runs, run, sidecar_path
 from entityforge.errors import ConfigError, DataError, output_files
 from entityforge.heuristics import COINJOIN_DESCRIPTION, HEURISTICS, HeuristicConfig, _heuristic
 from entityforge.pricing import load_price_csv
+from entityforge.reuse import ReuseIndex
 from entityforge.synth import GenParams
 
 from conftest import block, generate_text, tx
@@ -374,22 +376,23 @@ class TestSinglePass:
     def test_no_script_table_outlives_packing(self, tmp_path, monkeypatch):
         """The pass's table is whole when the pass ends, and dead before clustering starts."""
         tables, sizes, dead = [], [], []
-        blocks, register = JsonlSource.blocks, ClusterSet.register
+        decode, register = chain.iter_blocks, ClusterSet.register
 
         class Table(dict):  # a plain dict takes no weak reference
             pass
 
-        def decode(self):
-            self.table = Table(self.table)
-            tables.append(weakref.ref(self.table))
-            yield from blocks(self)
-            sizes.append(len(self.table))
+        def interning(fh, table, stats):
+            """The pass, interning into a `Table` that stands in for its fresh table."""
+            source.table = table = Table()
+            tables.append(weakref.ref(table))
+            yield from decode(fh, table, stats)
+            sizes.append(len(table))
 
         def checked_register(self, upto):
             dead.append(tables[0]() is None)
             return register(self, upto)
 
-        monkeypatch.setattr(JsonlSource, "blocks", decode)
+        monkeypatch.setattr(chain, "iter_blocks", interning)
         monkeypatch.setattr(ClusterSet, "register", checked_register)
         text = _firing_stream(2)
         source = _jsonl(tmp_path, text)
@@ -397,6 +400,18 @@ class TestSinglePass:
         assert len(tables) == 1 and sizes == [store.num_scripts] == [_distinct_scripts(text)]
         assert dead and all(dead)
         assert len(source.table) == 0
+
+    def test_fixed_runs_over_memory_count_nothing(self, monkeypatch):
+        """A `MemorySource` carries its fixed counts: its runs count the stream no more."""
+        source = _memory_source(_firing_stream(5).splitlines())
+        calls = []
+        build_fixed = ReuseIndex.build_fixed.__func__
+        monkeypatch.setattr(ReuseIndex, "build_fixed",
+                            classmethod(lambda cls, blocks: calls.append(1) or build_fixed(cls, blocks)))
+        horizons = [run(RunConfig(name, checkpoints=3), source, _prices())[0].metadata["horizon"]
+                    for name in sorted(HEURISTICS)]
+        assert horizons.count("fixed") == 5
+        assert calls == []
 
 
 class TestCountedBeforeRead:
@@ -446,9 +461,8 @@ class TestDenseIds:
     @pytest.mark.parametrize("heuristic, horizon", [("cio", None), ("change", "online"), ("change", "fixed")])
     def test_ids_that_skip_rejected(self, case, heuristic, horizon):
         txid, sid, blocks = self.STREAMS[case]
-        source = MemorySource(blocks, {})
         with pytest.raises(DataError, match=f"transaction {txid}\\b.*script id {sid} is"):
-            run(RunConfig(heuristic, horizon=horizon, checkpoints=100), source)
+            run(RunConfig(heuristic, horizon=horizon, checkpoints=100), MemorySource(blocks, {}))
 
     def test_engine_error_names_transaction_and_block(self):
         _, _, blocks = self.STREAMS["later-gap"]

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entityforge.chain import Block
 from entityforge.errors import DataError
 from entityforge.reuse import ReuseIndex
 
@@ -84,7 +83,7 @@ def _random_blocks(rng, n_blocks=12, max_txs=4, n_scripts=30):
             v_in = sum(v for _, v in ins)
             outs = [(rng.randrange(n_scripts), v_in - rng.randrange(1, min(10, v_in) + 1))]
             txs.append(tx(ins, outs))
-        blocks.append(Block(index, txs))
+        blocks.append(block(index, *txs))
     return blocks
 
 
@@ -133,7 +132,7 @@ _block_txs = st.lists(_transactions, max_size=4)  # empty blocks and one-transac
 
 
 def _numbered(block_txs):
-    return [Block(index, txs) for index, txs in enumerate(block_txs)]
+    return [block(index, *txs) for index, txs in enumerate(block_txs)]
 
 
 def _replayed(blocks):
