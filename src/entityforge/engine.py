@@ -1,13 +1,13 @@
 """Replay a block stream, apply one heuristic, and checkpoint the ratio.
 
 The run starts from the atomic clustering and processes blocks in stream order:
-grow the store to the block's script count, then per transaction update the
-online reuse index, if any, evaluate the heuristic and apply its merge groups
-at once. At each checkpoint block index k the report records |S_k|, |C_k| and
-their ratio. The source vouches for the stream: its blocks are sorted, its ids
-dense in stream order, and each block carries the number of scripts seen
-through it, |S_k|. The decoder makes them so, and a `MemorySource` checks and
-counts its blocks once, when it is made.
+grow the store, and the online reuse index if any, to the block's script count,
+then per transaction record it into the online index, evaluate the heuristic
+and apply its merge groups at once. At each checkpoint block index k the report
+records |S_k|, |C_k| and their ratio. The source vouches for the stream: its
+blocks are sorted, its ids dense in stream order, and each block carries the
+number of scripts seen through it, |S_k|. The decoder makes them so, and a
+`MemorySource` checks and counts its blocks once, when it is made.
 
 Heuristics whose reuse horizon is fixed read the source's fixed counts, made
 once per stream. A JSONL source is first decoded once into a `PackedStream`,
@@ -106,7 +106,8 @@ class RatioReport:
         """Read a report CSV and its sidecar; the ratio is recomputed exactly.
 
         A row must be one that `write_csv` could have written: its ratio text that of
-        its counts, no negative count, and its block index above the row before."""
+        its counts, no negative count, its block index above the row before, and no
+        script, merge or transaction count below the row before."""
         path = Path(csv_path)
         rows = []
         with open(path, newline="", encoding="utf-8") as fh:
@@ -126,6 +127,11 @@ class RatioReport:
                 if rows and block <= rows[-1].block_index:
                     raise DataError(f"{where}: block_index {block} is not above the previous "
                                     f"row's {rows[-1].block_index}")
+                for name, count in (("num_scripts", scripts), ("merges_applied", merges),
+                                    ("tx_processed", txs)):
+                    if rows and count < (before := getattr(rows[-1], name)):
+                        raise DataError(f"{where}: {name} {count} is below the previous "
+                                        f"row's {before}")
                 rows.append(
                     ReportRow(block, scripts, clusters, Fraction(clusters, scripts), merges, txs)
                 )
@@ -190,26 +196,27 @@ def run(
                       store.clustering_ratio(), merges_applied, tx_processed)
         )
 
+    # Bound once per run: a tracer that times these entries patches them before `run`.
+    evaluate, merge = spec.evaluate, store.merge_scripts
+    count_tx = online_idx.record if online_idx is not None else None
     for block in source.blocks():
         while cp < block.index:
             record(cp)
             cp = next(due, math.inf)
-        exponent = None
         if spec.needs_prices:
             p = price_series.satoshi_price(block.index)
-            if p is not None:
-                exponent = rounding_exponent(p, config.params.small_amount)
-        ctx.exponent = exponent
+            ctx.exponent = (None if p is None
+                            else rounding_exponent(p, config.params.small_amount))
 
         txs = block.transactions
         store.register(block.scripts)
+        if online_idx is not None:
+            online_idx.register(block.scripts)
         for tx in txs:
             if online_idx is not None:
-                online_idx.record(tx)
-            eliminated = 0
-            for group in spec.evaluate(tx, ctx).groups:
-                eliminated += store.merge_scripts(group)
-            if eliminated:
+                count_tx(tx)
+            groups = evaluate(tx, ctx).groups
+            if groups and sum(map(merge, groups)):
                 merges_applied += 1
         tx_processed += len(txs)
         blocks += 1

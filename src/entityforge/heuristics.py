@@ -12,8 +12,9 @@ The engine counts a transaction before its rules read the index: an online
 run records it first, and a fixed run counts the whole stream. So every
 script of the transaction has a count of at least one, and a count below two
 ("fresh", "unreused") means the index has seen the script on one side of
-this transaction and nowhere else. A rule reads `ctx.reuse.count` once per
-script and compares it with two; `count == 1` is therefore `count < 2`.
+this transaction and nowhere else. A rule binds `count = ctx.reuse.count`, a
+list lookup with no range check, reads it once per script and compares it with
+two; `count == 1` is therefore `count < 2`.
 """
 
 from __future__ import annotations
@@ -208,8 +209,8 @@ def one_time_change(tx: Transaction, ctx: EvalContext) -> Groups:
     out_scripts = set(tx.out_scripts)
     if not in_scripts.isdisjoint(out_scripts):
         return ()
-    idx = ctx.reuse
-    fresh = [s for s in out_scripts if idx.count(s) < 2]
+    count = ctx.reuse.count
+    fresh = [s for s in out_scripts if count(s) < 2]
     if len(fresh) != 1:
         return ()
     return (in_scripts | {fresh[0]},)

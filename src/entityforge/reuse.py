@@ -5,6 +5,10 @@ appearing among the inputs is one observation, appearing among the outputs
 is another, and duplicates within one side are a serialization artifact and
 count once. A script is "reused" once its count reaches two.
 
+An index is a list of counts over ids 0..n-1, like the cluster store, and
+`count` is the list's own lookup, with no range check: the source vouches that
+ids are dense and non-negative, and the index grows once per block to cover them.
+
 The engine picks the horizon by which index it reads:
   * online  - an empty index that the engine records each transaction into
               just before evaluating heuristics on it, so counts reflect the
@@ -18,8 +22,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
-from .errors import DataError
-
 if TYPE_CHECKING:  # chain imports this module
     from .chain import Block, Transaction
 
@@ -27,39 +29,29 @@ if TYPE_CHECKING:  # chain imports this module
 class ReuseIndex:
     def __init__(self):
         self._counts: list[int] = []
+        self.count = self._counts.__getitem__  # grow this list in place, never replace it
 
-    def count(self, sid: int) -> int:
-        if 0 <= sid < len(self._counts):
-            return self._counts[sid]
-        return 0
+    def register(self, upto: int) -> None:
+        """Cover ids 0..upto-1, each new one at count 0; an `upto` already covered adds nothing."""
+        self._counts.extend([0] * (upto - len(self._counts)))
 
     def record(self, tx: Transaction) -> None:
         """Count this transaction's scripts, one per side of appearance."""
         counts = self._counts
-        for sids in (set(tx.in_scripts), set(tx.out_scripts)):
-            for sid in sids:
-                if sid >= len(counts):
-                    counts.extend([0] * (sid + 1 - len(counts)))
-                elif sid < 0:
-                    raise DataError(f"transaction {tx.txid}: script id {sid} is negative")
-                counts[sid] += 1
+        for sid in {*tx.in_scripts}:
+            counts[sid] += 1
+        for sid in {*tx.out_scripts}:
+            counts[sid] += 1
 
     @classmethod
     def build_fixed(cls, blocks: Iterable[Block]) -> "ReuseIndex":
-        """Count every transaction of the stream; block order does not change counts.
-
-        A block's ids are checked once, by min and max, and counted with no check per
-        id; a block with a negative id goes through `record`, to name its transaction.
-        """
+        """Count every transaction of the stream, growing once per block to its largest id."""
         idx = cls()
         counts = idx._counts
         for block in blocks:
             ids = [sid for tx in block.transactions for side in (tx.in_scripts, tx.out_scripts)
                    for sid in set(side)]
-            if min(ids, default=0) < 0:
-                for tx in block.transactions:
-                    idx.record(tx)
-            counts.extend([0] * (max(ids, default=-1) + 1 - len(counts)))  # [] if none is new
+            idx.register(max(ids, default=-1) + 1)
             for sid in ids:
                 counts[sid] += 1
         return idx

@@ -29,10 +29,15 @@ def tx(inputs, outputs, txid=None):
     )
 
 
-def counts(mapping):
-    """Fixed-mode reuse index with explicit per-script counts."""
+def counts(mapping, n=16):
+    """Fixed-mode reuse index over ids 0..n-1 with explicit per-script counts, 0 for the rest.
+
+    The index covers more ids than the rule tests use, since a rule reads any id of its
+    transaction with no range check."""
     idx = ReuseIndex()
-    idx._counts = [mapping.get(sid, 0) for sid in range(max(mapping, default=-1) + 1)]
+    idx.register(max(n, max(mapping, default=-1) + 1))
+    for sid, count in mapping.items():
+        idx._counts[sid] = count  # in place: `count` is bound to this list
     return idx
 
 

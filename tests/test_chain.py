@@ -327,7 +327,8 @@ def test_memory_source_checks_and_counts_as_the_engine_scan(blocks):
     assert [(b.index, b.transactions) for b in held] == [(b.index, b.transactions) for b in blocks]
     assert [b.scripts for b in held] == counts
     replayed = ReuseIndex()
-    for b in blocks:
+    for b, count in zip(blocks, counts):
+        replayed.register(count)
         for t in b.transactions:
             replayed.record(t)
     assert source.fixed._counts == ReuseIndex.build_fixed(blocks)._counts == replayed._counts

@@ -5,6 +5,7 @@ import gzip
 import io
 import json
 import os
+import re
 import stat
 import struct
 import subprocess
@@ -552,6 +553,18 @@ class TestMalformedInputs:
         assert main(["compare", str(report)]) == 3
         assert capsys.readouterr().err == f"error[data]: report {report} line 3: {error}\n"
 
+    @pytest.mark.parametrize("row, error", [
+        ("9,2,1,0.500000,0,1", "num_scripts 2 is below the previous row's 3"),
+        ("9,3,1,0.333333,0,9", "merges_applied 0 is below the previous row's 1"),
+        ("9,3,1,0.333333,1,8", "tx_processed 8 is below the previous row's 9"),
+    ])
+    def test_report_count_below_the_row_before_refused(self, tmp_path, capsys, row, error):
+        """`run`'s script, merge and transaction counts never go down from row to row."""
+        report = tmp_path / "r.csv"
+        report.write_text(REPORT_HEADER + "5,3,2,0.666667,1,9\n" + row + "\n")
+        assert main(["compare", str(report)]) == 3
+        assert capsys.readouterr().err == f"error[data]: report {report} line 3: {error}\n"
+
     @pytest.mark.parametrize(
         "text",
         ['{"a": ', "5", '{"x": "abc"}', '{"x": "NaN"}', '{"x": true}', '{"j": "1"}',
@@ -1050,7 +1063,7 @@ _edits = st.lists(st.tuples(st.sampled_from(["delete", "truncate", "byte", "inse
                             st.integers(0, 10**6), st.integers(0, 255)), min_size=1, max_size=3)
 
 
-def _mutate(data: bytes, edits) -> bytes:
+def _mutate(data: bytes, edits, tokens=_MUTATION_TOKENS) -> bytes:
     for kind, at, arg in edits:
         i = at % (len(data) + 1)
         if kind == "delete":
@@ -1060,7 +1073,34 @@ def _mutate(data: bytes, edits) -> bytes:
         elif kind == "byte":
             data = data[:i] + bytes([arg]) + data[i + 1:]
         else:
-            data = data[:i] + _MUTATION_TOKENS[arg % len(_MUTATION_TOKENS)] + data[i:]
+            data = data[:i] + tokens[arg % len(tokens)] + data[i:]
+    return data
+
+
+# A stream also takes JSON's own tokens, and line edits that leave each line valid JSON: drop a
+# line, copy one to another place, or rename one script to one of 40 names, new or already seen.
+_STREAM_TOKENS = _MUTATION_TOKENS + [b"NaN", b"1e400", b"-1", b"0", b"null", b"[]", b"{}", b",",
+                                     b"\n", b'"x"']
+_stream_edits = st.lists(st.tuples(
+    st.sampled_from(["delete", "truncate", "byte", "insert", "drop", "copy", "rename"]),
+    st.integers(0, 10**6), st.integers(0, 255)), min_size=1, max_size=3)
+
+
+def _mutate_stream(data: bytes, edits) -> bytes:
+    for kind, at, arg in edits:
+        lines = data.splitlines(keepends=True)
+        names = list(re.finditer(rb'"script":"(\w+)"', data))
+        if kind == "drop" and lines:
+            del lines[at % len(lines)]
+            data = b"".join(lines)
+        elif kind == "copy" and lines:
+            lines.insert(arg % (len(lines) + 1), lines[at % len(lines)])
+            data = b"".join(lines)
+        elif kind == "rename" and names:
+            name = names[at % len(names)]
+            data = data[:name.start(1)] + b"a%d" % (arg % 40) + data[name.end(1):]
+        else:
+            data = _mutate(data, [(kind, at, arg)], _STREAM_TOKENS)
     return data
 
 
@@ -1111,18 +1151,41 @@ class TestMutatedInputs:
             name = together.get(kind, "m.bin" if kind == "snapshot.bin" else "m.csv")
             Path(where, name).write_bytes(_mutate(Path(valid_inputs[kind]).read_bytes(), edits))
             mutated = os.path.join(where, "m.bin" if kind == "snapshot.bin" else "m.csv")
-            for argv in self._commands(kind, mutated, valid_inputs, os.path.join(where, "out.csv")):
-                before = sorted(os.listdir(where))
-                err = io.StringIO()
-                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                    code = main(argv)
-                assert code in (0, 2, 3), (argv, err.getvalue())
-                if code:
-                    assert len(err.getvalue().splitlines()) == 1, err.getvalue()
-                    assert err.getvalue().startswith("error["), err.getvalue()
-                    assert sorted(os.listdir(where)) == before
-                for output in ("out.csv", "out.meta.json"):
-                    Path(where, output).unlink(missing_ok=True)
+            self._exit_by_the_contract(
+                where, self._commands(kind, mutated, valid_inputs, os.path.join(where, "out.csv")))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(edits=_stream_edits)
+    def test_every_stream_mutation_exits_by_the_contract(self, valid_inputs, edits):
+        """The replay trusts its source for every id, so a mutated stream must be refused
+        by the decoder or replayed whole."""
+        with tempfile.TemporaryDirectory() as where:
+            mutated = os.path.join(where, "m.jsonl")
+            stream = Path(valid_inputs["stream"]).read_bytes()
+            Path(mutated).write_bytes(_mutate_stream(stream, edits))
+            out = os.path.join(where, "out.csv")
+            self._exit_by_the_contract(where, [
+                *(["run", "--tx", mutated, "--heuristic", heuristic, "--checkpoints", "2",
+                   "--out", out] for heuristic in ("cio", "shadow", "reuse-change")),
+                ["validate", "--tx", mutated],
+            ])
+
+    @staticmethod
+    def _exit_by_the_contract(where, commands):
+        """Run each command in `where`: exit 0, 2 or 3, and a refusal is exactly one
+        `error[...]` line that leaves no new file there."""
+        for argv in commands:
+            before = sorted(os.listdir(where))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 2, 3), (argv, err.getvalue())
+            if code:
+                assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+                assert err.getvalue().startswith("error["), err.getvalue()
+                assert sorted(os.listdir(where)) == before
+            for output in ("out.csv", "out.meta.json"):
+                Path(where, output).unlink(missing_ok=True)
 
 
 class TestCollectorPause:

@@ -20,7 +20,7 @@ from entityforge.reuse import ReuseIndex
 from entityforge.synth import GenParams
 
 from conftest import block, generate_text, tx
-from oracles import closure_labels, reference_checkpoint_rows, refines
+from oracles import closure_labels, recount_usage, reference_checkpoint_rows, refines
 
 CONSTANT_PRICES = "block_index,usd_per_btc\n0,10000\n"
 
@@ -415,26 +415,34 @@ class TestSinglePass:
 
 
 class TestCountedBeforeRead:
-    """The engine counts a transaction before its rules read the index, so
-    every script of the transaction has a count of at least one."""
+    """The engine counts a transaction before its rules read the index: an online
+    index holds the stream up to and including the transaction, a fixed one the whole
+    stream. A record made twice or missed shows in the counts of that transaction."""
 
     @pytest.mark.parametrize("horizon", ["online", "fixed"])
     @pytest.mark.parametrize("from_file", [False, True], ids=["memory", "jsonl"])
     def test_every_script_of_the_transaction_is_counted(self, tmp_path, monkeypatch,
                                                          horizon, from_file):
+        text = _firing_stream(3)
+        blocks = list(iter_blocks(text.splitlines(), {}))  # a JSONL pass's ids, too
+        txs = [t for b in blocks for t in b.transactions]
+        # The oracle's counts each rule may read at each transaction, by txid.
+        expected = {t.txid: recount_usage([block(0, *txs[:i + 1])]) for i, t in enumerate(txs)}
+        if horizon == "fixed":
+            expected = dict.fromkeys(expected, recount_usage(blocks))
         probed = []
 
         def probe(tx, ctx):
             for sid in (*tx.in_scripts, *tx.out_scripts):
-                assert ctx.reuse.count(sid) >= 1, (tx.txid, sid)
+                assert ctx.reuse.count(sid) == expected[tx.txid][sid], (tx.txid, sid)
             probed.append(tx.txid)
             return ()
 
         monkeypatch.setitem(HEURISTICS, "probe", _heuristic("probe", (probe,), "online"))
-        text = _firing_stream(3)
         source = _jsonl(tmp_path, text) if from_file else _memory_source(text.splitlines())
         report, _ = run(RunConfig("probe", horizon=horizon, checkpoints=3), source)
         assert report.metadata["horizon"] == horizon
+        assert probed == [t.txid for t in txs]
         assert len(probed) == report.metadata["counts"]["transactions"] == 100
 
 

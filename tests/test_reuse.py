@@ -1,10 +1,8 @@
 from random import Random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entityforge.errors import DataError
 from entityforge.reuse import ReuseIndex
 
 from conftest import block, tx
@@ -14,35 +12,53 @@ from oracles import recount_usage
 class TestRecord:
     def test_first_appearance_counts_once_per_script(self):
         idx = ReuseIndex()
+        idx.register(3)
         idx.record(tx([(0, 5)], [(1, 2), (2, 2)]))
         assert [idx.count(s) for s in (0, 1, 2)] == [1, 1, 1]
 
     def test_second_transaction_reaches_reuse_threshold(self):
         idx = ReuseIndex()
+        idx.register(4)
         idx.record(tx([(0, 5)], [(1, 2), (2, 2)]))
         idx.record(tx([(1, 2)], [(3, 1)]))
         assert idx.count(1) == 2
 
     def test_same_side_duplicate_counts_once(self):
         idx = ReuseIndex()
+        idx.register(2)
         idx.record(tx([(0, 5)], [(1, 2), (1, 2)]))
         assert idx.count(1) == 1
 
     def test_both_sides_count_twice(self):
         # input use and output use are separate observations
         idx = ReuseIndex()
+        idx.register(1)
         idx.record(tx([(0, 5)], [(0, 4)]))
         assert idx.count(0) == 2
 
-    def test_unknown_script_counts_zero(self):
-        assert ReuseIndex().count(99) == 0
 
-    def test_negative_script_rejected(self):
-        # a negative id would index the counts from their end
+class TestRegister:
+    def test_growth_adds_zero_counts_and_keeps_the_counted(self):
         idx = ReuseIndex()
+        idx.register(2)
         idx.record(tx([(0, 5)], [(1, 4)]))
-        with pytest.raises(DataError, match="transaction t9: script id -1 is negative"):
-            idx.record(tx([(1, 4)], [(-1, 3)], "t9"))
+        idx.register(4)
+        assert [idx.count(s) for s in range(4)] == [1, 1, 0, 0]
+
+    def test_covered_upto_adds_nothing(self):
+        idx = ReuseIndex()
+        idx.register(3)
+        idx.register(1)
+        idx.register(0)
+        assert idx._counts == [0, 0, 0]
+
+    def test_count_reads_the_grown_list(self):
+        """`count` is bound once, to a list that grows in place."""
+        idx = ReuseIndex()
+        count = idx.count
+        idx.register(2)
+        idx.record(tx([(1, 5)], [(1, 4)]))
+        assert count(1) == 2
 
 
 def _stream_with_script_in_blocks():
@@ -69,7 +85,7 @@ class TestFixedBuild:
 
     def test_horizon_before_first_block(self):
         idx = ReuseIndex.build_fixed(_upto(_stream_with_script_in_blocks(), 5))
-        assert idx.count(0) == 0
+        assert idx._counts == []  # no script seen, none covered
 
 
 def _random_blocks(rng, n_blocks=12, max_txs=4, n_scripts=30):
@@ -95,14 +111,15 @@ class TestEquivalence:
             horizons = [b.index for b in blocks]
             for k in horizons:
                 online = ReuseIndex()
+                online.register(30)
                 for b in blocks:
                     if b.index > k:
                         break
                     for t in b.transactions:
                         online.record(t)
                 fixed = ReuseIndex.build_fixed(_upto(blocks, k))
-                scripts = set(recount_usage(blocks))
-                assert all(online.count(s) == fixed.count(s) for s in scripts)
+                fixed.register(30)
+                assert online._counts == fixed._counts
 
     def test_counts_match_naive_recount(self):
         rng = Random(4)
@@ -116,12 +133,12 @@ class TestEquivalence:
         rng = Random(5)
         blocks = _random_blocks(rng)
         ks = [b.index for b in blocks]
-        for sid in range(30):
-            prev = 0
-            for k in ks:
-                cur = ReuseIndex.build_fixed(_upto(blocks, k)).count(sid)
-                assert cur >= prev
-                prev = cur
+        prev = [0] * 30
+        for k in ks:
+            idx = ReuseIndex.build_fixed(_upto(blocks, k))
+            idx.register(30)
+            assert all(cur >= before for cur, before in zip(idx._counts, prev))
+            prev = idx._counts
 
 
 # Ids repeat within a side and skip, since 0..40 is drawn from at random.
@@ -136,8 +153,11 @@ def _numbered(block_txs):
 
 
 def _replayed(blocks):
-    """The online index after `record` of every transaction in stream order."""
+    """The online index after `record` of every transaction in stream order, covering
+    ids up to the largest one seen."""
     idx = ReuseIndex()
+    idx.register(1 + max((sid for b in blocks for t in b.transactions
+                          for sid in (*t.in_scripts, *t.out_scripts)), default=-1))
     for b in blocks:
         for t in b.transactions:
             idx.record(t)
@@ -149,23 +169,3 @@ class TestFixedBuildEqualsReplay:
     @given(blocks=st.lists(_block_txs, max_size=6).map(_numbered))
     def test_counts_equal_record_replayed(self, blocks):
         assert ReuseIndex.build_fixed(blocks)._counts == _replayed(blocks)._counts
-
-    @settings(max_examples=200, deadline=None)
-    @given(head=st.lists(_block_txs, min_size=1, max_size=3),
-           later=st.lists(_transactions, min_size=2, max_size=5),
-           tail=st.lists(_block_txs, max_size=2), data=st.data())
-    def test_negative_id_refused_with_records_message(self, head, later, tail, data):
-        """Negative ids in later transactions of a later block: the first is named."""
-        faulty = sorted(data.draw(st.sets(st.integers(1, len(later) - 1), min_size=1)))
-        for i in faulty:
-            sides = list(later[i].in_scripts), list(later[i].out_scripts)
-            sides[data.draw(st.integers(0, 1))].extend(data.draw(
-                st.lists(st.integers(-5, -1), min_size=1, max_size=2)))
-            later[i] = tx(*([(sid, 1) for sid in side] for side in sides), later[i].txid)
-        blocks = _numbered([*head, later, *tail])
-        with pytest.raises(DataError) as replayed:
-            _replayed(blocks)
-        with pytest.raises(DataError) as fixed:
-            ReuseIndex.build_fixed(blocks)
-        assert str(fixed.value) == str(replayed.value)
-        assert str(fixed.value).startswith(f"transaction {later[faulty[0]].txid}: script id -")
