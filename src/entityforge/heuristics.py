@@ -15,6 +15,13 @@ script of the transaction has a count of at least one, and a count below two
 this transaction and nowhere else. A rule binds `count = ctx.reuse.count`, a
 list lookup with no range check, reads it once per script and compares it with
 two; `count == 1` is therefore `count < 2`.
+
+A rule rejects by shape before it allocates or reads the index: it first tests
+the raw tuples (the input count, the output count, two distinct output
+scripts, for `is_coinjoin` an output value that repeats) and builds a set or
+calls `count` only for a transaction that passes. Most transactions are
+one-input payments with two outputs, which the multi-input rules refuse on a
+length test.
 """
 
 from __future__ import annotations
@@ -45,10 +52,13 @@ COINJOIN_DESCRIPTION = (
 
 def is_coinjoin(tx: Transaction) -> bool:
     """The CoinJoin filter of `cio-cj` and `combined`: true when COINJOIN_DESCRIPTION holds."""
+    out_values = tx.out_values
+    if len(tx.in_scripts) < 2 or len(set(out_values)) == len(out_values):
+        return False  # one input, or every output value distinct
     if len(set(tx.in_scripts)) < 2:
         return False
     first_script: dict[int, int] = {}  # each output value's first script
-    for sid, value in zip(tx.out_scripts, tx.out_values):
+    for sid, value in zip(tx.out_scripts, out_values):
         if first_script.setdefault(value, sid) != sid:
             return True
     return False
@@ -82,22 +92,18 @@ class EvalContext:
 
 def common_input(tx: Transaction, ctx: EvalContext) -> Groups:
     """Merge all input scripts of any transaction with >= 2 of them."""
+    if len(tx.in_scripts) < 2:
+        return ()
     scripts = frozenset(tx.in_scripts)
     return (scripts,) if len(scripts) >= 2 else ()
 
 
 def coinjoin_resistant_common_input(tx: Transaction, ctx: EvalContext) -> Groups:
     """Common-input merge, skipped when `is_coinjoin` flags the tx."""
+    if len(tx.in_scripts) < 2:
+        return ()
     scripts = frozenset(tx.in_scripts)
     return (scripts,) if len(scripts) >= 2 and not is_coinjoin(tx) else ()
-
-
-def _two_distinct_outputs(tx: Transaction) -> tuple[int, int] | None:
-    """Output scripts when the tx has exactly two TXOs with distinct scripts."""
-    if len(tx.out_scripts) != 2:
-        return None
-    a, b = tx.out_scripts
-    return None if a == b else (a, b)
 
 
 def change_address(tx: Transaction, ctx: EvalContext) -> Groups:
@@ -120,18 +126,18 @@ def round_output_value(tx: Transaction, ctx: EvalContext) -> Groups:
     Skipped for blocks with no price data or with i <= j, where the
     sub-precision test is meaningless.
     """
+    if len(tx.in_scripts) != 1 or len(tx.out_scripts) != 2:
+        return ()
     exponent = ctx.exponent
     offset = ctx.config.round_offset
-    if exponent is None or exponent <= offset or len(tx.in_scripts) != 1:
-        return ()
-    outs = _two_distinct_outputs(tx)
-    if outs is None:
+    a, b = tx.out_scripts
+    if a == b or exponent is None or exponent <= offset:
         return ()
     count = ctx.reuse.count
     p_in = tx.in_scripts[0]
     if count(p_in) >= 2:
         return ()
-    (a, b), (v_a, v_b) = outs, tx.out_values
+    v_a, v_b = tx.out_values
     # Both values are below 2^bound <= 10^bound, so for e >= bound a value is a multiple
     # of 10^e, as of 10^bound, only when it is 0: a vast exponent costs no vast power.
     bound = max(v_a, v_b).bit_length()
@@ -149,35 +155,36 @@ def force_merge_of_inputs(tx: Transaction, ctx: EvalContext) -> Groups:
     """Multi-input payments whose input set is minimal for the payment.
 
     All input scripts must be distinct and unreused, the two outputs must
-    have distinct values (higher = payment, lower = change), the change
-    script must be unreused, and dropping the smallest input must not cover
-    the payment: v_in - min_input < v_max. Merges all input scripts with the
-    change script.
+    have distinct scripts and distinct values (higher = payment, lower =
+    change), the change script must be unreused, and dropping the smallest
+    input must not cover the payment: v_in - min_input < v_max. Merges all
+    input scripts with the change script.
     """
-    in_scripts = frozenset(tx.in_scripts)
-    if len(tx.in_scripts) < 2 or len(in_scripts) != len(tx.in_scripts):
+    if len(tx.in_scripts) < 2 or len(tx.out_scripts) != 2:
         return ()
-    outs = _two_distinct_outputs(tx)
-    if outs is None:
-        return ()
+    a, b = tx.out_scripts
     v_a, v_b = tx.out_values
-    if v_a == v_b:
-        return ()  # no strict higher-value payment output
-    v_pay, change = (v_a, outs[1]) if v_a > v_b else (v_b, outs[0])
+    if a == b or v_a == v_b:
+        return ()  # no two outputs, or no strict higher-value payment output
+    in_scripts = frozenset(tx.in_scripts)
+    if len(in_scripts) != len(tx.in_scripts):
+        return ()  # an input script repeats
+    v_pay, change = (v_a, b) if v_a > v_b else (v_b, a)
+    if sum(tx.in_values) - min(tx.in_values) >= v_pay:
+        return ()  # some input was unnecessary
     count = ctx.reuse.count
     if count(change) >= 2 or any(count(s) >= 2 for s in in_scripts):
         return ()
-    if sum(tx.in_values) - min(tx.in_values) >= v_pay:
-        return ()  # some input was unnecessary
     return (in_scripts | {change},)
 
 
 def service_deposit(tx: Transaction, ctx: EvalContext) -> Groups:
     """Consolidation sweeps: many distinct input scripts, one output script."""
+    min_inputs = ctx.config.min_deposit_inputs
+    if len(tx.in_scripts) < min_inputs or len(set(tx.out_scripts)) != 1:
+        return ()
     scripts = frozenset(tx.in_scripts)
-    if len(scripts) >= ctx.config.min_deposit_inputs and len(set(tx.out_scripts)) == 1:
-        return (scripts,)
-    return ()
+    return (scripts,) if len(scripts) >= min_inputs else ()
 
 
 def shadow_address(tx: Transaction, ctx: EvalContext) -> Groups:
@@ -187,14 +194,13 @@ def shadow_address(tx: Transaction, ctx: EvalContext) -> Groups:
     appearance in this very transaction plus any other. Merges all input
     scripts with the fresh output script.
     """
-    outs = _two_distinct_outputs(tx)
-    if outs is None:
+    if len(tx.out_scripts) != 2:
         return ()
-    a, b = outs
+    a, b = tx.out_scripts
     count = ctx.reuse.count
     a_fresh = count(a) < 2
     if a_fresh == (count(b) < 2):
-        return ()  # both outputs fresh, or neither
+        return ()  # both outputs fresh, or neither (as when they are one script)
     return (frozenset((*tx.in_scripts, a if a_fresh else b)),)
 
 
@@ -205,15 +211,17 @@ def one_time_change(tx: Transaction, ctx: EvalContext) -> Groups:
     fresh output script. Over the fixed index of the whole dataset, as
     `reuse-change` runs it, a fresh script is one that never occurs again.
     """
-    in_scripts = frozenset(tx.in_scripts)
-    out_scripts = set(tx.out_scripts)
-    if not in_scripts.isdisjoint(out_scripts):
-        return ()
+    in_scripts = tx.in_scripts
     count = ctx.reuse.count
-    fresh = [s for s in out_scripts if count(s) < 2]
-    if len(fresh) != 1:
-        return ()
-    return (in_scripts | {fresh[0]},)
+    fresh = -1  # script ids are non-negative
+    for sid in tx.out_scripts:
+        if sid in in_scripts:
+            return ()  # self-change
+        if sid != fresh and count(sid) < 2:
+            if fresh >= 0:
+                return ()  # a second fresh output script
+            fresh = sid
+    return (frozenset((*in_scripts, fresh)),) if fresh >= 0 else ()
 
 
 Rule = Callable[[Transaction, EvalContext], Groups]

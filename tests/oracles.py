@@ -10,7 +10,9 @@ probes, a helper per side, a table lookup per TXO and a full
 the package's column layout for comparison. The reference rounding
 exponent is the package's earlier one, over exact rationals. The reference
 CoinJoin filter and the change, shadow and reuse-change rules are the
-package's earlier ones, which each stated their own reuse tests. The
+package's earlier ones, which each stated their own reuse tests; the
+common-input, deposit, force-merge, round and one-time-change rules are the
+package's earlier ones, which built their sets before their shape tests. The
 checkpoint walk and the `--blocks` parser are the package's earlier ones,
 which built their state in a class and a flat list. The reference score
 enumerates every pair of truth scripts. The block-count scan is the
@@ -193,6 +195,76 @@ def reference_reuse_based_change(tx, ctx):
     if len(single_use) != 1:
         return ()
     return (in_scripts | {single_use[0]},)
+
+
+def reference_common_input(tx, ctx):
+    scripts = frozenset(tx.in_scripts)
+    return (scripts,) if len(scripts) >= 2 else ()
+
+
+def reference_service_deposit(tx, ctx):
+    scripts = frozenset(tx.in_scripts)
+    if len(scripts) >= ctx.config.min_deposit_inputs and len(set(tx.out_scripts)) == 1:
+        return (scripts,)
+    return ()
+
+
+def reference_force_merge_of_inputs(tx, ctx):
+    """Distinct, unreused inputs; two distinct outputs of distinct values; an
+    unreused change (the lower value); no input unnecessary for the payment."""
+    in_scripts = frozenset(tx.in_scripts)
+    if len(tx.in_scripts) < 2 or len(in_scripts) != len(tx.in_scripts):
+        return ()
+    outs = _two_distinct_outputs(tx)
+    if outs is None:
+        return ()
+    v_a, v_b = tx.out_values
+    if v_a == v_b:
+        return ()
+    v_pay, change = (v_a, outs[1]) if v_a > v_b else (v_b, outs[0])
+    if _reused(ctx.reuse, change) or any(_reused(ctx.reuse, s) for s in in_scripts):
+        return ()
+    if sum(tx.in_values) - min(tx.in_values) >= v_pay:
+        return ()
+    return (in_scripts | {change},)
+
+
+def reference_round_output_value(tx, ctx):
+    """One unreused input, two distinct outputs, exactly one of them an
+    unreused multiple of 10^i, and the other (the change) not a multiple of
+    10^(i - j); skipped with no exponent or with i <= j."""
+    exponent, offset = ctx.exponent, ctx.config.round_offset
+    if exponent is None or exponent <= offset or len(tx.in_scripts) != 1:
+        return ()
+    outs = _two_distinct_outputs(tx)
+    if outs is None:
+        return ()
+    p_in = tx.in_scripts[0]
+    if _reused(ctx.reuse, p_in):
+        return ()
+    (a, b), (v_a, v_b) = outs, tx.out_values
+    bound = max(v_a, v_b).bit_length()
+    pay_modulus = 10 ** min(exponent, bound)
+    pays_a = not _reused(ctx.reuse, a) and v_a % pay_modulus == 0
+    if pays_a == (not _reused(ctx.reuse, b) and v_b % pay_modulus == 0):
+        return ()
+    change, v_change = (b, v_b) if pays_a else (a, v_a)
+    if v_change % 10 ** min(exponent - offset, bound) == 0:
+        return ()
+    return (frozenset((p_in, change)),)
+
+
+def reference_one_time_change(tx, ctx):
+    """Inputs and outputs disjoint, and exactly one distinct output script
+    with a count below two."""
+    in_scripts = frozenset(tx.in_scripts)
+    out_scripts = set(tx.out_scripts)
+    if not in_scripts.isdisjoint(out_scripts):
+        return ()
+    fresh = [s for s in out_scripts if ctx.reuse.count(s) < 2]
+    if len(fresh) != 1:
+        return ()
+    return (in_scripts | {fresh[0]},)
 
 
 class _Checkpoints:

@@ -7,7 +7,7 @@ inverting any single condition check breaks at least one test here.
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entityforge.errors import ConfigError
@@ -29,8 +29,13 @@ from conftest import counts, tx
 from oracles import (
     reference_change_address,
     reference_coinjoin_resistant_common_input,
+    reference_common_input,
+    reference_force_merge_of_inputs,
     reference_is_coinjoin,
+    reference_one_time_change,
     reference_reuse_based_change,
+    reference_round_output_value,
+    reference_service_deposit,
     reference_shadow_address,
 )
 
@@ -445,31 +450,49 @@ def txos(low, high, sizes):
 
 
 # Each heuristic's rules as the package stated them before `change` became
-# `shadow` behind a guard and `reuse-change` became `one-time-change`'s rule.
+# `shadow` behind a guard, `reuse-change` became `one-time-change`'s rule and
+# every rule came to test the transaction's shape before building a set.
 REFERENCES = {
+    "cio": (reference_common_input,),
     "cio-cj": (reference_coinjoin_resistant_common_input,),
     "change": (reference_change_address,),
+    "round": (reference_round_output_value,),
+    "force-merge": (reference_force_merge_of_inputs,),
+    "deposit": (reference_service_deposit,),
     "shadow": (reference_shadow_address,),
+    "one-time-change": (reference_one_time_change,),
     "reuse-change": (reference_reuse_based_change,),
     "combined": (reference_coinjoin_resistant_common_input, reference_change_address,
-                 round_output_value, force_merge_of_inputs),
+                 reference_round_output_value, reference_force_merge_of_inputs),
 }
 
 
 class TestReferenceRules:
     @settings(max_examples=500, deadline=None)
-    @given(ins=txos(0, 3, [1, 1, 2, 3]), outs=txos(2, 6, [2, 2, 1, 3]),
+    @given(ins=txos(0, 4, [1, 1, 2, 3, 5]), outs=txos(2, 6, [2, 2, 1, 3]),
            prior=st.lists(st.sampled_from([0, 0, 1, 2]), min_size=7, max_size=7),
            exponent=st.sampled_from([None, 0, 1, 2, 3, 4, 5]), offset=st.integers(0, 2),
-           min_inputs=st.integers(2, 4))
+           min_inputs=st.integers(2, 5))
+    # Each pins one precondition: two input scripts (a common-input merge), a
+    # repeated input script on an otherwise minimal payment (no force-merge), and one
+    # script on both outputs, one of them round (no round-value merge).
+    @example(ins=[(0, 7), (1, 1)], outs=[(5, 100), (6, 0)], prior=[0] * 7, exponent=None,
+             offset=1, min_inputs=2)
+    @example(ins=[(0, 7), (0, 1)], outs=[(5, 100), (6, 0)], prior=[0] * 7, exponent=None,
+             offset=1, min_inputs=2)
+    @example(ins=[(0, 7)], outs=[(2, 0), (2, 1)], prior=[0] * 7, exponent=1, offset=0,
+             min_inputs=2)
     def test_every_rule_equals_its_reference(self, ins, outs, prior, exponent, offset, min_inputs):
-        """The transaction is counted into the index first, as the engine counts it."""
+        """The transaction is counted into the index first, as the engine counts it.
+
+        Input sides of up to five TXOs over five scripts fall on both sides of every
+        `min_deposit_inputs` drawn."""
         t = tx(ins, outs)
         idx = counts(dict(enumerate(prior)))
         idx.record(t)
         context = ctx(idx, exponent, round_offset=offset, min_deposit_inputs=min_inputs)
         assert is_coinjoin(t) == reference_is_coinjoin(t)
         for name, spec in HEURISTICS.items():
-            rules = REFERENCES.get(name, spec.rules)
+            rules = REFERENCES[name]
             expected = tuple(group for rule in rules for group in rule(t, context))
             assert spec.evaluate(t, context).groups == expected, name
