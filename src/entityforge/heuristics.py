@@ -18,10 +18,9 @@ two; `count == 1` is therefore `count < 2`.
 
 A rule rejects by shape before it allocates or reads the index: it first tests
 the raw tuples (the input count, the output count, two distinct output
-scripts, for `is_coinjoin` an output value that repeats) and builds a set or
-calls `count` only for a transaction that passes. Most transactions are
-one-input payments with two outputs, which the multi-input rules refuse on a
-length test.
+scripts) and builds a set or calls `count` only for a transaction that
+passes. Most transactions are one-input payments with two outputs, which the
+multi-input rules refuse on a length test.
 """
 
 from __future__ import annotations
@@ -52,13 +51,10 @@ COINJOIN_DESCRIPTION = (
 
 def is_coinjoin(tx: Transaction) -> bool:
     """The CoinJoin filter of `cio-cj` and `combined`: true when COINJOIN_DESCRIPTION holds."""
-    out_values = tx.out_values
-    if len(tx.in_scripts) < 2 or len(set(out_values)) == len(out_values):
-        return False  # one input, or every output value distinct
-    if len(set(tx.in_scripts)) < 2:
+    if len(tx.in_scripts) < 2 or len(set(tx.in_scripts)) < 2:
         return False
     first_script: dict[int, int] = {}  # each output value's first script
-    for sid, value in zip(tx.out_scripts, out_values):
+    for sid, value in zip(tx.out_scripts, tx.out_values):
         if first_script.setdefault(value, sid) != sid:
             return True
     return False
@@ -211,17 +207,19 @@ def one_time_change(tx: Transaction, ctx: EvalContext) -> Groups:
     fresh output script. Over the fixed index of the whole dataset, as
     `reuse-change` runs it, a fresh script is one that never occurs again.
     """
-    in_scripts = tx.in_scripts
     count = ctx.reuse.count
     fresh = -1  # script ids are non-negative
     for sid in tx.out_scripts:
-        if sid in in_scripts:
-            return ()  # self-change
         if sid != fresh and count(sid) < 2:
             if fresh >= 0:
                 return ()  # a second fresh output script
             fresh = sid
-    return (frozenset((*in_scripts, fresh)),) if fresh >= 0 else ()
+    if fresh < 0:
+        return ()
+    in_scripts = frozenset(tx.in_scripts)
+    if not in_scripts.isdisjoint(tx.out_scripts):
+        return ()  # self-change
+    return (in_scripts | {fresh},)
 
 
 Rule = Callable[[Transaction, EvalContext], Groups]

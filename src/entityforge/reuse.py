@@ -36,16 +36,10 @@ class ReuseIndex:
         self._counts.extend([0] * (upto - len(self._counts)))
 
     def record(self, tx: Transaction) -> None:
-        """Count this transaction's scripts, one per side of appearance.
-
-        A one-input side, most payments' own, needs no set to drop duplicates."""
+        """Count this transaction's scripts, one per side of appearance."""
         counts = self._counts
-        in_scripts = tx.in_scripts
-        if len(in_scripts) == 1:
-            counts[in_scripts[0]] += 1
-        else:
-            for sid in {*in_scripts}:
-                counts[sid] += 1
+        for sid in {*tx.in_scripts}:
+            counts[sid] += 1
         for sid in {*tx.out_scripts}:
             counts[sid] += 1
 
