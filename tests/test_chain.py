@@ -206,8 +206,29 @@ def _decode_outcome(decode, lines, to_columns=list):
     return repr(to_columns(blocks)), list(table.items()), vars(stats), error
 
 
+def _wide_line(block, i):
+    """The `i`th line of a wide block: a coinbase every seventh, else a payment whose
+    1-3 inputs and 1-2 outputs mix new and seen scripts."""
+    if i % 7 == 0:
+        return _line(f"cb{block}", block, [], [(f"m{block}", 50)])
+    inputs = [(f"s{(i * k) % 23}", 10 + i + k) for k in range(1 + i % 3)]
+    outputs = [(f"s{i + 40}", 9 + i), (f"s{i % 5}", 1)][:1 + i % 2]
+    return _line(f"t{block}-{i}", block, inputs, outputs)
+
+
+# Two blocks of 50 lines; then the second block cut short by an invalid line.
+_WIDE_STREAM = [_wide_line(block, i) for block in (3, 8) for i in range(50)]
+_MID_BLOCK_ERRORS = [
+    _line("bad", 8, [("a", 5)], [("b", 4), ("c", 3)]),  # outputs above inputs
+    _line("bad", 8, [("a", 5)], [("b", 4)]).replace('"value": 4', '"valu": 4'),
+]
+
+
 @settings(max_examples=1000, deadline=None)
 @given(lines=st.lists(jsonl_line | st.sampled_from(EDGE_LINES), max_size=6))
+@example(lines=_WIDE_STREAM)
+@example(lines=_WIDE_STREAM[:70] + _MID_BLOCK_ERRORS[:1] + _WIDE_STREAM[70:])
+@example(lines=_WIDE_STREAM[:70] + _MID_BLOCK_ERRORS[1:])
 def test_decoder_matches_reference(lines):
     """Same blocks, interning order and stats, or the same error, as the reference."""
     expected = _decode_outcome(reference_iter_blocks, lines, as_columns)

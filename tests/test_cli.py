@@ -1104,14 +1104,45 @@ def _mutate_stream(data: bytes, edits) -> bytes:
     return data
 
 
+# A JSON settings file takes the stream's edits, or edits that leave it valid JSON: a value
+# swapped for one of these, or a key renamed to another of the file's keys or to an unknown one.
+_JSON_VALUES = [b"NaN", b"1e400", b"-1", b"0", b"1.5", b"null", b"[]", b"{}", b"true", b'"x"',
+                b'"online"', b'"0.01"', _MUTATION_TOKENS[-1]]
+_json_edits = st.lists(st.tuples(st.sampled_from(["value", "key"]), st.integers(0, 10**6),
+                                 st.integers(0, 255)), min_size=1, max_size=3) | _edits
+
+
+def _mutate_json(data: bytes, edits) -> bytes:
+    for kind, at, arg in edits:
+        keys = list(re.finditer(rb'"(\w+)": ', data))
+        values = list(re.finditer(rb': ([^,}]+)', data))
+        if kind == "value" and values:
+            found = values[at % len(values)]
+            data = data[:found.start(1)] + _JSON_VALUES[arg % len(_JSON_VALUES)] + data[found.end(1):]
+        elif kind == "key" and keys:
+            names = [key.group(1) for key in keys] + [b"unknown"]
+            found = keys[at % len(keys)]
+            data = data[:found.start(1)] + names[arg % len(names)] + data[found.end(1):]
+        else:
+            data = _mutate(data, [(kind, at, arg)], _STREAM_TOKENS)
+    return data
+
+
 @pytest.fixture(scope="module")
 def valid_inputs(tmp_path_factory):
-    """One small valid file of each CSV and snapshot input kind, by name."""
+    """One small valid file of each CSV, snapshot and JSON settings input kind, by name."""
     where = tmp_path_factory.mktemp("valid")
     files = generate_files(str(where / "synth"), 3, GenParams(users=5, blocks=6, txs_per_block=5))
     prices = where / "prices.csv"
     prices.write_text("block_index,usd_per_btc\n0,10000\n3,20000.5\n5,1E+4\n")
-    paths = {"stream": files["jsonl"], "truth": files["truth"], "prices": str(prices)}
+    config = where / "config.json"
+    config.write_text(json.dumps({"a": 3, "x": "0.01", "j": 1, "horizon": "fixed",
+                                  "checkpoints": "2", "prices": str(prices)}))
+    params = where / "params.json"
+    params.write_text(json.dumps({"users": 4, "blocks": 3, "txs_per_block": 4,
+                                  "coinjoin_rate": 0.2, "deposit_min_inputs": 3}))
+    paths = {"stream": files["jsonl"], "truth": files["truth"], "prices": str(prices),
+             "config": str(config), "params": str(params)}
     for name in ("snapshot.csv", "snapshot.bin"):
         paths[name] = str(where / name)
         assert main(["run", "--tx", files["jsonl"], "--heuristic", "cio", "--checkpoints", "2",
@@ -1169,6 +1200,22 @@ class TestMutatedInputs:
                    "--out", out] for heuristic in ("cio", "shadow", "reuse-change")),
                 ["validate", "--tx", mutated],
             ])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["config", "params"]), edits=_json_edits)
+    def test_every_settings_mutation_exits_by_the_contract(self, valid_inputs, kind, edits):
+        """A mutated `run --config` or synth `--params` file is refused or used whole."""
+        with tempfile.TemporaryDirectory() as where:
+            mutated = os.path.join(where, "m.json")
+            Path(mutated).write_bytes(_mutate_json(Path(valid_inputs[kind]).read_bytes(), edits))
+            if kind == "config":
+                commands = [["run", "--tx", valid_inputs["stream"], "--heuristic", heuristic,
+                             "--config", mutated, "--out", os.path.join(where, "out.csv")]
+                            for heuristic in ("round", "deposit")]
+            else:
+                commands = [["synth", "--seed", "1", "--params", mutated,
+                             "--out-prefix", os.path.join(where, "s")]]
+            self._exit_by_the_contract(where, commands)
 
     @staticmethod
     def _exit_by_the_contract(where, commands):
