@@ -24,7 +24,7 @@ import json
 import marshal
 import zlib
 from itertools import repeat
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Generator, Iterable, Iterator, NamedTuple
 
 from .errors import DataError, IngestError, ValidationError
 from .reuse import ReuseIndex
@@ -92,28 +92,19 @@ def open_stream(path: str) -> IO[bytes]:
     return (gzip.open if path.endswith(".gz") else open)(path, "rb")
 
 
-class StreamStats:
-    """Counters accumulated over one pass of a transaction stream."""
-
-    def __init__(self) -> None:
-        self.blocks = 0
-        self.transactions = 0
-        self.coinbase_dropped = 0
-        self.first_block: int | None = None
-        self.last_block: int | None = None
-
-
 # json.loads without its wrapper; a line this rejects goes through json.loads
 # after all, so that every error message is json.loads' own.
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-def iter_blocks(
-    source: IO | Iterable[str],
-    table: dict[str, int],
-    stats: StreamStats | None = None,
-) -> Iterator[Block]:
-    """Yield validated blocks from a JSONL line source, interning scripts in `table`.
+def _transactions(*columns: Iterable) -> list[Transaction]:
+    """A block's `Transaction`s from its five columns: txids, then each side's ids and values."""
+    return list(map(tuple.__new__, repeat(Transaction), zip(*columns)))
+
+
+def iter_blocks(source: IO | Iterable[str], table: dict[str, int]) -> Generator[Block, None, int]:
+    """Yield validated blocks from a JSONL line source, interning scripts in `table`,
+    and return the number of coinbase lines dropped.
 
     Transactions must be sorted by block index; consecutive lines with the
     same index form one block. Coinbase transactions (empty inputs) are
@@ -131,26 +122,22 @@ def iter_blocks(
     A kept transaction stays a row of its txid and four lists until its block
     ends. The block's tuples are then built one column at a time: every
     input-id tuple, then every input-value tuple, then the output columns,
-    then the `Transaction`s. Built together, each column's tuples lie on few
+    then the `Transaction`s through `_transactions`, the step a packed replay
+    builds its blocks with too. Built together, each column's tuples lie on few
     memory pages instead of among the parser's short-lived objects, so a
     replay that writes their reference counts in a forked child copies fewer
     of the parent's pages.
     """
-    stats = stats if stats is not None else StreamStats()
     current_index: int | None = None
     rows: list[list] = []  # the block's transactions: txid, then each side's ids and values
     seen = 0  # scripts through the last transaction kept
+    coinbase_dropped = 0
     get_id = table.get
 
     def flush() -> Block:
-        stats.blocks += 1
-        stats.last_block = current_index
-        if stats.first_block is None:
-            stats.first_block = current_index
         txids, *sides = zip(*rows)
         columns = [list(map(tuple, side)) for side in sides]
-        txs = list(map(tuple.__new__, repeat(Transaction), zip(txids, *columns)))
-        return Block(current_index, txs, seen)
+        return Block(current_index, _transactions(txids, *columns), seen)
 
     for lineno, line in enumerate(source, start=1):
         line = line.strip()
@@ -184,7 +171,7 @@ def iter_blocks(
         # Coinbase check precedes interning so dropped outputs never get ids.
         raw_inputs = raw.get("inputs")
         if type(raw_inputs) is list and not raw_inputs:
-            stats.coinbase_dropped += 1
+            coinbase_dropped += 1
             continue
 
         row = [txid]
@@ -227,30 +214,30 @@ def iter_blocks(
             rows = []
         rows.append(row)
         seen = len(table)
-        stats.transactions += 1
 
     if current_index is not None:
         yield flush()
+    return coinbase_dropped
 
 
 class JsonlSource:
     """Re-iterable block source backed by a JSONL (optionally .gz) file.
 
     Each pass interns into a fresh table, script text to id, kept as `table`
-    until the next pass. Ids follow first observation, so every pass gives the
-    same ids and block script counts.
+    until the next pass, and sets `coinbase_dropped` when it ends. Ids follow
+    first observation, so every pass gives the same ids and block script counts.
     """
 
     def __init__(self, path: str):
         self.path = str(path)
         self.table: dict[str, int] = {}
-        self.stats = StreamStats()
+        self.coinbase_dropped = 0
 
     def blocks(self) -> Iterator[Block]:
-        self.stats, self.table = StreamStats(), {}
+        self.table = {}
         try:
             with io.TextIOWrapper(open_stream(self.path), encoding="utf-8") as fh:
-                yield from iter_blocks(fh, self.table, self.stats)
+                self.coinbase_dropped = yield from iter_blocks(fh, self.table)
         except UnicodeDecodeError as exc:
             raise IngestError(f"{self.path}: cannot read the stream: {self._not_utf8(exc)}") from None
         except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
@@ -315,7 +302,7 @@ class MemorySource:
             counted.append(Block(block.index, block.transactions, hw))
         self._blocks = counted
         self.table = table
-        self.stats = StreamStats()
+        self.coinbase_dropped = 0
         self.fixed = ReuseIndex.build_fixed(counted)
 
     def blocks(self) -> Iterator[Block]:
@@ -324,23 +311,23 @@ class MemorySource:
 
 class PackedStream:
     """One pass of a source as one `marshal` string per block, replayed as equal blocks,
-    with the fixed reuse counts of the pass as `fixed`. Each transaction is held as a plain
-    tuple, since `marshal` refuses NamedTuples. No script text is kept, and the strings never
-    leave the process: `marshal` is unsafe on outside data. Version 2 keeps no reference
-    table: packing is faster and the strings larger."""
+    with the fixed reuse counts and the `coinbase_dropped` of the pass. Each block is held as
+    its five columns of plain tuples, since `marshal` refuses NamedTuples, and a replay
+    rebuilds it with the decoder's `_transactions`. No script text is kept, and the strings
+    never leave the process: `marshal` is unsafe on outside data. Version 2 keeps no
+    reference table: packing is faster and the strings larger."""
 
     def __init__(self, source) -> None:
         self._blocks: list[tuple[int, int, bytes]] = []
         self.fixed = ReuseIndex.build_fixed(map(self._add, source.blocks()))
-        self.stats = source.stats
+        self.coinbase_dropped = source.coinbase_dropped
 
     def _add(self, block: Block) -> Block:
         """Pack `block`, and pass it on to be counted."""
-        rows = list(map(tuple, block.transactions))
-        self._blocks.append((block.index, block.scripts, marshal.dumps(rows, 2)))
+        columns = tuple(zip(*block.transactions))
+        self._blocks.append((block.index, block.scripts, marshal.dumps(columns, 2)))
         return block
 
     def blocks(self) -> Iterator[Block]:
-        new = tuple.__new__
         for index, scripts, data in self._blocks:
-            yield Block(index, [new(Transaction, row) for row in marshal.loads(data)], scripts)
+            yield Block(index, _transactions(*marshal.loads(data)), scripts)

@@ -242,16 +242,14 @@ def cmd_exponent_series(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     source = JsonlSource(args.tx)
-    for _ in source.blocks():
-        pass
-    stats = source.stats
+    sizes = {block.index: len(block.transactions) for block in source.blocks()}
     summary = {
-        "blocks": stats.blocks,
-        "transactions": stats.transactions,
+        "blocks": len(sizes),
+        "transactions": sum(sizes.values()),
         "distinct_scripts": len(source.table),
-        "coinbase_dropped": stats.coinbase_dropped,
-        "first_block": stats.first_block,
-        "last_block": stats.last_block,
+        "coinbase_dropped": source.coinbase_dropped,
+        "first_block": min(sizes, default=None),
+        "last_block": max(sizes, default=None),
     }
     print(json.dumps(summary, sort_keys=True))
     return 0

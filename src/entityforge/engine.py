@@ -20,7 +20,7 @@ import csv
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import IO
@@ -154,8 +154,8 @@ def run(
     """Cluster the stream with one heuristic; returns (report, final store).
 
     `source` must expose `blocks()`, sorted by index, with ids dense in stream
-    order and each block's script count; the `stats` of its last pass; and,
-    unless it is a `JsonlSource`, the `fixed` counts of a fixed-horizon run.
+    order and each block's script count; `coinbase_dropped`, of its last pass;
+    and, unless it is a `JsonlSource`, the `fixed` counts of a fixed-horizon run.
     """
     spec = HEURISTICS[config.heuristic]
 
@@ -233,11 +233,7 @@ def run(
 
     metadata = {
         "heuristic": config.heuristic,
-        "parameters": {
-            "min_deposit_inputs": config.params.min_deposit_inputs,
-            "small_amount": str(config.params.small_amount),
-            "round_offset": config.params.round_offset,
-        },
+        "parameters": {**asdict(config.params), "small_amount": str(config.params.small_amount)},
         "horizon": mode,
         "fixed_horizon_block": prev_block if mode == "fixed" else None,
         "coinjoin_predicate": (
@@ -248,7 +244,7 @@ def run(
             "blocks": blocks,
             "transactions": tx_processed,
             "scripts": store.num_scripts,
-            "coinbase_dropped": source.stats.coinbase_dropped,
+            "coinbase_dropped": source.coinbase_dropped,
             "merges_applied": merges_applied,
         },
     }

@@ -25,18 +25,6 @@ from typing import IO
 from .clusters import ClusterSet
 from .errors import DataError, GenerationError, int_pairs, output_files
 
-_PROB_FIELDS = (
-    "fresh_change_prob",
-    "address_reuse_prob",
-    "consolidation_rate",
-    "coinjoin_rate",
-    "multi_pay_rate",
-    "deposit_sweep_rate",
-    "service_payee_prob",
-    "round_value_rate",
-)
-
-
 @dataclass
 class GenParams:
     users: int = 10
@@ -68,9 +56,9 @@ class GenParams:
             raise GenerationError("deposit_min_inputs must be >= 2")
         if self.round_exponent < 2:
             raise GenerationError("round_exponent must be >= 2")
-        for name in _PROB_FIELDS:
+        for name, spec in self.__dataclass_fields__.items():
             p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
+            if spec.type == "float" and not 0.0 <= p <= 1.0:  # every float is a rate
                 raise GenerationError(f"{name} must be within [0, 1], got {p}")
         if self.consolidation_rate + self.coinjoin_rate > 1.0:
             raise GenerationError("consolidation_rate + coinjoin_rate exceeds 1")
@@ -197,7 +185,10 @@ class StreamGenerator:
 
     # -- tx emission --
 
-    def _emit(self, inputs, outputs) -> tuple:
+    def _emit(self, kind: str, inputs, outputs) -> tuple:
+        """Shuffle the outputs, count the transaction as `kind`, and name it."""
+        self.rng.shuffle(outputs)  # draws nothing for one output
+        self.counts[kind] += 1
         self.counts["transactions"] += 1
         return f"t{self.counts['transactions']}", inputs, outputs
 
@@ -289,9 +280,7 @@ class StreamGenerator:
                 fee += 7
             if change > 0 and change not in taken:
                 outputs.append(self._change_out(payer, change))
-        self.rng.shuffle(outputs)
-        self.counts["payments"] += 1
-        return self._emit(inputs, outputs)
+        return self._emit("payments", inputs, outputs)
 
     def _consolidation_tx(self) -> tuple | None:
         """Forced merge of inputs: the selected input set is minimal."""
@@ -319,9 +308,7 @@ class StreamGenerator:
         change = total - p - fee
         payee = self._pick_payee(payer)
         outputs = [self._pay_out(payee, p), payer.add(self._fresh_address(payer), change)]
-        self.rng.shuffle(outputs)
-        self.counts["consolidations"] += 1
-        return self._emit(inputs, outputs)
+        return self._emit("consolidations", inputs, outputs)
 
     def _coinjoin_tx(self) -> tuple | None:
         """Equal-output mix across >= 2 users; breaks common-input ownership."""
@@ -350,9 +337,7 @@ class StreamGenerator:
             change = value - denom - self._fee()
             if change > 0:
                 outputs.append(self._change_out(wallet, change))
-        self.rng.shuffle(outputs)
-        self.counts["coinjoins"] += 1
-        return self._emit(inputs, outputs)
+        return self._emit("coinjoins", inputs, outputs)
 
     def _sweep_tx(self) -> tuple | None:
         service = self.service
@@ -367,9 +352,7 @@ class StreamGenerator:
         if value <= 0:
             service.pending_deposits[:0] = inputs  # keep them for a later sweep
             return None
-        hot = self._fresh_address(service)
-        self.counts["sweeps"] += 1
-        return self._emit(inputs, [service.add(hot, value)])
+        return self._emit("sweeps", inputs, [service.add(self._fresh_address(service), value)])
 
     def _next_tx(self) -> tuple | None:
         if self.service is not None and self.rng.random() < self.params.deposit_sweep_rate:

@@ -46,6 +46,15 @@ def block(index, *txs):
     return Block(index, list(txs), 0)
 
 
+def collect(blocks, out):
+    """Append each block a decode pass yields to `out`; return the pass's coinbase count."""
+    while True:
+        try:
+            out.append(next(blocks))
+        except StopIteration as end:
+            return end.value
+
+
 def generate_text(seed, params):
     """A synthetic stream in memory: (JSONL text, truth, metadata)."""
     buf = io.StringIO()

@@ -25,10 +25,10 @@ import json
 from decimal import Decimal
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Generator, Iterable, Iterator, NamedTuple
 
 from entityforge import chain
-from entityforge.chain import Block, StreamStats
+from entityforge.chain import Block
 from entityforge.errors import ConfigError, DataError, IngestError, ValidationError
 
 
@@ -450,25 +450,21 @@ def _reference_decode_side(raw: dict, key: str, table: dict[str, int], txid: str
 def reference_iter_blocks(
     source: IO | Iterable[str],
     table: dict[str, int],
-    stats: StreamStats | None = None,
-) -> Iterator[Block]:
-    """Yield validated blocks from a JSONL line source, interning scripts.
+) -> Generator[Block, None, int]:
+    """Yield validated blocks from a JSONL line source, interning scripts, and
+    return the number of coinbase lines dropped.
 
     Transactions must be sorted by block index; consecutive lines with the
     same index form one block. Coinbase transactions (empty inputs) are
     dropped before any of their scripts are interned. Each block carries the
     size of the table after its last transaction.
     """
-    stats = stats if stats is not None else StreamStats()
     current_index: int | None = None
     current_txs: list[Transaction] = []
     seen = 0
+    coinbase_dropped = 0
 
     def flush() -> Block:
-        stats.blocks += 1
-        stats.last_block = current_index
-        if stats.first_block is None:
-            stats.first_block = current_index
         return Block(current_index, current_txs, seen)
 
     for lineno, line in enumerate(source, start=1):
@@ -498,7 +494,7 @@ def reference_iter_blocks(
         # Coinbase check precedes interning so dropped outputs never get ids.
         raw_inputs = raw.get("inputs")
         if isinstance(raw_inputs, list) and len(raw_inputs) == 0:
-            stats.coinbase_dropped += 1
+            coinbase_dropped += 1
             continue
 
         inputs = _reference_decode_side(raw, "inputs", table, txid, lineno)
@@ -513,10 +509,10 @@ def reference_iter_blocks(
             current_txs = []
         current_txs.append(tx)
         seen = len(table)
-        stats.transactions += 1
 
     if current_index is not None:
         yield flush()
+    return coinbase_dropped
 
 
 def reference_block_counts(blocks: Iterable[Block]) -> list[int]:

@@ -10,14 +10,13 @@ from entityforge.chain import (
     MAX_VALUE,
     JsonlSource,
     MemorySource,
-    StreamStats,
     iter_blocks,
     validate_transaction,
 )
 from entityforge.errors import DataError, IngestError, ValidationError
 from entityforge.reuse import ReuseIndex
 
-from conftest import block, tx
+from conftest import block, collect, tx
 from oracles import as_columns, reference_block_counts, reference_iter_blocks
 from test_loaders import jsonl_line
 
@@ -94,11 +93,9 @@ class TestIngestion:
                 _line("t1", 1, [("a", 2)], [("b", 1)]),
             ]
         )
-        table = {}
-        stats = StreamStats()
-        blocks = list(iter_blocks(io.StringIO(text), table, stats))
-        assert stats.coinbase_dropped == 1
-        assert stats.transactions == 1
+        table, blocks = {}, []
+        coinbase_dropped = collect(iter_blocks(io.StringIO(text), table), blocks)
+        assert coinbase_dropped == 1
         assert "miner" not in table
         assert len(blocks) == 1 and len(blocks[0].transactions) == 1
 
@@ -194,16 +191,15 @@ EDGE_LINES = [
 
 
 def _decode_outcome(decode, lines, to_columns=list):
-    """Blocks yielded, table, stats and the error, if any, of one decode."""
-    table, stats, blocks = {}, StreamStats(), []
-    error = None
+    """Blocks yielded, table, coinbase count returned and the error, if any, of one decode."""
+    table, blocks = {}, []
+    coinbase_dropped = error = None
     try:
-        for block in decode(lines, table, stats):
-            blocks.append(block)
+        coinbase_dropped = collect(decode(lines, table), blocks)
     except Exception as exc:
         error = (type(exc), getattr(exc, "category", None), str(exc))
     # repr shows the record types and tells True from 1
-    return repr(to_columns(blocks)), list(table.items()), vars(stats), error
+    return repr(to_columns(blocks)), list(table.items()), coinbase_dropped, error
 
 
 def _wide_line(block, i):
@@ -230,7 +226,7 @@ _MID_BLOCK_ERRORS = [
 @example(lines=_WIDE_STREAM[:70] + _MID_BLOCK_ERRORS[:1] + _WIDE_STREAM[70:])
 @example(lines=_WIDE_STREAM[:70] + _MID_BLOCK_ERRORS[1:])
 def test_decoder_matches_reference(lines):
-    """Same blocks, interning order and stats, or the same error, as the reference."""
+    """Same blocks, interning order and coinbase count, or the same error, as the reference."""
     expected = _decode_outcome(reference_iter_blocks, lines, as_columns)
     assert _decode_outcome(iter_blocks, lines) == expected
 
@@ -298,7 +294,7 @@ def test_packed_replay_equals_decoded_blocks(stream_path, lines):
     source = JsonlSource(str(stream_path))
     packed = source.pack()
     assert repr(list(packed.blocks())) == repr(list(packed.blocks())) == decoded
-    assert vars(packed.stats) == vars(reference.stats)
+    assert packed.coinbase_dropped == reference.coinbase_dropped
     assert packed.fixed._counts == ReuseIndex.build_fixed(first)._counts
     assert len(source.table) == 0 and repr(list(source.blocks())) == decoded
 

@@ -18,12 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entityforge import cli, engine
-from entityforge.chain import JsonlSource, MemorySource, StreamStats, iter_blocks
+from entityforge.chain import JsonlSource, MemorySource, iter_blocks
 from entityforge.cli import main
 from entityforge.errors import CSV_CHUNK_ROWS, DataError, is_int_text, output_files
 from entityforge.heuristics import HEURISTICS
 from entityforge.pricing import load_price_csv
 from entityforge.synth import GenParams, generate_files
+
+from conftest import collect
 
 CONSTANT_PRICES = "block_index,usd_per_btc\n0,10000\n"
 REPORT_HEADER = "block_index,num_scripts,num_clusters,ratio,merges_applied,tx_processed\n"
@@ -913,11 +915,12 @@ class TestPackedReplay:
         jsonl = self._stream(tmp_path, seed)
         prices = tmp_path / "p.csv"
         prices.write_text(CONSTANT_PRICES)
-        table, stats = {}, StreamStats()
+        table, blocks = {}, []
         with open(jsonl, encoding="utf-8") as fh:
-            memory = MemorySource(list(iter_blocks(fh, table, stats)), table)
-        memory.stats = stats
-        assert stats.coinbase_dropped == 10
+            coinbase_dropped = collect(iter_blocks(fh, table), blocks)
+        memory = MemorySource(blocks, table)
+        memory.coinbase_dropped = coinbase_dropped
+        assert coinbase_dropped == 10
         for heuristic, horizon in self.CASES:
             for checkpoints in ("3", "2,5,9,40"):
                 tag = f"{heuristic}-{horizon}-{checkpoints}"
@@ -1053,6 +1056,38 @@ class TestValidate:
             "coinbase_dropped": 1,
             "first_block": 7,
             "last_block": 7,
+        }
+
+    @pytest.mark.parametrize("text, dropped", [
+        ("", 0),
+        ('{"txid":"cb","block":1,"inputs":[],"outputs":[{"script":"m","value":50}]}\n'
+         '\n{"txid":"cb2","block":4,"inputs":[],"outputs":[{"script":"n","value":50}]}\n', 2),
+    ], ids=["empty", "all-coinbase"])
+    def test_stream_without_kept_blocks(self, tmp_path, capsys, text, dropped):
+        """A block of coinbase lines only is no block: nothing is kept or interned."""
+        path = tmp_path / "s.jsonl"
+        path.write_text(text)
+        assert main(["validate", "--tx", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "blocks": 0,
+            "transactions": 0,
+            "distinct_scripts": 0,
+            "coinbase_dropped": dropped,
+            "first_block": None,
+            "last_block": None,
+        }
+
+    def test_synth_stream_matches_its_meta(self, synth_files, capsys):
+        with open(synth_files["meta"], encoding="utf-8") as fh:
+            meta = json.load(fh)
+        assert main(["validate", "--tx", synth_files["jsonl"]]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "blocks": meta["params"]["blocks"],
+            "transactions": meta["counts"]["transactions"],
+            "distinct_scripts": meta["counts"]["scripts"],
+            "coinbase_dropped": 0,
+            "first_block": 0,
+            "last_block": meta["params"]["blocks"] - 1,
         }
 
 

@@ -381,12 +381,13 @@ class TestSinglePass:
         class Table(dict):  # a plain dict takes no weak reference
             pass
 
-        def interning(fh, table, stats):
+        def interning(fh, table):
             """The pass, interning into a `Table` that stands in for its fresh table."""
             source.table = table = Table()
             tables.append(weakref.ref(table))
-            yield from decode(fh, table, stats)
+            coinbase_dropped = yield from decode(fh, table)
             sizes.append(len(table))
+            return coinbase_dropped
 
         def checked_register(self, upto):
             dead.append(tables[0]() is None)

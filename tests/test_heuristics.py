@@ -4,12 +4,14 @@ Each heuristic gets a firing case plus one non-firing case per condition, so
 inverting any single condition check breaks at least one test here.
 """
 
+from itertools import product
 from random import Random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from entityforge.chain import Transaction
 from entityforge.errors import ConfigError
 from entityforge.heuristics import (
     HEURISTICS,
@@ -25,6 +27,7 @@ from entityforge.heuristics import (
     service_deposit,
     shadow_address,
 )
+from entityforge.reuse import ReuseIndex
 from conftest import counts, tx
 from oracles import (
     reference_change_address,
@@ -467,6 +470,31 @@ REFERENCES = {
 }
 
 
+def _scope_values(n_in, n_out):
+    """(input values, output values) for sides of `n_in` and `n_out` TXOs: each value
+    test that applies to the shape is crossed, at the exponent 3 and the offset 1.
+
+    Only two-output rules read values. One input: output values round at 10^3 and not
+    at 10^2 either way round, round only at 10^2, both round, neither, and equal. Two or
+    three inputs: equal outputs, and each unequal pair with the inputs less their least
+    at v_pay - 1, v_pay (the least input first, then last) and v_pay + 1."""
+    if n_out != 2:
+        return [((5000,) * n_in, (3000, 1234, 3000)[:n_out])]  # three outputs: one equal pair
+    unequal = [(3000, 1234), (1234, 3000)]
+    if n_in == 1:
+        return [((5000,), outs) for outs in
+                unequal + [(3000, 1200), (1200, 3000), (3000, 2000), (1234, 1201), (3000, 3000)]]
+    vectors = [((2500,) * n_in, (3000, 3000))]
+    middle = tuple(range(2, n_in))  # the inputs between the least, 1, and the last
+    for outs in unequal:
+        v_pay = max(outs)
+        for total, least_first in ((v_pay - 1, True), (v_pay, True), (v_pay, False),
+                                   (v_pay + 1, True)):
+            rest = (*middle, total - sum(middle))
+            vectors.append(((1, *rest) if least_first else (*rest, 1), outs))
+    return vectors
+
+
 class TestReferenceRules:
     @settings(max_examples=500, deadline=None)
     @given(ins=txos(0, 4, [1, 1, 2, 3, 5]), outs=txos(2, 6, [2, 2, 1, 3]),
@@ -496,3 +524,39 @@ class TestReferenceRules:
             rules = REFERENCES[name]
             expected = tuple(group for rule in rules for group in rule(t, context))
             assert spec.evaluate(t, context).groups == expected, name
+
+    def test_every_rule_equals_its_reference_in_the_small_scope(self):
+        """Every transaction of a small scope, against the references.
+
+        Input and output sides of 1-3 TXOs over 4 scripts, each script of the transaction
+        counted 1 or 2 (it is counted before a rule reads it) in every combination, and the
+        value vectors of `_scope_values`. Each is evaluated at the exponent 3 above the
+        offset 1 with `min_deposit_inputs` 2; its first value vector also at the exponent 1,
+        at the offset, with `min_deposit_inputs` 3, and with one input at no exponent. Where
+        `change` fires, its groups are `shadow`'s."""
+        entries = [(name, spec.evaluate, REFERENCES[name]) for name, spec in HEURISTICS.items()]
+        references = {rule for rules in REFERENCES.values() for rule in rules}
+        change, shadow = HEURISTICS["change"].evaluate, HEURISTICS["shadow"].evaluate
+        idx = ReuseIndex()
+        idx.register(4)
+        contexts = [ctx(idx, 3), ctx(idx, 1, min_deposit_inputs=3), ctx(idx, None)]
+        for n_in, n_out in product((1, 2, 3), repeat=2):
+            vectors = _scope_values(n_in, n_out)
+            for ins, outs in product(product(range(4), repeat=n_in), product(range(4), repeat=n_out)):
+                txs = [Transaction("t", ins, in_values, outs, out_values)
+                       for in_values, out_values in vectors]
+                for t in txs:
+                    assert is_coinjoin(t) == reference_is_coinjoin(t), t
+                present = sorted({*ins, *outs})
+                for vector in product((1, 2), repeat=len(present)):
+                    for sid, count in zip(present, vector):
+                        idx._counts[sid] = count
+                    for k, t in enumerate(txs):
+                        for context in contexts[:1 + (k == 0) + (k == 0 and n_in == 1)]:
+                            expected = {rule: rule(t, context) for rule in references}
+                            case = (t, vector, context.exponent, context.config.min_deposit_inputs)
+                            for name, evaluate, rules in entries:
+                                groups = evaluate(t, context).groups
+                                assert groups == sum(map(expected.__getitem__, rules), ()), (name, case)
+                            if n_in == 1 and (groups := change(t, context).groups):
+                                assert groups == shadow(t, context).groups, case
