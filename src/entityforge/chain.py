@@ -106,8 +106,8 @@ def iter_blocks(source: IO | Iterable[str], table: dict[str, int]) -> Generator[
     """Yield validated blocks from a JSONL line source, interning scripts in `table`,
     and return the number of coinbase lines dropped.
 
-    Transactions must be sorted by block index; consecutive lines with the
-    same index form one block. Coinbase transactions (empty inputs) are
+    Lines must be sorted by block index, coinbase lines too; consecutive lines
+    with the same index form one block. Coinbase transactions (empty inputs) are
     dropped before any of their scripts are interned.
 
     The per-line work is one loop, since decoding is the largest layer of a
@@ -128,7 +128,8 @@ def iter_blocks(source: IO | Iterable[str], table: dict[str, int]) -> Generator[
     replay that writes their reference counts in a forked child copies fewer
     of the parent's pages.
     """
-    current_index: int | None = None
+    current_index: int | None = None  # the block being gathered
+    last_index = 0  # the block of the line before, coinbase lines too
     rows: list[list] = []  # the block's transactions: txid, then each side's ids and values
     seen = 0  # scripts through the last transaction kept
     coinbase_dropped = 0
@@ -162,11 +163,12 @@ def iter_blocks(source: IO | Iterable[str], table: dict[str, int]) -> Generator[
             raise IngestError(
                 f"line {lineno}: transaction {txid}: 'block' must be a non-negative integer"
             )
-        if current_index is not None and block_index < current_index:
+        if block_index < last_index:
             raise IngestError(
                 f"line {lineno}: transaction {txid}: block {block_index} after "
-                f"block {current_index} (stream must be sorted by block)"
+                f"block {last_index} (stream must be sorted by block)"
             )
+        last_index = block_index
 
         # Coinbase check precedes interning so dropped outputs never get ids.
         raw_inputs = raw.get("inputs")

@@ -96,10 +96,8 @@ def common_input(tx: Transaction, ctx: EvalContext) -> Groups:
 
 def coinjoin_resistant_common_input(tx: Transaction, ctx: EvalContext) -> Groups:
     """Common-input merge, skipped when `is_coinjoin` flags the tx."""
-    if len(tx.in_scripts) < 2:
-        return ()
-    scripts = frozenset(tx.in_scripts)
-    return (scripts,) if len(scripts) >= 2 and not is_coinjoin(tx) else ()
+    groups = common_input(tx, ctx)
+    return () if groups and is_coinjoin(tx) else groups
 
 
 def change_address(tx: Transaction, ctx: EvalContext) -> Groups:

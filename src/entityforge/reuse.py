@@ -13,8 +13,8 @@ The engine picks the horizon by which index it reads:
   * online  - an empty index that the engine records each transaction into
               just before evaluating heuristics on it, so counts reflect the
               transactions seen so far.
-  * fixed   - the source's `fixed` index, which `build_fixed` counts over
-              every transaction of the dataset once, as the source is made or
+  * fixed   - the source's `fixed` index, which `build_fixed` records every
+              transaction of the dataset into once, as the source is made or
               packed; the counts never change afterwards.
 """
 
@@ -45,13 +45,11 @@ class ReuseIndex:
 
     @classmethod
     def build_fixed(cls, blocks: Iterable[Block]) -> "ReuseIndex":
-        """Count every transaction of the stream, growing once per block to its largest id."""
+        """The online index at the stream's end: each block registered, then each transaction
+        recorded. Each block's `scripts` must cover its ids, as `Block` states."""
         idx = cls()
-        counts = idx._counts
         for block in blocks:
-            ids = [sid for tx in block.transactions for side in (tx.in_scripts, tx.out_scripts)
-                   for sid in set(side)]
-            idx.register(max(ids, default=-1) + 1)
-            for sid in ids:
-                counts[sid] += 1
+            idx.register(block.scripts)
+            for tx in block.transactions:
+                idx.record(tx)
         return idx

@@ -42,8 +42,18 @@ def counts(mapping, n=16):
 
 
 def block(index, *txs):
-    """A hand-built block. Its script count is left 0: a `MemorySource` counts its blocks."""
+    """A hand-built block. Its script count is left 0: a `MemorySource` counts its blocks,
+    and `counted` counts them for a caller of `ReuseIndex.build_fixed`."""
     return Block(index, list(txs), 0)
+
+
+def counted(blocks):
+    """`blocks`, each with its script count one more than the largest id through it."""
+    out, upto = [], 0
+    for b in blocks:
+        upto = max([upto, *(sid + 1 for t in b.transactions for sid in (*t.in_scripts, *t.out_scripts))])
+        out.append(b._replace(scripts=upto))
+    return out
 
 
 def collect(blocks, out):

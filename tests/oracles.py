@@ -454,12 +454,13 @@ def reference_iter_blocks(
     """Yield validated blocks from a JSONL line source, interning scripts, and
     return the number of coinbase lines dropped.
 
-    Transactions must be sorted by block index; consecutive lines with the
-    same index form one block. Coinbase transactions (empty inputs) are
+    Lines must be sorted by block index, coinbase lines too; consecutive lines
+    with the same index form one block. Coinbase transactions (empty inputs) are
     dropped before any of their scripts are interned. Each block carries the
     size of the table after its last transaction.
     """
-    current_index: int | None = None
+    current_index: int | None = None  # the block being gathered
+    last_index = 0  # the block of the line before, coinbase lines too
     current_txs: list[Transaction] = []
     seen = 0
     coinbase_dropped = 0
@@ -485,11 +486,12 @@ def reference_iter_blocks(
             raise IngestError(
                 f"line {lineno}: transaction {txid}: 'block' must be a non-negative integer"
             )
-        if current_index is not None and block_index < current_index:
+        if block_index < last_index:
             raise IngestError(
                 f"line {lineno}: transaction {txid}: block {block_index} after "
-                f"block {current_index} (stream must be sorted by block)"
+                f"block {last_index} (stream must be sorted by block)"
             )
+        last_index = block_index
 
         # Coinbase check precedes interning so dropped outputs never get ids.
         raw_inputs = raw.get("inputs")

@@ -218,6 +218,8 @@ _MID_BLOCK_ERRORS = [
     _line("bad", 8, [("a", 5)], [("b", 4), ("c", 3)]),  # outputs above inputs
     _line("bad", 8, [("a", 5)], [("b", 4)]).replace('"value": 4', '"valu": 4'),
 ]
+# A coinbase line at a later block, then a kept line at an earlier one.
+_OUT_OF_ORDER_COINBASE = [_line("cb", 5, [], [("m", 50)]), _line("t", 4, [("a", 5)], [("b", 4)])]
 
 
 @settings(max_examples=1000, deadline=None)
@@ -225,6 +227,8 @@ _MID_BLOCK_ERRORS = [
 @example(lines=_WIDE_STREAM)
 @example(lines=_WIDE_STREAM[:70] + _MID_BLOCK_ERRORS[:1] + _WIDE_STREAM[70:])
 @example(lines=_WIDE_STREAM[:70] + _MID_BLOCK_ERRORS[1:])
+@example(lines=_OUT_OF_ORDER_COINBASE)
+@example(lines=_OUT_OF_ORDER_COINBASE[:1] + [_line("cb2", 4, [], [("n", 50)])])
 def test_decoder_matches_reference(lines):
     """Same blocks, interning order and coinbase count, or the same error, as the reference."""
     expected = _decode_outcome(reference_iter_blocks, lines, as_columns)
@@ -348,4 +352,4 @@ def test_memory_source_checks_and_counts_as_the_engine_scan(blocks):
         replayed.register(count)
         for t in b.transactions:
             replayed.record(t)
-    assert source.fixed._counts == ReuseIndex.build_fixed(blocks)._counts == replayed._counts
+    assert source.fixed._counts == ReuseIndex.build_fixed(held)._counts == replayed._counts

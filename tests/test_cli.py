@@ -252,7 +252,7 @@ class TestRunSettings:
         assert err.startswith("error[config]: ") and err.count("\n") == 1 and named in err
 
 
-# Each command line argparse refuses, and the flag or argument its message names.
+# Each refused command line, and the flag, argument or range its message names.
 REFUSALS = [
     ([], "command"),
     (["run", "--heuristic", "cio"], "--tx"),
@@ -261,6 +261,7 @@ REFUSALS = [
     (["run", "--tx", "{stream}", "--heuristic", "cio", "--horizon", "bogus"], "--horizon"),
     (["run", "--tx", "{stream}", "--heuristic", "cio", "--a", "1_0"], "--a"),
     (["run", "--tx", "{stream}", "--heuristic", "cio", "--x", "nan"], "--x"),
+    (["run", "--tx", "{stream}", "--heuristic", "cio", "--j", "-1"], "round_offset must be >= 0"),
     (["synth", "--seed", " +5", "--out-prefix", "{tmp}/x"], "--seed"),
     (["exponent-series", "--prices", SAMPLE_PRICES], "--blocks"),
     (["compare"], "reports"),
@@ -274,7 +275,7 @@ class TestRefusals:
 
     @pytest.mark.parametrize("argv, named", REFUSALS,
                              ids=["no-command", "no-tx", "unknown-flag", "heuristic", "horizon",
-                                  "a", "x", "seed", "no-blocks", "no-reports"])
+                                  "a", "x", "j-negative", "seed", "no-blocks", "no-reports"])
     def test_refusal_is_one_config_line(self, stream, tmp_path, capsys, argv, named):
         argv = [arg.format(stream=stream, tmp=tmp_path) for arg in argv]
         assert main(argv) == 2
@@ -472,6 +473,24 @@ class TestMalformedInputs:
         assert proc.returncode == 3
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error[generation]: ") and "users" in proc.stderr
+
+    @pytest.mark.parametrize("params, error", [
+        ({"blocks": 0}, "need at least one block and one tx per block"),
+        ({"txs_per_block": 0}, "need at least one block and one tx per block"),
+        ({"initial_balance": -1}, "initial balance must be non-negative"),
+        ({"endowment_utxos": 0}, "each user needs at least one endowment UTXO"),
+        ({"deposit_min_inputs": 1}, "deposit_min_inputs must be >= 2"),
+        ({"round_exponent": 1}, "round_exponent must be >= 2"),
+        ({"consolidation_rate": 0.6, "coinjoin_rate": 0.5}, "consolidation_rate + coinjoin_rate exceeds 1"),
+    ], ids=["blocks", "txs-per-block", "initial-balance", "endowment-utxos", "deposit-min-inputs",
+            "round-exponent", "rate-sum"])
+    def test_synth_param_out_of_range(self, tmp_path, params, error):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({"users": 4, "blocks": 4, "txs_per_block": 4, **params}))
+        proc = _cli("synth", "--seed", "1", "--params", str(path), "--out-prefix", str(tmp_path / "x"))
+        assert proc.returncode == 3
+        assert (proc.stdout, proc.stderr) == ("", f"error[generation]: {error}\n")
+        assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("content", [b'{"users": ', b"\xff{}"], ids=["truncated", "not-utf8"])
     def test_synth_params_not_json(self, tmp_path, content):
@@ -1076,6 +1095,16 @@ class TestValidate:
             "first_block": None,
             "last_block": None,
         }
+
+    def test_coinbase_line_is_sorted_too(self, tmp_path):
+        """A payment at a block below the coinbase line before it is out of order."""
+        path = tmp_path / "s.jsonl"
+        path.write_text('{"txid":"cb","block":5,"inputs":[],"outputs":[{"script":"m","value":50}]}\n'
+                        + ONE_TX.replace('"t1","block":100', '"t","block":4'))
+        proc = _cli("validate", "--tx", str(path))
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == ("error[ingest]: line 2: transaction t: block 4 after block 5 "
+                               "(stream must be sorted by block)\n")
 
     def test_synth_stream_matches_its_meta(self, synth_files, capsys):
         with open(synth_files["meta"], encoding="utf-8") as fh:

@@ -326,6 +326,11 @@ class TestErrorsAndMetadata:
             RunConfig("nope")
         assert "nope" in str(err.value)
 
+    def test_unknown_horizon_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            RunConfig(heuristic="cio", horizon="full")
+        assert str(err.value) == "unknown horizon mode 'full'"
+
     def test_missing_prices_rejected(self, tmp_path):
         source = _jsonl(tmp_path, ONE_TX)
         with pytest.raises(ConfigError):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from entityforge.reuse import ReuseIndex
 
-from conftest import block, tx
+from conftest import block, counted, tx
 from oracles import recount_usage
 
 
@@ -63,10 +63,10 @@ class TestRegister:
 
 def _stream_with_script_in_blocks():
     # script 0 appears (as an input) in blocks 10 and 20
-    return [
+    return counted([
         block(10, tx([(0, 5)], [(1, 4)])),
         block(20, tx([(0, 3)], [(2, 2)])),
-    ]
+    ])
 
 
 def _upto(blocks, k):
@@ -100,7 +100,7 @@ def _random_blocks(rng, n_blocks=12, max_txs=4, n_scripts=30):
             outs = [(rng.randrange(n_scripts), v_in - rng.randrange(1, min(10, v_in) + 1))]
             txs.append(tx(ins, outs))
         blocks.append(block(index, *txs))
-    return blocks
+    return counted(blocks)
 
 
 class TestEquivalence:
@@ -149,23 +149,14 @@ _block_txs = st.lists(_transactions, max_size=4)  # empty blocks and one-transac
 
 
 def _numbered(block_txs):
-    return [block(index, *txs) for index, txs in enumerate(block_txs)]
+    return counted([block(index, *txs) for index, txs in enumerate(block_txs)])
 
 
-def _replayed(blocks):
-    """The online index after `record` of every transaction in stream order, covering
-    ids up to the largest one seen."""
-    idx = ReuseIndex()
-    idx.register(1 + max((sid for b in blocks for t in b.transactions
-                          for sid in (*t.in_scripts, *t.out_scripts)), default=-1))
-    for b in blocks:
-        for t in b.transactions:
-            idx.record(t)
-    return idx
-
-
-class TestFixedBuildEqualsReplay:
+class TestFixedBuildEqualsRecount:
     @settings(max_examples=300, deadline=None)
     @given(blocks=st.lists(_block_txs, max_size=6).map(_numbered))
-    def test_counts_equal_record_replayed(self, blocks):
-        assert ReuseIndex.build_fixed(blocks)._counts == _replayed(blocks)._counts
+    def test_counts_equal_naive_recount(self, blocks):
+        """Ids up to the last block's script count, each at its naive recount, unseen ones at 0."""
+        naive = recount_usage(blocks)
+        upto = blocks[-1].scripts if blocks else 0
+        assert ReuseIndex.build_fixed(blocks)._counts == [naive.get(sid, 0) for sid in range(upto)]
