@@ -102,6 +102,10 @@ def _transactions(*columns: Iterable) -> list[Transaction]:
     return list(map(tuple.__new__, repeat(Transaction), zip(*columns)))
 
 
+# New script ids are made this many at a time (see `iter_blocks`).
+_ID_RUN = 4096
+
+
 def iter_blocks(source: IO | Iterable[str], table: dict[str, int]) -> Generator[Block, None, int]:
     """Yield validated blocks from a JSONL line source, interning scripts in `table`,
     and return the number of coinbase lines dropped.
@@ -114,10 +118,14 @@ def iter_blocks(source: IO | Iterable[str], table: dict[str, int]) -> Generator[
     run. On decoded JSON, `type(x) is int` is `isinstance(x, int)`
     without bools. A script text new to `table` takes the next id,
     `len(table)`, so ids are dense in first-observation order, and a
-    block's script count is `len(table)` after its last transaction. Each side
-    fills an id list and a value list; only a transaction whose value
-    columns' `sum` and `min` show it invalid or past `MAX_VALUE` goes
-    through `validate_transaction`, which raises its error.
+    block's script count is `len(table)` after its last transaction. The
+    new ids are popped from runs of `_ID_RUN` consecutive ints made in one
+    go, so each id's int, which every transaction naming that script
+    shares, lies beside the others on few memory pages rather than among
+    the parser's short-lived objects. Each side fills an id list and a
+    value list; only a transaction whose value columns' `sum` and `min`
+    show it invalid or past `MAX_VALUE` goes through
+    `validate_transaction`, which raises its error.
 
     A kept transaction stays a row of its txid and four lists until its block
     ends. The block's tuples are then built one column at a time: every
@@ -134,6 +142,7 @@ def iter_blocks(source: IO | Iterable[str], table: dict[str, int]) -> Generator[
     seen = 0  # scripts through the last transaction kept
     coinbase_dropped = 0
     get_id = table.get
+    fresh: list[int] = []  # the ids of the next new scripts, the next one last
 
     def flush() -> Block:
         txids, *sides = zip(*rows)
@@ -199,7 +208,10 @@ def iter_blocks(source: IO | Iterable[str], table: dict[str, int]) -> Generator[
                     )
                 sid = get_id(script)
                 if sid is None:
-                    sid = table[script] = len(table)
+                    if not fresh:
+                        fresh = list(range(len(table), len(table) + _ID_RUN))
+                        fresh.reverse()
+                    sid = table[script] = fresh.pop()
                 sids.append(sid)
                 values.append(value)
             row += (sids, values)

@@ -5,33 +5,38 @@ singletons and only ever coarsens: merging a script set consolidates every
 cluster that intersects it into one. Backed by one parent array indexed by
 script id, with path halving. A merge links the larger root under the
 smaller, so every root is the least script id of its cluster: a cluster's
-root is its label. Linking by id with path halving costs amortized
-O(log n) per operation (Tarjan & van Leeuwen, "Worst-case analysis of set
-union algorithms", JACM 1984). Measured with tracemalloc after a run's
-merges, the store takes 34-41 B per script for the 91,693 scripts of a
-30k-transaction synthetic stream, and 33-41 B for the 844,885 of a
-300k-transaction one: 8 B for the parent slot, the rest for the id object
-it holds.
+root is its label, and every link points to a smaller id. A root's slot
+holds `ROOT`, one int above every id, so growing the store makes no object
+per script. Linking by id with path halving costs amortized O(log n) per
+operation (Tarjan & van Leeuwen, "Worst-case analysis of set union
+algorithms", JACM 1984). Measured with tracemalloc after a run's merges,
+the store takes 8.4 B per script for the 91,693 scripts of a
+30k-transaction synthetic stream: the 8 B parent slot and the list's spare
+capacity, since a link holds an id int the caller made.
 
-Snapshots are written, read and labelled as whole columns, with no Python
-call per script: the labels by pointer jumping over the parent array, a CSV
-file in chunks of rows by `errors.int_pairs` (which walks only a faulty file,
-once, to name its line), and the loaded partition straight from its labels.
+The labels are one pass in id order, since each script's parent is labelled
+before it. Snapshots are written and read as whole columns, with no Python
+call per script: a CSV file in chunks of rows by `errors.int_pairs` (which
+walks only a faulty file, once, to name its line), and the loaded partition
+straight from its labels.
 """
 
 from __future__ import annotations
 
 import csv
 import struct
+import sys
 from fractions import Fraction
-from itertools import compress
-from operator import eq, gt, ne, or_
+from itertools import compress, repeat
+from operator import gt, ne, or_
 from typing import IO, Iterable, Sequence
 
 from .errors import DataError, int_pairs
 
 _SNAPSHOT_MAGIC = b"ECLS1"
 _CSV_HEADER = ["script_id", "cluster_id"]
+
+ROOT = sys.maxsize  # every root's parent slot: one int object, above every id
 
 
 class ClusterSet:
@@ -48,7 +53,7 @@ class ClusterSet:
         calls it once per block, and an `upto` the store already covers adds nothing."""
         start = len(self._parent)
         if upto > start:
-            self._parent.extend(range(start, upto))
+            self._parent.extend(repeat(ROOT, upto - start))
             self.num_clusters += upto - start
 
     def merge_scripts(self, scripts: Iterable[int]) -> int:
@@ -66,9 +71,10 @@ class ClusterSet:
             if not 0 <= sid < size:
                 self.num_clusters = clusters  # keep the merges made so far counted
                 raise DataError(f"script id {sid} is not in the store of {size} scripts")
-            while parent[sid] != sid:  # find with path halving
-                parent[sid] = parent[parent[sid]]
-                sid = parent[sid]
+            while (up := parent[sid]) < sid:  # find with path halving
+                if (top := parent[up]) < up:
+                    parent[sid] = up = top
+                sid = up
             if root < 0:
                 root = sid
             elif sid != root:
@@ -88,14 +94,14 @@ class ClusterSet:
     def labels(self) -> list[int]:
         """Canonical labeling: the min id of each script's cluster, by script id.
 
-        Pointer jumping replaces each parent by its parent's parent until every
-        script points at its root, which is its cluster's min. The result is a
-        new list, never the parent array itself.
+        One pass in id order: a root is labelled with itself, and any other script
+        takes the label of its parent, a smaller id, labelled already.
         """
-        root = self._parent
-        while (jumped := list(map(root.__getitem__, root))) != root:
-            root = jumped
-        return jumped
+        labels: list[int] = []
+        label = labels.append
+        for sid, up in enumerate(self._parent):
+            label(labels[up] if up < sid else sid)
+        return labels
 
     # -- persistence --
 
@@ -114,20 +120,21 @@ class ClusterSet:
 def _partition(labels: Sequence[int]) -> ClusterSet:
     """The partition that joins each script `sid` with `labels[sid]`; every label is below n.
 
-    A script whose label is a root, a script labelled with itself, joins it by
-    its parent link when that root is no larger than the script, so every root
-    stays its cluster's min. Only the other scripts, which a non-canonical or
-    cyclic label file has, go through `merge_scripts`.
+    A script labelled with itself is a root, and its slot holds `ROOT`. A script
+    whose label is such a root joins it by its parent link when that root is no
+    larger than the script, so every root stays its cluster's min. Only the
+    other scripts, which a non-canonical or cyclic label file has, start as
+    roots of their own and go through `merge_scripts`.
     """
     n = len(labels)
     others = list(compress(range(n), map(or_, map(ne, map(labels.__getitem__, labels), labels),
                                          map(gt, labels, range(n)))))
-    parent = list(labels)
+    parent = [ROOT if label == sid else label for sid, label in enumerate(labels)]
     for sid in others:
-        parent[sid] = sid
+        parent[sid] = ROOT
     store = ClusterSet()
     store._parent = parent
-    store.num_clusters = sum(map(eq, parent, range(n)))
+    store.num_clusters = parent.count(ROOT)
     for sid in others:
         store.merge_scripts((sid, labels[sid]))
     return store

@@ -17,7 +17,7 @@ from entityforge.errors import DataError, IngestError, ValidationError
 from entityforge.reuse import ReuseIndex
 
 from conftest import block, collect, tx
-from oracles import as_columns, reference_block_counts, reference_iter_blocks
+from oracles import as_columns, recount_usage, reference_block_counts, reference_iter_blocks
 from test_loaders import jsonl_line
 
 
@@ -235,6 +235,34 @@ def test_decoder_matches_reference(lines):
     assert _decode_outcome(iter_blocks, lines) == expected
 
 
+# Over 8,400 new scripts in five blocks: each line spends a new script `s<i>` and pays a new
+# `o<i>` and a seen `s<i//2>`, and every tenth line also spends `x<i>`, a script a
+# non-empty starting table may already hold.
+_MANY_NEW_SCRIPTS = [
+    _line(f"t{i}", i // 1000, [(f"s{i}", 5)] + [(f"x{i}", 1)] * (i % 10 == 0),
+          [(f"o{i}", 3), (f"s{i // 2}", 2)])
+    for i in range(4200)
+]
+
+
+@pytest.mark.parametrize("held", [0, 3000])
+def test_decoder_ids_cross_runs_densely(held):
+    """Past several runs of new ids, and into a table that holds `held` scripts already,
+    the decoder gives the reference's blocks and table: each new script the next id."""
+    start = {f"x{3 * k}": k for k in range(held)}  # a third of the stream's `x<i>` among them
+    table, reference_table = dict(start), dict(start)
+    blocks, reference_blocks = [], []
+    assert collect(iter_blocks(_MANY_NEW_SCRIPTS, table), blocks) == 0
+    collect(reference_iter_blocks(_MANY_NEW_SCRIPTS, reference_table), reference_blocks)
+    assert blocks == as_columns(reference_blocks)
+    assert list(table.items()) == list(reference_table.items())
+    first_seen = dict.fromkeys(entry["script"] for line in map(json.loads, _MANY_NEW_SCRIPTS)
+                               for entry in line["inputs"] + line["outputs"]
+                               if entry["script"] not in start)
+    assert list(table)[held:] == list(first_seen) and len(first_seen) > 8192
+    assert list(table.values()) == list(range(len(table)))
+
+
 @st.composite
 def _split(draw, total, max_parts):
     """`total` as a list of 1..max_parts non-negative parts."""
@@ -335,7 +363,7 @@ def _memory_blocks(draw):
 @given(blocks=_memory_blocks())
 def test_memory_source_checks_and_counts_as_the_engine_scan(blocks):
     """A `MemorySource` refuses a stream with the former engine scan's message, or holds its
-    blocks with that scan's counts and the fixed counts of `build_fixed` and `record`."""
+    blocks with that scan's counts and fixed counts equal to a naive recount."""
     try:
         counts = reference_block_counts(blocks)
     except DataError as exc:
@@ -347,9 +375,6 @@ def test_memory_source_checks_and_counts_as_the_engine_scan(blocks):
     held = list(source.blocks())
     assert [(b.index, b.transactions) for b in held] == [(b.index, b.transactions) for b in blocks]
     assert [b.scripts for b in held] == counts
-    replayed = ReuseIndex()
-    for b, count in zip(blocks, counts):
-        replayed.register(count)
-        for t in b.transactions:
-            replayed.record(t)
-    assert source.fixed._counts == ReuseIndex.build_fixed(held)._counts == replayed._counts
+    naive = recount_usage(blocks)
+    recounted = [naive.get(sid, 0) for sid in range(counts[-1] if counts else 0)]
+    assert source.fixed._counts == ReuseIndex.build_fixed(held)._counts == recounted

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entityforge import errors
-from entityforge.clusters import ClusterSet, load_snapshot
+from entityforge.clusters import ROOT, ClusterSet, load_snapshot
 from entityforge.errors import CSV_CHUNK_ROWS, DataError
 
 from oracles import closure_labels, refines
@@ -406,10 +406,12 @@ def test_merge_sequences_round_trip(snapshot_dir, case, chunk):
         store.write_snapshot_csv(fh)
     with open(bin_path, "wb") as fh:
         store.write_snapshot_binary(fh)
+    expected = closure_labels(n, groups)
+    _check_store(store, expected)
     with mock.patch.object(errors, "CSV_CHUNK_ROWS", chunk):
         for path in (csv_path, bin_path):
             loaded = load_snapshot(str(path))
-            assert loaded.labels() == store.labels() == closure_labels(n, groups)
+            _check_store(loaded, expected)
             assert loaded.num_clusters == store.num_clusters
 
 
@@ -435,12 +437,21 @@ def test_non_canonical_label_files_load_to_their_closure(snapshot_dir, case, chu
     with mock.patch.object(errors, "CSV_CHUNK_ROWS", chunk):
         for path in (csv_path, bin_path):
             loaded = load_snapshot(str(path))
-            assert loaded.labels() == expected
+            _check_store(loaded, expected)
             assert loaded.num_clusters == len(set(expected))
 
 
 def _roots(store):
-    return {r for r, p in enumerate(store._parent) if p == r}
+    return {sid for sid, up in enumerate(store._parent) if up == ROOT}
+
+
+def _check_store(store, expected):
+    """The store's layout: each slot holds `ROOT` or a smaller id, `num_clusters` counts the
+    `ROOT` slots, and the labels are `expected`."""
+    parent = store._parent
+    assert all(up == ROOT or 0 <= up < sid for sid, up in enumerate(parent))
+    assert store.num_clusters == parent.count(ROOT)
+    assert store.labels() == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -453,7 +464,9 @@ def test_every_root_is_its_clusters_least_id_after_each_merge(case):
     for done in range(len(groups) + 1):
         if done:
             store.merge_scripts(groups[done - 1])
-        assert _roots(store) == set(closure_labels(n, groups[:done]))
+        expected = closure_labels(n, groups[:done])
+        _check_store(store, expected)
+        assert _roots(store) == set(expected)
 
 
 @settings(max_examples=300, deadline=None)
@@ -464,9 +477,15 @@ def test_every_root_is_its_clusters_least_id_after_each_merge(case):
 def test_every_root_is_its_clusters_least_id_after_a_load(snapshot_dir, case):
     labels, _ = case
     n = len(labels)
-    path = snapshot_dir / "roots.bin"
-    path.write_bytes(b"ECLS1" + struct.pack(f"<{n + 1}Q", n, *labels))
-    assert _roots(load_snapshot(str(path))) == set(closure_labels(n, list(enumerate(labels))))
+    expected = closure_labels(n, list(enumerate(labels)))
+    csv_path, bin_path = snapshot_dir / "roots.csv", snapshot_dir / "roots.bin"
+    rows = "".join(f"{sid},{label}\n" for sid, label in enumerate(labels))
+    csv_path.write_text("script_id,cluster_id\n" + rows)
+    bin_path.write_bytes(b"ECLS1" + struct.pack(f"<{n + 1}Q", n, *labels))
+    for path in (csv_path, bin_path):
+        loaded = load_snapshot(str(path))
+        _check_store(loaded, expected)
+        assert _roots(loaded) == set(expected)
 
 
 class TestLabelsList:
@@ -490,7 +509,7 @@ class TestLabelsList:
         store.register(n)
         for k in range(n - 1, 0, -1):
             assert store.merge_scripts((k - 1, k)) == 1
-        assert store._parent[1:] == list(range(n - 1))
+        assert store._parent == [ROOT, *range(n - 1)]
         assert store.labels() == [0] * n and store.num_clusters == 1
         path = tmp_path / "chain.bin"
         with open(path, "wb") as fh:
