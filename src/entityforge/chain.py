@@ -136,7 +136,7 @@ def iter_blocks(source: IO | Iterable[str], table: dict[str, int]) -> Generator[
     replay that writes their reference counts in a forked child copies fewer
     of the parent's pages.
     """
-    current_index: int | None = None  # the block being gathered
+    current_index = 0  # the block being gathered
     last_index = 0  # the block of the line before, coinbase lines too
     rows: list[list] = []  # the block's transactions: txid, then each side's ids and values
     seen = 0  # scripts through the last transaction kept
@@ -220,16 +220,14 @@ def iter_blocks(source: IO | Iterable[str], table: dict[str, int]) -> Generator[
                 or not sum(out_values) <= sum(in_values) <= MAX_VALUE):
             validate_transaction(Transaction(txid, *map(tuple, row[1:])))
 
-        if current_index is None:
-            current_index = block_index
-        elif block_index > current_index:
+        if rows and block_index > current_index:
             yield flush()
-            current_index = block_index
             rows = []
+        current_index = block_index
         rows.append(row)
         seen = len(table)
 
-    if current_index is not None:
+    if rows:
         yield flush()
     return coinbase_dropped
 

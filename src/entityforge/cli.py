@@ -9,6 +9,7 @@ level (debug, info, warning, error).
 from __future__ import annotations
 
 import argparse
+import csv
 import gc
 import json
 import logging
@@ -40,6 +41,8 @@ log = logging.getLogger("entityforge")
 
 USAGE_EXIT = 2
 DATA_EXIT = 3
+# A refusal is one line: whatever `str.splitlines` breaks on, from a txid or a path, is escaped.
+_LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
 
 
 _LOG_LEVELS = {
@@ -195,7 +198,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     reports = [engine.RatioReport.read(path) for path in args.reports]
     table = engine.compare_runs(reports)
     with _result_sink(args.out) as sink:
-        sink.writelines(",".join(row) + "\n" for row in table)
+        csv.writer(sink, lineterminator="\n").writerows(table)
     return 0
 
 
@@ -339,15 +342,10 @@ def main(argv: list[str] | None = None) -> int:
             cut = argv.index("run") + 1
             args = parser.parse_args(argv[:cut] + _config_flags(args.config) + argv[cut:])
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error[{exc.category}]: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    except EntityForgeError as exc:
-        print(f"error[{exc.category}]: {exc}", file=sys.stderr)
-        return DATA_EXIT
-    except OSError as exc:
-        print(f"error[io]: {exc}", file=sys.stderr)
-        return DATA_EXIT
+    except (EntityForgeError, OSError) as exc:
+        message = str(exc).translate(_LINE_BREAKS)
+        print(f"error[{getattr(exc, 'category', 'io')}]: {message}", file=sys.stderr)
+        return USAGE_EXIT if isinstance(exc, ConfigError) else DATA_EXIT
     finally:
         if collecting:
             gc.enable()

@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -178,10 +177,10 @@ def run(
     ctx = EvalContext(config=config.params, reuse=source.fixed if mode == "fixed" else online_idx)
 
     store = ClusterSet()
-    # Checkpoints come due as the stream passes them; math.inf means none is left.
+    # Checkpoints come due as the stream passes them; None means none is left.
     interval = config.checkpoints if isinstance(config.checkpoints, int) else None
     due = itertools.count(interval, interval) if interval else iter(config.checkpoints)
-    cp = next(due, math.inf)
+    cp = next(due, None)
     rows: list[ReportRow] = []
     merges_applied = 0
     tx_processed = 0
@@ -200,9 +199,9 @@ def run(
     evaluate, merge = spec.evaluate, store.merge_scripts
     count_tx = online_idx.record if online_idx is not None else None
     for block in source.blocks():
-        while cp < block.index:
+        while cp is not None and cp < block.index:
             record(cp)
-            cp = next(due, math.inf)
+            cp = next(due, None)
         if spec.needs_prices:
             p = price_series.satoshi_price(block.index)
             ctx.exponent = (None if p is None
@@ -224,12 +223,9 @@ def run(
 
     # The loop recorded every point below the last block. An interval then closes the
     # report at the last block, once; explicit points left report the final clustering.
-    if interval:
-        due = iter(() if prev_block is None else (prev_block,))
-        cp = next(due, math.inf)
-    while cp < math.inf:
-        record(cp)
-        cp = next(due, math.inf)
+    # Without a block the store has no script, so `record` adds no row.
+    for at in (prev_block,) if interval else () if cp is None else (cp, *due):
+        record(at)
 
     metadata = {
         "heuristic": config.heuristic,

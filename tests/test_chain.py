@@ -220,6 +220,8 @@ _MID_BLOCK_ERRORS = [
 ]
 # A coinbase line at a later block, then a kept line at an earlier one.
 _OUT_OF_ORDER_COINBASE = [_line("cb", 5, [], [("m", 50)]), _line("t", 4, [("a", 5)], [("b", 4)])]
+# Coinbase lines only, sorted: no block of their own.
+_COINBASE_ONLY = [_line(f"cb{k}", block, [], [(f"m{k}", 50)]) for k, block in enumerate((9, 9, 12))]
 
 
 @settings(max_examples=1000, deadline=None)
@@ -229,6 +231,8 @@ _OUT_OF_ORDER_COINBASE = [_line("cb", 5, [], [("m", 50)]), _line("t", 4, [("a", 
 @example(lines=_WIDE_STREAM[:70] + _MID_BLOCK_ERRORS[1:])
 @example(lines=_OUT_OF_ORDER_COINBASE)
 @example(lines=_OUT_OF_ORDER_COINBASE[:1] + [_line("cb2", 4, [], [("n", 50)])])
+@example(lines=_WIDE_STREAM[:50] + _COINBASE_ONLY)
+@example(lines=_COINBASE_ONLY)
 def test_decoder_matches_reference(lines):
     """Same blocks, interning order and coinbase count, or the same error, as the reference."""
     expected = _decode_outcome(reference_iter_blocks, lines, as_columns)

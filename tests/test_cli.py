@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import csv
 import gc
 import gzip
 import io
@@ -440,6 +441,25 @@ class TestMalformedInputs:
                      ["run", "--tx", stream, "--heuristic", "round", "--prices", str(prices)]):
             assert main(argv) == 3
             assert capsys.readouterr().err == f"error[data]: price file {prices} line {line}: {error}\n"
+
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\u2028"])
+    def test_line_break_in_a_txid_is_escaped(self, tmp_path, capsys, brk):
+        """A refusal stays one line, so a txid cannot forge a second `error[...]` line."""
+        path = tmp_path / "s.jsonl"
+        path.write_text(json.dumps({"txid": f"a{brk}error[fake]: b", "block": 1,
+                                    "inputs": [{"script": "p", "value": -5}],
+                                    "outputs": [{"script": "q", "value": 1}]}) + "\n")
+        assert main(["validate", "--tx", str(path)]) == 3
+        assert capsys.readouterr().err == (f"error[format]: transaction a{repr(brk)[1:-1]}"
+                                           "error[fake]: b: negative input value -5\n")
+
+    def test_line_break_in_a_price_path_is_escaped(self, tmp_path, capsys):
+        folder = tmp_path / "p\nq"
+        folder.mkdir()
+        (folder / "p.csv").write_text("block_index,usd_per_btc\n0,x\n")
+        assert main(["exponent-series", "--prices", str(folder / "p.csv"), "--blocks", "1"]) == 3
+        assert capsys.readouterr().err == (
+            f"error[data]: price file {tmp_path}/p\\nq/p.csv line 2: bad price 'x'\n")
 
     def test_price_file_without_rows_named(self, tmp_path, capsys):
         prices = tmp_path / "prices.csv"
@@ -974,6 +994,21 @@ class TestCompare:
         assert lines[0] == "block_index,cio,deposit"
         assert len(lines) == 3
 
+    def test_names_that_need_quoting_survive(self, synth_files, tmp_path, capsys):
+        """A sidecar's heuristic may hold a comma, a quote or a line break, or not be a
+        string: the table still reads back with one field per column."""
+        reports = [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
+        for report, name in zip(reports, ['dep,o"sit\nx', ["a", "b"]]):
+            main(["run", "--tx", synth_files["jsonl"], "--heuristic", "cio",
+                  "--checkpoints", "5,9", "--out", report])
+            sidecar = engine.sidecar_path(report)
+            sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "heuristic": name}))
+        capsys.readouterr()
+        assert main(["compare", *reports]) == 0
+        table = list(csv.reader(io.StringIO(capsys.readouterr().out, newline="")))
+        assert table[0] == ["block_index", 'dep,o"sit\nx', "['a', 'b']"]
+        assert len(table) == 3 and all(len(row) == 3 for row in table)
+
     def test_mismatched_checkpoints_exit_three(self, synth_files, tmp_path, capsys):
         main(["run", "--tx", synth_files["jsonl"], "--heuristic", "cio",
               "--checkpoints", "5,9", "--out", str(tmp_path / "a.csv")])
@@ -1144,7 +1179,7 @@ def _mutate(data: bytes, edits, tokens=_MUTATION_TOKENS) -> bytes:
 # A stream also takes JSON's own tokens, and line edits that leave each line valid JSON: drop a
 # line, copy one to another place, or rename one script to one of 40 names, new or already seen.
 _STREAM_TOKENS = _MUTATION_TOKENS + [b"NaN", b"1e400", b"-1", b"0", b"null", b"[]", b"{}", b",",
-                                     b"\n", b'"x"']
+                                     b"\n", b'"x"', b'"a\\nb"']
 _stream_edits = st.lists(st.tuples(
     st.sampled_from(["delete", "truncate", "byte", "insert", "drop", "copy", "rename"]),
     st.integers(0, 10**6), st.integers(0, 255)), min_size=1, max_size=3)

@@ -6,7 +6,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entityforge import chain
@@ -216,6 +216,12 @@ checkpoint_settings = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(indices=block_indices, checkpoints=checkpoint_settings)
+@example(indices=[], checkpoints=5)  # no block: no row
+@example(indices=[], checkpoints=[3])
+@example(indices=[10], checkpoints=5)  # one row, at 10
+@example(indices=[0, 30], checkpoints=10)  # rows 10, 20 and 30
+@example(indices=[5, 33], checkpoints=10)  # rows 10, 20, 30 and 33
+@example(indices=[5], checkpoints=[-1, 3, 5, 99])  # rows 5 and 99
 def test_checkpoint_rows_match_reference_walk(indices, checkpoints):
     report, _ = run(RunConfig("cio", checkpoints=checkpoints), _one_tx_per_block(indices))
     expected = reference_checkpoint_rows(checkpoints, indices)
