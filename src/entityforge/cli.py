@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 usage error, 3 data error. Progress and log output
 go to stderr; when --out is omitted, results are printed to stdout as plain
-CSV/JSON for piping. The ENTITYFORGE_LOG environment variable sets the log
-level (debug, info, warning, error).
+CSV/JSON for piping. Progress lines are logged at INFO and printed when the
+ENTITYFORGE_LOG environment variable is `info` or `debug`; any other value, or
+none, prints none.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import gc
+import io
 import json
 import logging
 import os
@@ -45,21 +47,12 @@ DATA_EXIT = 3
 _LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
 
 
-_LOG_LEVELS = {
-    "debug": logging.DEBUG,
-    "info": logging.INFO,
-    "warning": logging.WARNING,
-    "error": logging.ERROR,
-    "critical": logging.CRITICAL,
-}
-
-
 def _setup_logging() -> None:
-    """An unknown ENTITYFORGE_LOG value falls back to warning."""
-    level = os.environ.get("ENTITYFORGE_LOG", "warning").lower()
+    """The program logs only at INFO, so `info` and `debug` are the values that print."""
+    verbose = os.environ.get("ENTITYFORGE_LOG", "").lower() in ("info", "debug")
     logging.basicConfig(
         stream=sys.stderr,
-        level=_LOG_LEVELS.get(level, logging.WARNING),
+        level=logging.INFO if verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
 
@@ -195,10 +188,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    reports = [engine.RatioReport.read(path) for path in args.reports]
-    table = engine.compare_runs(reports)
+    header, *rows = engine.compare_runs([engine.RatioReport.read(path) for path in args.reports])
+    line = io.StringIO()  # csv quotes a name holding "\r" or "\n" only under the "\r\n" ending
+    csv.writer(line).writerow(header)
     with _result_sink(args.out) as sink:
-        csv.writer(sink, lineterminator="\n").writerows(table)
+        sink.write(line.getvalue()[:-2] + "\n")
+        csv.writer(sink, lineterminator="\n").writerows(rows)
     return 0
 
 

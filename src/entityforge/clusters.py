@@ -26,7 +26,6 @@ from __future__ import annotations
 import csv
 import struct
 import sys
-from fractions import Fraction
 from itertools import compress, repeat
 from operator import gt, ne, or_
 from typing import IO, Iterable, Sequence
@@ -84,12 +83,6 @@ class ClusterSet:
                 clusters -= 1
         self.num_clusters = clusters
         return before - clusters
-
-    def clustering_ratio(self) -> Fraction:
-        """Exact cluster-count / script-count ratio, in (0, 1]."""
-        if not self._parent:
-            raise DataError("clustering ratio undefined for zero scripts", category="undefined-ratio")
-        return Fraction(self.num_clusters, len(self._parent))
 
     def labels(self) -> list[int]:
         """Canonical labeling: the min id of each script's cluster, by script id.

@@ -65,9 +65,19 @@ class ReportRow:
     block_index: int
     num_scripts: int
     num_clusters: int
-    ratio: Fraction
     merges_applied: int
     tx_processed: int
+
+    @property
+    def ratio(self) -> Fraction:
+        """|C_k| / |S_k|, exact."""
+        return Fraction(self.num_clusters, self.num_scripts)
+
+    def csv_fields(self) -> list[str]:
+        """The row as `REPORT_HEADER`'s fields, the ratio with six decimals."""
+        return [str(self.block_index), str(self.num_scripts), str(self.num_clusters),
+                f"{self.num_clusters / self.num_scripts:.6f}",
+                str(self.merges_applied), str(self.tx_processed)]
 
 
 REPORT_HEADER = ["block_index", "num_scripts", "num_clusters", "ratio", "merges_applied", "tx_processed"]
@@ -81,17 +91,7 @@ class RatioReport:
     def write_csv(self, sink: IO) -> None:
         writer = csv.writer(sink)
         writer.writerow(REPORT_HEADER)
-        for row in self.rows:
-            writer.writerow(
-                [
-                    row.block_index,
-                    row.num_scripts,
-                    row.num_clusters,
-                    f"{float(row.ratio):.6f}",
-                    row.merges_applied,
-                    row.tx_processed,
-                ]
-            )
+        writer.writerows(row.csv_fields() for row in self.rows)
 
     def write(self, csv_sink: IO, meta_sink: IO | None) -> None:
         """Write the report CSV and, given a sidecar sink, the metadata `<stem>.meta.json` holds."""
@@ -104,9 +104,9 @@ class RatioReport:
     def read(cls, csv_path: str) -> "RatioReport":
         """Read a report CSV and its sidecar; the ratio is recomputed exactly.
 
-        A row must be one that `write_csv` could have written: its ratio text that of
-        its counts, no negative count, its block index above the row before, and no
-        script, merge or transaction count below the row before."""
+        A row must be one that `write_csv` could have written: each field the text
+        `csv_fields` renders from its counts, no negative count, its block index above
+        the row before, and no script, merge or transaction count below the row before."""
         path = Path(csv_path)
         rows = []
         with open(path, newline="", encoding="utf-8") as fh:
@@ -118,22 +118,21 @@ class RatioReport:
                     raise DataError(f"{where}: num_scripts must be positive, got {scripts}")
                 if not 1 <= clusters <= scripts:
                     raise DataError(f"{where}: num_clusters must be in 1..{scripts}, got {clusters}")
-                if raw[3] != (ratio := f"{clusters / scripts:.6f}"):
-                    raise DataError(f"{where}: ratio must be {ratio}, got {raw[3]!r}")
+                row = ReportRow(block, scripts, clusters, merges, txs)
+                for name, text, rendered in zip(REPORT_HEADER, raw, row.csv_fields()):
+                    if text != rendered:
+                        raise DataError(f"{where}: {name} must be {rendered}, got {text!r}")
                 for name, count in (("merges_applied", merges), ("tx_processed", txs)):
                     if count < 0:
                         raise DataError(f"{where}: {name} must be non-negative, got {count}")
                 if rows and block <= rows[-1].block_index:
                     raise DataError(f"{where}: block_index {block} is not above the previous "
                                     f"row's {rows[-1].block_index}")
-                for name, count in (("num_scripts", scripts), ("merges_applied", merges),
-                                    ("tx_processed", txs)):
-                    if rows and count < (before := getattr(rows[-1], name)):
+                for name in ("num_scripts", "merges_applied", "tx_processed"):
+                    if rows and (count := getattr(row, name)) < (before := getattr(rows[-1], name)):
                         raise DataError(f"{where}: {name} {count} is below the previous "
                                         f"row's {before}")
-                rows.append(
-                    ReportRow(block, scripts, clusters, Fraction(clusters, scripts), merges, txs)
-                )
+                rows.append(row)
         sidecar = sidecar_path(path)
         metadata = {}
         if sidecar.exists():
@@ -188,12 +187,9 @@ def run(
     prev_block: int | None = None
 
     def record(at: int) -> None:
-        if store.num_scripts == 0:
-            return  # ratio undefined before any script is observed
-        rows.append(
-            ReportRow(at, store.num_scripts, store.num_clusters,
-                      store.clustering_ratio(), merges_applied, tx_processed)
-        )
+        if store.num_scripts:  # no ratio before any script is observed
+            rows.append(ReportRow(at, store.num_scripts, store.num_clusters,
+                                  merges_applied, tx_processed))
 
     # Bound once per run: a tracer that times these entries patches them before `run`.
     evaluate, merge = spec.evaluate, store.merge_scripts
@@ -271,5 +267,5 @@ def compare_runs(reports: list[RatioReport]) -> list[list[str]]:
             )
     table = [["block_index"] + list(names)]
     for i, block in enumerate(blocks):
-        table.append([str(block)] + [f"{float(r.rows[i].ratio):.6f}" for r in reports])
+        table.append([str(block)] + [r.rows[i].csv_fields()[3] for r in reports])
     return table

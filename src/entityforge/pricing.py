@@ -16,8 +16,6 @@ from typing import IO, Iterable, Iterator, NamedTuple
 
 from .errors import DataError, csv_rows, parse_decimal, parse_int
 
-SATOSHI_PER_BTC = 10**8
-
 
 class PricePoint(NamedTuple):
     block_index: int

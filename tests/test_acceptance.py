@@ -171,11 +171,13 @@ def test_criterion_04_ratio_arithmetic():
 
     # the same arithmetic the ratio formula performs, in reverse
     from entityforge.clusters import ClusterSet
+    from entityforge.engine import ReportRow
 
     store = ClusterSet()
     store.register(4)
     store.merge_scripts({0, 1, 2, 3})
-    assert store.clustering_ratio() * store.num_scripts == store.num_clusters
+    row = ReportRow(0, store.num_scripts, store.num_clusters, 0, 0)
+    assert row.ratio * store.num_scripts == store.num_clusters
 
 
 @criterion(5, "rounding exponent uniqueness and anchors")

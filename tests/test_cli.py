@@ -587,6 +587,12 @@ class TestMalformedInputs:
         ("9,3,2,0.666667,1,-7", "tx_processed must be non-negative, got -7"),
         ("3,3,2,0.666667,1,2", "block_index 3 is not above the previous row's 5"),
         ("5,3,2,0.666667,1,2", "block_index 5 is not above the previous row's 5"),
+        ("9,0,1,0.000000,1,2", "num_scripts must be positive, got 0"),
+        ("09,3,2,0.666667,1,2", "block_index must be 9, got '09'"),
+        ("9,03,2,0.666667,1,2", "num_scripts must be 3, got '03'"),
+        ("9,3,02,0.666667,1,2", "num_clusters must be 2, got '02'"),
+        ("9,3,2,0.666667,-0,2", "merges_applied must be 0, got '-0'"),
+        ("9,3,2,0.666667,1,002", "tx_processed must be 2, got '002'"),
     ])
     def test_report_row_that_run_cannot_write_refused(self, tmp_path, capsys, row, error):
         report = tmp_path / "r.csv"
@@ -997,8 +1003,8 @@ class TestCompare:
     def test_names_that_need_quoting_survive(self, synth_files, tmp_path, capsys):
         """A sidecar's heuristic may hold a comma, a quote or a line break, or not be a
         string: the table still reads back with one field per column."""
-        reports = [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
-        for report, name in zip(reports, ['dep,o"sit\nx', ["a", "b"]]):
+        reports = [str(tmp_path / f"{i}.csv") for i in range(3)]
+        for report, name in zip(reports, ['dep,o"sit\nx', ["a", "b"], "a\rb"]):
             main(["run", "--tx", synth_files["jsonl"], "--heuristic", "cio",
                   "--checkpoints", "5,9", "--out", report])
             sidecar = engine.sidecar_path(report)
@@ -1006,8 +1012,8 @@ class TestCompare:
         capsys.readouterr()
         assert main(["compare", *reports]) == 0
         table = list(csv.reader(io.StringIO(capsys.readouterr().out, newline="")))
-        assert table[0] == ["block_index", 'dep,o"sit\nx', "['a', 'b']"]
-        assert len(table) == 3 and all(len(row) == 3 for row in table)
+        assert table[0] == ["block_index", 'dep,o"sit\nx', "['a', 'b']", "a\rb"]
+        assert len(table) == 3 and all(len(row) == 4 for row in table)
 
     def test_mismatched_checkpoints_exit_three(self, synth_files, tmp_path, capsys):
         main(["run", "--tx", synth_files["jsonl"], "--heuristic", "cio",
@@ -1406,6 +1412,21 @@ class TestEntryPoint:
         assert summary["blocks"] == 1
         assert summary["transactions"] == 1
         assert summary["distinct_scripts"] == 3
+
+    @pytest.mark.parametrize("level", ["info", "error", None])
+    def test_log_env_info_prints_progress(self, stream, level):
+        """The program logs only at INFO: `info` prints its progress line, `error` or
+        no value prints nothing."""
+        env = {k: v for k, v in os.environ.items() if k != "ENTITYFORGE_LOG"}
+        if level:
+            env["ENTITYFORGE_LOG"] = level
+        proc = subprocess.run(
+            [sys.executable, "-m", "entityforge.cli", "run", "--tx", stream, "--heuristic", "cio"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0
+        progress = f"INFO entityforge: running heuristic cio over {stream}\n"
+        assert proc.stderr == (progress if level == "info" else "")
 
     def test_log_env_unknown_level_falls_back(self, stream):
         # BASIC_FORMAT is a logging attribute but not a level name

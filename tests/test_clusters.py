@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from entityforge import errors
 from entityforge.clusters import ROOT, ClusterSet, load_snapshot
+from entityforge.engine import ReportRow
 from entityforge.errors import CSV_CHUNK_ROWS, DataError
 
 from oracles import closure_labels, refines
@@ -97,6 +98,11 @@ class TestMerge:
             prev = store.num_clusters
 
 
+def _ratio(store):
+    """The ratio of the report row `engine.run` records for the store."""
+    return ReportRow(0, store.num_scripts, store.num_clusters, 0, 0).ratio
+
+
 class TestQueries:
     def test_same_cluster_reflexive(self):
         store = ClusterSet()
@@ -106,24 +112,19 @@ class TestQueries:
     def test_ratio_atomic_is_one(self):
         store = ClusterSet()
         store.register(5)
-        assert store.clustering_ratio() == 1
+        assert _ratio(store) == 1
 
     def test_ratio_after_full_merge(self):
         store = ClusterSet()
         store.register(4)
         store.merge_scripts({0, 1, 2, 3})
-        assert store.clustering_ratio() == Fraction(1, 4)
-
-    def test_ratio_undefined_on_empty(self):
-        with pytest.raises(DataError) as err:
-            ClusterSet().clustering_ratio()
-        assert err.value.category == "undefined-ratio"
+        assert _ratio(store) == Fraction(1, 4)
 
     def test_ratio_is_exact(self):
         store = ClusterSet()
         store.register(3)
         store.merge_scripts({0, 1})
-        assert store.clustering_ratio() == Fraction(2, 3)
+        assert _ratio(store) == Fraction(2, 3)
 
 
 class TestRefinement:

@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import tempfile
 import weakref
 from dataclasses import replace
 from fractions import Fraction
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 from entityforge import chain
 from entityforge.chain import JsonlSource, MemorySource, iter_blocks
 from entityforge.clusters import ClusterSet
-from entityforge.engine import RatioReport, RunConfig, compare_runs, run, sidecar_path
+from entityforge.engine import RatioReport, ReportRow, RunConfig, compare_runs, run, sidecar_path
 from entityforge.errors import ConfigError, DataError, output_files
 from entityforge.heuristics import COINJOIN_DESCRIPTION, HEURISTICS, HeuristicConfig, _heuristic
 from entityforge.pricing import load_price_csv
@@ -324,6 +326,32 @@ class TestCompare:
         assert [r.block_index for r in back.rows] == [r.block_index for r in report.rows]
         assert back.rows[0].ratio == report.rows[0].ratio
         assert back.metadata["heuristic"] == "cio"
+
+
+@st.composite
+def runnable_rows(draw):
+    """Rows `run` could write: blocks ascending, 1 <= clusters <= scripts, and scripts,
+    merges and transactions never going down (a merge is counted per transaction)."""
+    rows, block, scripts, merges, txs = [], draw(st.integers(0, 10**6)), 1, 0, 0
+    for _ in range(draw(st.integers(0, 8))):
+        scripts += draw(st.integers(0, 10**9))
+        txs += draw(st.integers(0, 10**6))
+        merges = draw(st.integers(merges, txs))
+        rows.append(ReportRow(block, scripts, draw(st.integers(1, scripts)), merges, txs))
+        block += draw(st.integers(1, 10**6))
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=runnable_rows())
+def test_report_rows_round_trip(rows):
+    with tempfile.TemporaryDirectory() as where:
+        path = os.path.join(where, "r.csv")
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            RatioReport(rows, {}).write_csv(fh)
+        back = RatioReport.read(path)
+    assert back.rows == rows
+    assert [row.ratio for row in back.rows] == [Fraction(r.num_clusters, r.num_scripts) for r in rows]
 
 
 class TestErrorsAndMetadata:
