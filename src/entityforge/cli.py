@@ -211,9 +211,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_score(args: argparse.Namespace) -> int:
     # The output is open before the inputs are read, so an unwritable path costs no work.
     with _result_sink(args.out) as sink:
-        partition = load_snapshot(args.snapshot)
+        labels = load_snapshot(args.snapshot)
         truth = read_truth(args.truth)
-        metrics = score(partition, truth)
+        metrics = score(labels, truth)
         sink.write(json.dumps(metrics, indent=2, sort_keys=True) + "\n")
     return 0
 

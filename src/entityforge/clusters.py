@@ -17,8 +17,8 @@ capacity, since a link holds an id int the caller made.
 The labels are one pass in id order, since each script's parent is labelled
 before it. Snapshots are written and read as whole columns, with no Python
 call per script: a CSV file in chunks of rows by `errors.int_pairs` (which
-walks only a faulty file, once, to name its line), and the loaded partition
-straight from its labels.
+walks only a faulty file, once, to name its line). A snapshot loads as its
+label column; only a non-canonical file goes through a fresh store.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ import csv
 import struct
 import sys
 from itertools import compress, repeat
-from operator import gt, ne, or_
-from typing import IO, Iterable, Sequence
+from operator import gt, ne
+from typing import IO, Iterable
 
 from .errors import DataError, int_pairs
 
@@ -110,42 +110,32 @@ class ClusterSet:
         sink.write(_SNAPSHOT_MAGIC + struct.pack(f"<{len(labels) + 1}Q", len(labels), *labels))
 
 
-def _partition(labels: Sequence[int]) -> ClusterSet:
-    """The partition that joins each script `sid` with `labels[sid]`; every label is below n.
+def load_snapshot(path: str) -> list[int]:
+    """Load a CSV or binary snapshot (sniffed by magic bytes) as its canonical labels.
 
-    A script labelled with itself is a root, and its slot holds `ROOT`. A script
-    whose label is such a root joins it by its parent link when that root is no
-    larger than the script, so every root stays its cluster's min. Only the
-    other scripts, which a non-canonical or cyclic label file has, start as
-    roots of their own and go through `merge_scripts`.
+    A column in which every label is a root label no larger than its script is
+    canonical, as every snapshot `run` writes is, and comes back as read. Any other
+    file goes through a fresh store that joins each script with its label.
     """
-    n = len(labels)
-    others = list(compress(range(n), map(or_, map(ne, map(labels.__getitem__, labels), labels),
-                                         map(gt, labels, range(n)))))
-    parent = [ROOT if label == sid else label for sid, label in enumerate(labels)]
-    for sid in others:
-        parent[sid] = ROOT
-    store = ClusterSet()
-    store._parent = parent
-    store.num_clusters = parent.count(ROOT)
-    for sid in others:
-        store.merge_scripts((sid, labels[sid]))
-    return store
-
-
-def load_snapshot(path: str) -> ClusterSet:
-    """Load a CSV or binary snapshot (sniffed by magic bytes)."""
     with open(path, "rb") as fh:
-        if fh.read(len(_SNAPSHOT_MAGIC)) == _SNAPSHOT_MAGIC:
-            body = fh.read()
-            n = int.from_bytes(body[:8], "little")
-            if len(body) != 8 + 8 * n:
-                raise DataError(f"binary snapshot {path}: size does not match its count")
-            labels = struct.unpack(f"<{n}Q", body[8:])
-            if n and max(labels) >= n:
-                sid = next(sid for sid, lab in enumerate(labels) if lab >= n)
-                raise DataError(f"binary snapshot {path} entry {sid}: cluster id {labels[sid]} "
-                                f"is not below the {n} ids")
-            return _partition(labels)
-    by_id = int_pairs(path, _CSV_HEADER, f"snapshot {path}", dense=True)
-    return _partition(list(map(by_id.__getitem__, range(len(by_id)))))
+        body = fh.read() if fh.read(len(_SNAPSHOT_MAGIC)) == _SNAPSHOT_MAGIC else None
+    if body is None:
+        by_id = int_pairs(path, _CSV_HEADER, f"snapshot {path}", dense=True)
+        labels = list(map(by_id.__getitem__, range(len(by_id))))
+    else:
+        n = int.from_bytes(body[:8], "little")
+        if len(body) != 8 + 8 * n:
+            raise DataError(f"binary snapshot {path}: size does not match its count")
+        labels = list(struct.unpack(f"<{n}Q", body[8:]))
+        if n and max(labels) >= n:
+            sid = next(sid for sid, lab in enumerate(labels) if lab >= n)
+            raise DataError(f"binary snapshot {path} entry {sid}: cluster id {labels[sid]} "
+                            f"is not below the {n} ids")
+    n = len(labels)
+    if any(map(gt, labels, range(n))) or any(map(ne, map(labels.__getitem__, labels), labels)):
+        store = ClusterSet()
+        store.register(n)
+        for sid in compress(range(n), map(ne, labels, range(n))):
+            store.merge_scripts((sid, labels[sid]))
+        labels = store.labels()
+    return labels

@@ -7,8 +7,9 @@ same JSONL wire format the engine ingests, so everything downstream is
 exercised end to end. Ownership ground truth is emitted per script id, the
 ids matching first-observation order in the written stream.
 
-Scoring compares a script partition against the truth with pairwise
-precision/recall and counts clusters that collapse multiple users together.
+Scoring compares a partition, as its column of canonical labels, against the
+truth with pairwise precision/recall and counts clusters that collapse multiple
+users together.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from operator import itemgetter, mul
 from random import Random
 from typing import IO
 
-from .clusters import ClusterSet
 from .errors import DataError, GenerationError, int_pairs, output_files
 
 @dataclass
@@ -440,8 +440,8 @@ def _pairs(counts: Counter, total: int) -> int:
     return (sum(map(mul, sizes, sizes)) - total) // 2
 
 
-def score(partition: ClusterSet, truth: dict[int, int]) -> dict:
-    """Pairwise precision/recall of a partition against ownership truth.
+def score(labels: list[int], truth: dict[int, int]) -> dict:
+    """Pairwise precision/recall of a partition's canonical labels against ownership truth.
 
     Precision over zero same-cluster pairs is 1.0 by convention (the atomic
     baseline makes no claims); likewise recall when no user owns two scripts.
@@ -450,7 +450,6 @@ def score(partition: ClusterSet, truth: dict[int, int]) -> dict:
     is mapped to its cluster's label, and the pairs are counted per cluster,
     per user and per (cluster, user).
     """
-    labels = partition.labels()
     if truth and not 0 <= min(truth) <= max(truth) < len(labels):
         sid = next(sid for sid in truth if not 0 <= sid < len(labels))
         raise DataError(f"truth script {sid} is not in the partition")

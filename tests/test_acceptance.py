@@ -264,7 +264,7 @@ def test_criterion_08_ground_truth():
     )
     source = _parse(text)
     _, store = run(RunConfig("cio", params=HeuristicConfig(min_deposit_inputs=4), checkpoints=10**9), source)
-    metrics = score(store, truth)
+    metrics = score(store.labels(), truth)
     assert metrics["pairwise_precision"] == 1.0
     assert metrics["cluster_collapse"] == 0
     assert metrics["pairs"]["same_cluster"] > 0

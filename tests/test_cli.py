@@ -152,7 +152,7 @@ class TestRun:
         assert snap.read_bytes().startswith(b"ECLS1")
         from entityforge.clusters import load_snapshot
 
-        assert load_snapshot(str(snap)).num_scripts == 3
+        assert len(load_snapshot(str(snap))) == 3
 
 
 @pytest.fixture(scope="module")
@@ -385,15 +385,30 @@ class TestSynthAndScore:
         assert metrics["cluster_collapse"] == 0
 
     def test_score_same_for_csv_and_binary_snapshot(self, synth_files, tmp_path, capsys):
-        printed = []
+        snaps = []
         for name in ("snap.csv", "snap.bin"):
-            snap = str(tmp_path / name)
+            snaps.append(str(tmp_path / name))
             assert main(["run", "--tx", synth_files["jsonl"], "--heuristic", "combined",
-                         "--prices", SAMPLE_PRICES, "--snapshot", snap,
+                         "--prices", SAMPLE_PRICES, "--snapshot", snaps[-1],
                          "--out", str(tmp_path / "r.csv")]) == 0
+        # The same partition, each cluster named by its largest member and the rows
+        # reversed: a column `run` never writes, so the loader must join it up.
+        with open(snaps[0], newline="") as fh:
+            labels = [int(label) for _, label in list(csv.reader(fh))[1:]]
+        largest = {label: sid for sid, label in enumerate(labels)}
+        relabelled = [largest[label] for label in labels]
+        assert relabelled != labels
+        snaps.append(str(tmp_path / "largest.csv"))
+        Path(snaps[-1]).write_text("script_id,cluster_id\n" + "".join(
+            f"{sid},{label}\n" for sid, label in reversed(list(enumerate(relabelled)))))
+        snaps.append(str(tmp_path / "largest.bin"))
+        Path(snaps[-1]).write_bytes(
+            b"ECLS1" + struct.pack(f"<{len(labels) + 1}Q", len(labels), *relabelled))
+        printed = []
+        for snap in snaps:
             assert main(["score", "--snapshot", snap, "--truth", synth_files["truth"]]) == 0
             printed.append(capsys.readouterr().out)
-        assert printed[0] == printed[1]
+        assert printed == [printed[0]] * 4
         assert json.loads(printed[0])["pairs"]["same_cluster"] > 0
 
 

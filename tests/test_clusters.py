@@ -236,8 +236,7 @@ class TestSnapshots:
         path = tmp_path / "snap.csv"
         with open(path, "w", newline="") as fh:
             store.write_snapshot_csv(fh)
-        loaded = load_snapshot(str(path))
-        assert loaded.labels() == store.labels()
+        assert load_snapshot(str(path)) == store.labels()
 
     def test_binary_round_trip(self, tmp_path):
         store = self._two_cluster_store()
@@ -245,8 +244,35 @@ class TestSnapshots:
         with open(path, "wb") as fh:
             store.write_snapshot_binary(fh)
         assert path.read_bytes().startswith(b"ECLS1")
-        loaded = load_snapshot(str(path))
-        assert loaded.labels() == store.labels()
+        assert load_snapshot(str(path)) == store.labels()
+
+    def test_canonical_snapshot_loads_as_written_without_a_store(self, tmp_path):
+        rng = Random(5)
+        store = ClusterSet()
+        store.register(500)
+        for _ in range(300):
+            store.merge_scripts(rng.sample(range(500), 2))
+        csv_path, bin_path = tmp_path / "snap.csv", tmp_path / "snap.bin"
+        with open(csv_path, "w", newline="") as fh:
+            store.write_snapshot_csv(fh)
+        with open(bin_path, "wb") as fh:
+            store.write_snapshot_binary(fh)
+        refuse = mock.Mock(side_effect=AssertionError("a canonical column built a store"))
+        with mock.patch.object(ClusterSet, "register", refuse), \
+                mock.patch.object(ClusterSet, "merge_scripts", refuse):
+            for path in (csv_path, bin_path):
+                loaded = load_snapshot(str(path))
+                assert type(loaded) is list and loaded == store.labels()
+
+    def test_one_row_off_canonical_loads_to_its_closure(self, tmp_path):
+        # Script 2 is labelled 1, which is not a root's label: the file joins all three.
+        csv_path, bin_path = tmp_path / "snap.csv", tmp_path / "snap.bin"
+        csv_path.write_text("script_id,cluster_id\n0,0\n1,0\n2,1\n")
+        bin_path.write_bytes(b"ECLS1" + struct.pack("<4Q", 3, 0, 0, 1))
+        expected = closure_labels(3, [(0, 0), (1, 0), (2, 1)])
+        assert expected == [0, 0, 0]
+        for path in (csv_path, bin_path):
+            assert load_snapshot(str(path)) == expected
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -269,7 +295,7 @@ class TestSnapshots:
     def test_csv_rows_in_any_order_load(self, tmp_path):
         path = tmp_path / "ok.csv"
         path.write_text("script_id,cluster_id\n2,0\n0,0\n1,1\n")
-        assert load_snapshot(str(path)).labels() == [0, 1, 0]
+        assert load_snapshot(str(path)) == [0, 1, 0]
 
     @pytest.mark.parametrize("row", ["1,-1", "1,x"])
     def test_a_row_with_two_faults_is_named_by_its_repeat(self, tmp_path, row):
@@ -299,8 +325,7 @@ class TestSnapshots:
     def test_binary_labels_below_count_load(self, tmp_path):
         path = tmp_path / "ok.bin"
         path.write_bytes(b"ECLS1" + struct.pack("<Q2Q", 2, 1, 1))
-        loaded = load_snapshot(str(path))
-        assert loaded.labels() == [0, 0]
+        assert load_snapshot(str(path)) == [0, 0]
 
 
 # Snapshots past the first bulk chunk: each chunk of CSV_CHUNK_ROWS rows is
@@ -365,8 +390,7 @@ class TestSnapshotFaultsPastTheFirstChunk:
 
     def test_blank_lines_skipped_across_chunks(self, tmp_path):
         path = _chunked_snapshot(tmp_path / "snap.csv", blank_before=CSV_CHUNK_ROWS - 1)
-        labels = load_snapshot(str(path)).labels()
-        assert labels == [sid - sid % 3 for sid in range(self.N)]
+        assert load_snapshot(str(path)) == [sid - sid % 3 for sid in range(self.N)]
 
     def test_csv_rows_in_any_order_load_across_chunks(self, tmp_path):
         rng = Random(17)
@@ -378,7 +402,7 @@ class TestSnapshotFaultsPastTheFirstChunk:
         rng.shuffle(rows)
         path = tmp_path / "snap.csv"
         path.write_text("script_id,cluster_id\n" + "".join(rows))
-        assert load_snapshot(str(path)).labels() == store.labels()
+        assert load_snapshot(str(path)) == store.labels()
 
 
 _merge_groups = st.integers(1, 40).flatmap(
@@ -411,9 +435,7 @@ def test_merge_sequences_round_trip(snapshot_dir, case, chunk):
     _check_store(store, expected)
     with mock.patch.object(errors, "CSV_CHUNK_ROWS", chunk):
         for path in (csv_path, bin_path):
-            loaded = load_snapshot(str(path))
-            _check_store(loaded, expected)
-            assert loaded.num_clusters == store.num_clusters
+            assert load_snapshot(str(path)) == expected
 
 
 _label_files = st.integers(1, 30).flatmap(
@@ -437,9 +459,7 @@ def test_non_canonical_label_files_load_to_their_closure(snapshot_dir, case, chu
     bin_path.write_bytes(b"ECLS1" + struct.pack(f"<{n + 1}Q", n, *labels))
     with mock.patch.object(errors, "CSV_CHUNK_ROWS", chunk):
         for path in (csv_path, bin_path):
-            loaded = load_snapshot(str(path))
-            _check_store(loaded, expected)
-            assert loaded.num_clusters == len(set(expected))
+            assert load_snapshot(str(path)) == expected
 
 
 def _roots(store):
@@ -483,10 +503,15 @@ def test_every_root_is_its_clusters_least_id_after_a_load(snapshot_dir, case):
     rows = "".join(f"{sid},{label}\n" for sid, label in enumerate(labels))
     csv_path.write_text("script_id,cluster_id\n" + rows)
     bin_path.write_bytes(b"ECLS1" + struct.pack(f"<{n + 1}Q", n, *labels))
+    labelled = ClusterSet.labels
     for path in (csv_path, bin_path):
-        loaded = load_snapshot(str(path))
-        _check_store(loaded, expected)
-        assert _roots(loaded) == set(expected)
+        built = []
+        with mock.patch.object(ClusterSet, "labels", autospec=True,
+                               side_effect=lambda store: built.append(store) or labelled(store)):
+            assert load_snapshot(str(path)) == expected
+        for store in built:  # a non-canonical file's store, after the load's merges
+            _check_store(store, expected)
+            assert _roots(store) == set(expected)
 
 
 class TestLabelsList:
@@ -515,6 +540,6 @@ class TestLabelsList:
         path = tmp_path / "chain.bin"
         with open(path, "wb") as fh:
             store.write_snapshot_binary(fh)
-        assert load_snapshot(str(path)).labels() == [0] * n
+        assert load_snapshot(str(path)) == [0] * n
         assert store.merge_scripts((n - 1, 0)) == 0  # a find from the leaf
         assert store.labels() == [0] * n

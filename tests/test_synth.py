@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entityforge.chain import iter_blocks
-from entityforge.clusters import ClusterSet
 from entityforge.engine import RunConfig, run
 from entityforge.errors import CSV_CHUNK_ROWS, DataError, GenerationError
 from entityforge.synth import GenParams, StreamGenerator, generate_files, read_truth, score
@@ -278,33 +277,23 @@ class TestBehaviorKnobs:
 
 
 class TestScore:
-    def _store(self, n):
-        store = ClusterSet()
-        store.register(n)
-        return store
-
     def test_perfect_partition(self):
         truth = {0: 0, 1: 0, 2: 1, 3: 1}
-        store = self._store(4)
-        store.merge_scripts({0, 1})
-        store.merge_scripts({2, 3})
-        metrics = score(store, truth)
+        metrics = score([0, 0, 2, 2], truth)
         assert metrics["pairwise_precision"] == 1.0
         assert metrics["pairwise_recall"] == 1.0
         assert metrics["cluster_collapse"] == 0
 
     def test_atomic_partition_convention(self):
         truth = {0: 0, 1: 0, 2: 1}
-        metrics = score(self._store(3), truth)
+        metrics = score([0, 1, 2], truth)
         assert metrics["pairwise_precision"] == 1.0  # vacuous: no claimed pairs
         assert metrics["pairwise_recall"] == 0.0
         assert metrics["cluster_collapse"] == 0
 
     def test_collapsed_cluster_counted(self):
         truth = {0: 0, 1: 1, 2: 1}
-        store = self._store(3)
-        store.merge_scripts({0, 1, 2})
-        metrics = score(store, truth)
+        metrics = score([0, 0, 0], truth)
         assert metrics["cluster_collapse"] == 1
         assert metrics["pairwise_precision"] == pytest.approx(1 / 3)
         assert metrics["pairwise_recall"] == 1.0
@@ -312,14 +301,11 @@ class TestScore:
     def test_unknown_truth_script_rejected(self):
         for sid in (5, 2, -1):
             with pytest.raises(DataError, match=f"truth script {sid} is not in the partition"):
-                score(self._store(2), {0: 0, sid: 1})
+                score([0, 1], {0: 0, sid: 1})
 
     def test_partition_extras_ignored(self):
         truth = {0: 0, 1: 0}
-        store = self._store(5)
-        store.merge_scripts({0, 1})
-        store.merge_scripts({3, 4})
-        metrics = score(store, truth)
+        metrics = score([0, 0, 2, 3, 3], truth)
         assert metrics["pairwise_precision"] == 1.0
         assert metrics["pairwise_recall"] == 1.0
         assert metrics["scripts"] == 2
@@ -384,10 +370,8 @@ class TestTruthPastTheFirstChunk:
         path = _chunked_truth(tmp_path / "truth.csv", {row: f"{sid},3"})
         truth = read_truth(str(path))
         assert truth[sid] == 3 and row not in truth
-        store = ClusterSet()
-        store.register(_TRUTH_ROWS)
         with pytest.raises(DataError, match=f"^truth script {sid} is not in the partition$"):
-            score(store, truth)
+            score(list(range(_TRUTH_ROWS)), truth)
 
 
 _scored = st.integers(1, 30).flatmap(
@@ -404,8 +388,5 @@ _scored = st.integers(1, 30).flatmap(
 def test_score_matches_pair_enumeration(case):
     """Every metric equals the brute-force count over all truth-script pairs."""
     n, groups, truth = case
-    store = ClusterSet()
-    store.register(n)
-    for group in groups:
-        store.merge_scripts(group)
-    assert score(store, truth) == reference_score(closure_labels(n, groups), truth)
+    labels = closure_labels(n, groups)
+    assert score(labels, truth) == reference_score(labels, truth)
