@@ -19,9 +19,9 @@ never interned.
 from __future__ import annotations
 
 import gzip
-import io
 import json
 import marshal
+import re
 import zlib
 from itertools import repeat
 from typing import IO, Generator, Iterable, Iterator, NamedTuple
@@ -87,11 +87,6 @@ def validate_transaction(tx: Transaction) -> Transaction:
     return tx
 
 
-def open_stream(path: str) -> IO[bytes]:
-    """A stream file's bytes, gunzipped if its name ends in `.gz`."""
-    return (gzip.open if path.endswith(".gz") else open)(path, "rb")
-
-
 # json.loads without its wrapper; a line this rejects goes through json.loads
 # after all, so that every error message is json.loads' own.
 _raw_decode = json.JSONDecoder().raw_decode
@@ -105,6 +100,13 @@ def _transactions(*columns: Iterable) -> list[Transaction]:
 # New script ids are made this many at a time (see `iter_blocks`).
 _ID_RUN = 4096
 
+# A byte that is not UTF-8, as the "surrogateescape" error handler decodes it.
+_escaped_byte = re.compile("[\udc80-\udcff]").search
+
+
+class _NotUTF8(IngestError):
+    """A stream line holds a byte that is not UTF-8."""
+
 
 def iter_blocks(source: IO | Iterable[str], table: dict[str, int]) -> Generator[Block, None, int]:
     """Yield validated blocks from a JSONL line source, interning scripts in `table`,
@@ -113,6 +115,12 @@ def iter_blocks(source: IO | Iterable[str], table: dict[str, int]) -> Generator[
     Lines must be sorted by block index, coinbase lines too; consecutive lines
     with the same index form one block. Coinbase transactions (empty inputs) are
     dropped before any of their scripts are interned.
+
+    A `str` line that holds a byte decoded by the "surrogateescape" error
+    handler (U+DC80-U+DCFF, one per byte that is not UTF-8) is refused before
+    any other check of it, naming the byte and its offset in bytes, so a
+    stream's first fault in file order is the one reported. On an ASCII line
+    the test is one flag. Bytes lines are not checked here.
 
     The per-line work is one loop, since decoding is the largest layer of a
     run. On decoded JSON, `type(x) is int` is `isinstance(x, int)`
@@ -150,6 +158,10 @@ def iter_blocks(source: IO | Iterable[str], table: dict[str, int]) -> Generator[
         return Block(current_index, _transactions(txids, *columns), seen)
 
     for lineno, line in enumerate(source, start=1):
+        if not line.isascii() and type(line) is str and (bad := _escaped_byte(line)):
+            offset = len(line[:bad.start()].encode("utf-8", "surrogatepass"))
+            raise _NotUTF8(f"line {lineno}: byte 0x{ord(bad[0]) - 0xDC00:02x} at offset {offset} "
+                           "is not UTF-8")
         line = line.strip()
         if not line:
             continue
@@ -238,6 +250,10 @@ class JsonlSource:
     Each pass interns into a fresh table, script text to id, kept as `table`
     until the next pass, and sets `coinbase_dropped` when it ends. Ids follow
     first observation, so every pass gives the same ids and block script counts.
+
+    A pass reads the file once, as UTF-8 text in which a byte that is not UTF-8
+    becomes an escape that `iter_blocks` names at its line. That error and gzip
+    data cut short or corrupt end the pass in an `IngestError` naming the file.
     """
 
     def __init__(self, path: str):
@@ -247,13 +263,12 @@ class JsonlSource:
 
     def blocks(self) -> Iterator[Block]:
         self.table = {}
+        opener = gzip.open if self.path.endswith(".gz") else open
         try:
-            with io.TextIOWrapper(open_stream(self.path), encoding="utf-8") as fh:
+            with opener(self.path, "rt", encoding="utf-8", errors="surrogateescape") as fh:
                 self.coinbase_dropped = yield from iter_blocks(fh, self.table)
-        except UnicodeDecodeError as exc:
-            raise IngestError(f"{self.path}: cannot read the stream: {self._not_utf8(exc)}") from None
-        except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
-            # gzip data that is cut short or corrupt
+        except (_NotUTF8, EOFError, gzip.BadGzipFile, zlib.error) as exc:
+            # a byte that is not UTF-8, or gzip data that is cut short or corrupt
             raise IngestError(f"{self.path}: cannot read the stream: {exc}") from None
 
     def pack(self) -> "PackedStream":
@@ -262,29 +277,6 @@ class JsonlSource:
         packed = PackedStream(self)
         self.table = {}
         return packed
-
-    def _not_utf8(self, exc: UnicodeDecodeError) -> str:
-        """The first line that is not UTF-8, and the bad byte's offset in it.
-
-        The decoder's own position counts from its chunk, so the bytes are read
-        again, lines split as in text mode."""
-        for lineno, line in enumerate(self._byte_lines(), 1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError as bad:
-                return f"line {lineno}: byte 0x{line[bad.start]:02x} at offset {bad.start} is not UTF-8"
-        return str(exc)
-
-    def _byte_lines(self) -> Iterator[bytes]:
-        pending = b""
-        try:
-            with open_stream(self.path) as fh:
-                while chunk := fh.read1(1 << 16):  # one read: keeps the bytes before any damage
-                    *lines, pending = (pending + chunk).splitlines(keepends=True)
-                    yield from lines
-        except (EOFError, gzip.BadGzipFile, zlib.error):
-            pass  # damaged gzip data: the bytes before the damage are still checked
-        yield pending
 
 
 class MemorySource:

@@ -23,7 +23,6 @@ label column; only a non-canonical file goes through a fresh store.
 
 from __future__ import annotations
 
-import csv
 import struct
 import sys
 from itertools import compress, repeat
@@ -100,9 +99,8 @@ class ClusterSet:
 
     def write_snapshot_csv(self, sink: IO) -> None:
         """Write `script_id,cluster_id` rows, cluster_id = min member id."""
-        writer = csv.writer(sink)
-        writer.writerow(_CSV_HEADER)
-        writer.writerows(enumerate(self.labels()))
+        sink.write(",".join(_CSV_HEADER) + "\r\n")
+        sink.writelines(map("%d,%d\r\n".__mod__, enumerate(self.labels())))
 
     def write_snapshot_binary(self, sink: IO) -> None:
         """Compact snapshot: magic, u64 count, u64 labels in script-id order."""

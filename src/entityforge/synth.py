@@ -14,7 +14,6 @@ users together.
 
 from __future__ import annotations
 
-import csv
 import json
 from collections import Counter
 from dataclasses import asdict, dataclass
@@ -424,9 +423,8 @@ def generate_files(prefix: str, seed: int, params: GenParams) -> dict:
 
 
 def write_truth(sink: IO, truth: dict[int, int]) -> None:
-    writer = csv.writer(sink)
-    writer.writerow(_TRUTH_HEADER)
-    writer.writerows(sorted(truth.items()))
+    sink.write(",".join(_TRUTH_HEADER) + "\r\n")
+    sink.writelines(map("%d,%d\r\n".__mod__, sorted(truth.items())))
 
 
 def read_truth(path: str) -> dict[int, int]:

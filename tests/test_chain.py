@@ -335,6 +335,131 @@ def test_packed_replay_equals_decoded_blocks(stream_path, lines):
     assert len(source.table) == 0 and repr(list(source.blocks())) == decoded
 
 
+def _strict_lines(data: bytes, path: str):
+    """`data`'s lines as text mode splits them, each decoded as strict UTF-8 on its own; the
+    first that is not UTF-8 raises `JsonlSource`'s error for it, naming the byte's offset."""
+    for lineno, line in enumerate(data.splitlines(keepends=True), start=1):
+        try:
+            yield line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise IngestError(f"{path}: cannot read the stream: line {lineno}: "
+                              f"byte 0x{line[exc.start]:02x} at offset {exc.start} is not UTF-8")
+
+
+def _jsonl_pass(path: str):
+    """A decode for `_decode_outcome`: one `JsonlSource` pass over `path`, its lines unused."""
+    def decode(_, table):
+        source = JsonlSource(path)
+        try:
+            yield from source.blocks()
+        finally:
+            table.update(source.table)
+        return source.coinbase_dropped
+    return decode
+
+
+def _write_stream(path, data: bytes) -> str:
+    path.write_bytes(gzip.compress(data) if path.name.endswith(".gz") else data)
+    return str(path)
+
+
+# Valid UTF-8 beyond ASCII: two- to four-byte characters, a leading no-break space that
+# `str.strip` drops, and U+2028 and U+0085, which text mode does not split lines at.
+_NON_ASCII_STREAM = (
+    '\u00a0{"txid": "té", "block": 1, "inputs": [{"script": "café", "value": 5}, '
+    '{"script": "\U0001f600", "value": 1}], "outputs": [{"script": "\u2028\x85", "value": 4}]}\r\n'
+    + PAY.replace('"b"', '"€"') + "\n"
+    + PAY.replace('"a"', '"café"').replace('"block": 1', '"block": 2') + "\n"
+).encode()
+
+
+class TestBytesNotUTF8:
+    """A byte that is not UTF-8 is named at its own line, so a stream's first fault in
+    file order is the one reported, in plain and gzip files alike."""
+
+    @pytest.mark.parametrize("name", ["s.jsonl", "s.jsonl.gz"])
+    @pytest.mark.parametrize("bad", [5, 200])
+    def test_first_fault_in_file_order_is_reported(self, tmp_path, name, bad):
+        lines = [PAY.encode() + b"\n"] * 300
+        lines[1] = b'{"txid":\n'
+        lines[bad - 1] = lines[bad - 1].replace(b'"a"', b'"p\xff"')
+        path = _write_stream(tmp_path / name, b"".join(lines))
+        with pytest.raises(IngestError) as err:
+            list(JsonlSource(path).blocks())
+        assert err.value.category == "ingest"
+        assert str(err.value) == "line 2: invalid JSON: Expecting value: line 1 column 9 (char 8)"
+
+    @pytest.mark.parametrize("name", ["s.jsonl", "s.jsonl.gz"])
+    def test_bad_byte_after_multibyte_text_is_named_at_its_byte_offset(self, tmp_path, name):
+        # The byte follows ` {"txid": "t", "block": 1, "inputs": [{"script": "café`: 54
+        # characters, 55 bytes.
+        bad_line = PAY.replace('"a"', '"café€').encode().replace(b"\xe2\x82\xac", b"\xfe\"")
+        path = _write_stream(tmp_path / name, (PAY + "\n").encode() + b" " + bad_line + b"\n")
+        with pytest.raises(IngestError) as err:
+            list(JsonlSource(path).blocks())
+        assert err.value.category == "ingest"
+        assert str(err.value) == (f"{path}: cannot read the stream: "
+                                  "line 2: byte 0xfe at offset 55 is not UTF-8")
+
+    # Each text before the escaped byte is 50 characters: 51 bytes with `é`, 52 with a lone
+    # surrogate that no decoder makes but a caller's own lines may hold.
+    @pytest.mark.parametrize("script, offset", [("é\udcff", 51), ("\ud800\udcff", 52)])
+    def test_escaped_byte_in_a_str_line_is_named_at_its_line(self, script, offset):
+        lines = [PAY + "\n", PAY.replace('"a"', f'"{script}"') + "\n"]
+        with pytest.raises(IngestError) as err:
+            list(iter_blocks(lines, {}))
+        assert err.value.category == "ingest"
+        assert str(err.value) == f"line 2: byte 0xff at offset {offset} is not UTF-8"
+
+    @pytest.mark.parametrize("name", ["s.jsonl", "s.jsonl.gz"])
+    def test_valid_non_ascii_text_decodes_as_strict_utf8(self, tmp_path, name):
+        path = _write_stream(tmp_path / name, _NON_ASCII_STREAM)
+        outcome = _decode_outcome(_jsonl_pass(path), None)
+        assert outcome == _decode_outcome(reference_iter_blocks,
+                                          _strict_lines(_NON_ASCII_STREAM, path), as_columns)
+        assert outcome[1] == [("café", 0), ("\U0001f600", 1), ("\u2028\x85", 2),
+                              ("a", 3), ("€", 4), ("b", 5)]
+
+    @pytest.mark.parametrize("line, outcome", [
+        (b'{"txid": "t", "block": 1, "inputs": [{"script": "p\xff", "value": 2}], '
+         b'"outputs": [{"script": "b", "value": 1}]}\n',
+         "line 1: invalid JSON: 'utf-8' codec can't decode byte 0xff in position 50: "
+         "invalid start byte"),
+        (b'{"txid": "t", "block": 1, "inputs": [{"script": "caf\xc3\xa9", "value": 2}], '
+         b'"outputs": [{"script": "b", "value": 1}]}\n',
+         [("café", 0), ("b", 1)]),
+    ], ids=["not-utf8", "utf8"])
+    def test_bytes_lines_are_decoded_by_json(self, line, outcome):
+        """Bytes lines are not checked for escapes: `json.loads` decodes them, or says why not."""
+        table = {}
+        try:
+            blocks = list(iter_blocks([line], table))
+        except IngestError as exc:
+            assert (exc.category, str(exc)) == ("ingest", outcome)
+        else:
+            assert list(table.items()) == outcome
+            assert [(b.index, b.scripts, len(b.transactions)) for b in blocks] == [(1, 2, 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=_decodable_stream(), gz=st.booleans(), data=st.data())
+def test_bad_bytes_are_named_where_strict_decoding_first_fails(stream_path, lines, gz, data):
+    """Bytes that are not UTF-8, put anywhere in a valid stream, and perhaps a line of
+    invalid JSON: a pass fails as the line-by-line strict-decode reference does."""
+    stream = bytearray("".join(lines).encode())
+    for bad in data.draw(st.lists(st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80"]),
+                                  min_size=1, max_size=3)):
+        at = data.draw(st.integers(0, len(stream)))
+        stream[at:at] = bad
+    if data.draw(st.booleans()):
+        at = data.draw(st.sampled_from([0] + [k + 1 for k, c in enumerate(stream) if c == 10]))
+        stream[at:at] = b'{"txid":\n'
+    path = _write_stream(stream_path.with_name("s.jsonl.gz" if gz else "s.jsonl"), bytes(stream))
+    expected = _decode_outcome(reference_iter_blocks, _strict_lines(bytes(stream), path), as_columns)
+    assert expected[3] is not None
+    assert _decode_outcome(_jsonl_pass(path), None) == expected
+
+
 def _side(draw, hw):
     """Ids mostly seen or next, sometimes skipping or negative; and the high-water count after."""
     sids = []

@@ -759,10 +759,26 @@ class TestMalformedInputs:
                 "line 2501: byte 0xff at offset 47 is not UTF-8\n"
             )
 
+    @pytest.mark.parametrize("name", ["s.jsonl", "s.jsonl.gz"])
+    def test_first_fault_in_file_order_is_reported(self, tmp_path, name):
+        # Line 5's byte lies in the text reader's first read-ahead chunk, past line 2's fault.
+        lines = [ONE_TX.encode()] * 300
+        lines[1] = b'{"txid":\n'
+        lines[4] = ONE_TX.encode().replace(b'"pA"', b'"p\xff"')
+        data = b"".join(lines)
+        path = tmp_path / name
+        path.write_bytes(gzip.compress(data) if name.endswith(".gz") else data)
+        for argv in (["validate"], ["run", "--heuristic", "cio"]):
+            proc = _cli(*argv, "--tx", str(path))
+            assert proc.returncode == 3
+            assert proc.stderr == (
+                "error[ingest]: line 2: invalid JSON: Expecting value: line 1 column 9 (char 8)\n"
+            )
+
     @pytest.mark.parametrize("cut", [9, 10, 11, 12])
     def test_non_utf8_byte_on_the_cut_short_line_of_a_gzip(self, tmp_path, cut):
-        # The text decoder meets the bad byte before the gzip reader meets the
-        # damage; re-reading the bytes to find its line must not raise either.
+        # The bad byte is named if its line is read whole before the gzip reader meets
+        # the damage, and the damage otherwise; neither ends in a traceback.
         lines = [ONE_TX.encode()] * 3000
         lines[-1] = ONE_TX.encode().replace(b'"pA"', b'"p\xff"')
         path = tmp_path / "s.jsonl.gz"

@@ -224,7 +224,7 @@ class TestSnapshots:
     def test_csv_rows_use_min_label(self):
         buf = io.StringIO()
         self._two_cluster_store().write_snapshot_csv(buf)
-        assert buf.getvalue().splitlines() == ["script_id,cluster_id", "0,0", "1,0", "2,2"]
+        assert buf.getvalue() == "script_id,cluster_id\r\n0,0\r\n1,0\r\n2,2\r\n"  # csv's line ends
 
     def test_empty_store_header_only(self):
         buf = io.StringIO()
